@@ -2,8 +2,9 @@
 //! trajectory of the compute backend — matmul GFLOP/s (naive reference vs
 //! the blocked kernels, one sweep per kernel path: scalar and, where the
 //! host supports them, AVX2+FMA and AVX-512), attention step latency, and epoch
-//! wall-clock, each at 1/2/4/8 threads. The host block records the
-//! detected CPU features and the active kernel path.
+//! wall-clock, each at the thread counts in 1/2/4/8 the host can actually
+//! run in parallel. The host block records the detected CPU features and
+//! the active kernel path.
 //!
 //! Timings are best-of-N (minimum over repetitions), the standard way to
 //! suppress scheduler noise for short kernels. Run with `--release`:
@@ -22,7 +23,12 @@ use kvec_nn::{causal_mask, AttentionBlock, ParamStore, Session};
 use kvec_tensor::{parallel, simd, KvecRng, SimdMode, Tensor};
 use std::hint::black_box;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// The thread counts to sweep: powers of two up to the host's parallelism.
+/// A row above it would time dispatch overhead, not scaling.
+fn thread_counts() -> Vec<usize> {
+    let host = parallel::hardware_threads();
+    [1, 2, 4, 8].into_iter().filter(|&t| t <= host).collect()
+}
 
 fn gflops(m: usize, k: usize, n: usize, ms: f64) -> f64 {
     (2.0 * m as f64 * k as f64 * n as f64) / (ms * 1e-3) / 1e9
@@ -69,7 +75,7 @@ fn matmul_sweep() -> Json {
         let ref_ms = ref_stats.min_ns / 1e6;
         let mut blocked = Vec::new();
         for (mode, path) in bench_modes() {
-            for &t in &THREADS {
+            for t in thread_counts() {
                 let stats = simd::with_simd(mode, || {
                     stats_direct(reps, || {
                         parallel::with_threads(t, || black_box(a.matmul(&b)));
@@ -118,9 +124,9 @@ fn attention_sweep() -> Json {
     };
     let serial_ms = step(1).min_ns / 1e6;
     eprintln!("attention step t={t_len}: serial {serial_ms:.3} ms");
-    let sweep: Vec<Json> = THREADS
-        .iter()
-        .map(|&t| {
+    let sweep: Vec<Json> = thread_counts()
+        .into_iter()
+        .map(|t| {
             let stats = step(t);
             let ms = stats.min_ns / 1e6;
             Json::obj([
@@ -173,9 +179,9 @@ fn epoch_sweep() -> Json {
         "epoch ({} scenarios): serial {serial_ms:.1} ms",
         ds.train.len()
     );
-    let sweep: Vec<Json> = THREADS
-        .iter()
-        .map(|&w| {
+    let sweep: Vec<Json> = thread_counts()
+        .into_iter()
+        .map(|w| {
             let stats = epoch_stats(w);
             let ms = stats.min_ns / 1e6;
             Json::obj([

@@ -24,18 +24,26 @@
 //!
 //! # Kernel structure
 //!
-//! - **Packed GEMM** ([`pack_b`] + [`gemm_nn_packed`]/[`gemm_tn_packed`]):
-//!   `b` is repacked once per product into panel-width-wide ([`NR`] lanes
-//!   on AVX2, [`NR512`] on AVX-512), zero-padded column panels so the
-//!   micro-kernel streams it with unit stride, then the [`MR`]-row FMA
-//!   micro-kernel runs under MC/KC cache blocking (`jp` panels outermost
-//!   within a block so one `KC`-deep panel slab stays in L1 across the
-//!   row tiles). Packing happens *before* the row-block thread fan-out,
-//!   so workers share one packed copy.
+//! Every kernel body is written **once**, over a lane-width parameter, and
+//! instantiated for the 256-bit and the 512-bit tier (`mod x86`); the safe
+//! wrappers reach a [`KernelPath`]'s instantiation through one helper.
+//!
+//! - **Packed GEMM** ([`pack_b`] + `gemm_packed`): `b` is repacked once
+//!   per product into panel-width-wide ([`NR`] lanes on AVX2, [`NR512`] on
+//!   AVX-512), zero-padded column panels so the micro-kernel streams it
+//!   with unit stride, then the [`MR`]-row FMA micro-kernel runs under
+//!   MC/KC cache blocking (`jp` panels outermost within a block so one
+//!   `KC`-deep panel slab stays in L1 across the row tiles). Packing
+//!   happens *before* the row-block thread fan-out, so workers share one
+//!   packed copy. The kernel reads `a` through a `(row, step)` stride
+//!   pair — `(k, 1)` for `nn`, `(1, m)` for `tn` — the same pair the
+//!   scalar tile in [`crate::matmul`] takes, so the two layouts share one
+//!   body on every path.
 //! - **GEMV fast path** ([`gemv_nn`]): the `1 x k` times `k x n` case that
 //!   dominates `StreamingEngine::feed` and the per-row inference path
 //!   skips packing entirely — `b` is read exactly once, so repacking would
-//!   double the memory traffic.
+//!   double the memory traffic. Columns go down one ladder on both tiers:
+//!   `2W`-wide groups, one `W`-wide group, then scalar-FMA columns.
 //! - **Dot/axpy helpers** ([`dot_on`], [`axpy_on`]): head-dimension sized
 //!   primitives for `attend_row`, taking a pre-resolved path so hot loops
 //!   pay for dispatch once per call, not once per visible index.
@@ -47,10 +55,15 @@
 //! (parallel row blocks never change any element's accumulation order;
 //! `nn`/`tn`/`gemv` accumulate each output element in one ascending-`k`
 //! FMA chain, and storing/reloading the f32 accumulator between KC chunks
-//! is value-preserving). *Across* paths results legitimately differ: FMA
-//! rounds once per multiply-add where the scalar kernel rounds twice, so
-//! SIMD-vs-scalar agreement is a tight-ULP property (see
-//! `kvec_check::ulp_distance`), not bit equality.
+//! is value-preserving). Vector lanes never interact in those kernels or
+//! in `axpy`, so the chain — and every output bit — is the same at any
+//! lane width: the two SIMD tiers agree bitwise there (pinned by
+//! `tests/kernel_bits.rs`), as do the GEMV fast path and the packed GEMM.
+//! `nt` and `dot` deal products into `W` lane chains and sum the lanes in
+//! a fixed order, so they are deterministic per tier only. SIMD versus
+//! scalar legitimately differs: FMA rounds once per multiply-add where the
+//! scalar kernel rounds twice, so that agreement is a tight-ULP property
+//! (see `kvec_check::ulp_distance`), not bit equality.
 //!
 //! `unsafe` is confined to this module's intrinsics layer; every public
 //! entry point is a safe wrapper that asserts the shape contracts the raw
@@ -371,7 +384,7 @@ pub fn pack_b(path: KernelPath, b: &[f32], k: usize, n: usize) -> PackedB {
 }
 
 /// Asserts that `path` is a SIMD path the host can actually run — the
-/// dispatcher guarantees it, these wrappers re-check before any `unsafe`.
+/// dispatcher guarantees it, the wrappers re-check before any `unsafe`.
 fn assert_path_supported(path: KernelPath) {
     let ok = match path {
         KernelPath::Avx2 => avx2_supported(),
@@ -381,47 +394,43 @@ fn assert_path_supported(path: KernelPath) {
     assert!(ok, "{} kernel dispatched on unsupported host", path.name());
 }
 
-/// `out[0..rows] (rows x n) = a[i0..i0+rows] * b` on a SIMD path, with
-/// `a` row-major `m x k` and `b` pre-packed for the same path. `out` is
-/// the zeroed row block starting at absolute row `i0` (the
-/// [`crate::parallel::par_row_blocks`] calling convention).
-#[allow(clippy::too_many_arguments)] // flat kernel calling convention
-pub fn gemm_nn_packed(
-    path: KernelPath,
-    a: &[f32],
-    k: usize,
-    packed: &PackedB,
-    i0: usize,
-    rows: usize,
-    out: &mut [f32],
-) {
-    assert_path_supported(path);
-    assert_eq!(packed.nr, panel_width(path), "packed for a different path");
-    assert_eq!(packed.k, k, "packed buffer inner dimension mismatch");
-    assert!(a.len() >= (i0 + rows) * k, "a too short for row block");
-    assert_eq!(out.len(), rows * packed.n, "out block shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: shapes and feature support asserted above.
-    unsafe {
-        match path {
-            KernelPath::Avx2 => x86::gemm_packed(a, k, 1, i0, packed, rows, out),
-            KernelPath::Avx512 => x86::gemm_packed_512(a, k, 1, i0, packed, rows, out),
-            KernelPath::Scalar => unreachable!(),
+/// The one place safe code enters the intrinsics layer: calls `kernel` in
+/// `path`'s instantiation of the [`x86`] kernels. Debug builds re-check
+/// host support here, so every test run covers every entry point —
+/// including [`dot_on`]/[`axpy_on`], which run once per visible index and
+/// pay for no check in release builds.
+macro_rules! on_tier {
+    ($path:expr, $kernel:ident($($arg:expr),*)) => {{
+        if cfg!(debug_assertions) {
+            assert_path_supported($path);
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("SIMD path resolved on non-x86_64");
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the calling wrapper asserted `$kernel`'s shape contract.
+        // `$path` comes from `resolve`, which yields a SIMD path only when
+        // the host has its features; the wrappers off the per-index hot
+        // path re-assert that in release builds too.
+        unsafe {
+            match $path {
+                KernelPath::Avx2 => x86::avx2::$kernel($($arg),*),
+                KernelPath::Avx512 => x86::avx512::$kernel($($arg),*),
+                KernelPath::Scalar => unreachable!("scalar path has no SIMD kernel"),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("SIMD path resolved on non-x86_64")
+    }};
 }
 
-/// `out[0..rows] = (a^T)[i0..i0+rows] * b` on a SIMD path, with `a`
-/// row-major `k x m` (so output row `i` reads column `i0 + i` of `a`) and
-/// `b` pre-packed for the same path. Same calling convention as
-/// [`gemm_nn_packed`].
-#[allow(clippy::too_many_arguments)] // flat kernel calling convention
-pub fn gemm_tn_packed(
+/// `out[0..rows] (rows x n) = A[i0..i0+rows] * b` on a SIMD path, with
+/// `b` pre-packed for the same path and `A`'s element `(i, p)` at
+/// `a[i * a_rs + p * a_ps]`: `(a_rs, a_ps) = (k, 1)` reads a row-major
+/// `m x k` operand (`nn`), `(1, m)` reads the transpose of a row-major
+/// `k x m` one (`tn`). `out` is the zeroed row block starting at absolute
+/// row `i0` (the [`crate::parallel::par_row_blocks`] calling convention).
+pub(crate) fn gemm_packed(
     path: KernelPath,
     a: &[f32],
-    m: usize,
+    (a_rs, a_ps): (usize, usize),
     packed: &PackedB,
     i0: usize,
     rows: usize,
@@ -429,20 +438,13 @@ pub fn gemm_tn_packed(
 ) {
     assert_path_supported(path);
     assert_eq!(packed.nr, panel_width(path), "packed for a different path");
-    assert_eq!(a.len(), packed.k * m, "a shape mismatch");
-    assert!(i0 + rows <= m, "row block exceeds a's columns");
     assert_eq!(out.len(), rows * packed.n, "out block shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: shapes and feature support asserted above.
-    unsafe {
-        match path {
-            KernelPath::Avx2 => x86::gemm_packed(a, 1, m, i0, packed, rows, out),
-            KernelPath::Avx512 => x86::gemm_packed_512(a, 1, m, i0, packed, rows, out),
-            KernelPath::Scalar => unreachable!(),
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("SIMD path resolved on non-x86_64");
+    // The last element the kernels read: row `i0 + rows - 1`, step `k - 1`.
+    assert!(
+        rows == 0 || packed.k == 0 || (i0 + rows - 1) * a_rs + (packed.k - 1) * a_ps < a.len(),
+        "a too short for row block"
+    );
+    on_tier!(path, gemm_packed(a, a_rs, a_ps, i0, packed, rows, out))
 }
 
 /// Row-vector times matrix: `out (1 x n) = a (1 x k) * b (k x n)` on a
@@ -454,17 +456,7 @@ pub fn gemv_nn(path: KernelPath, a: &[f32], b: &[f32], k: usize, n: usize, out: 
     assert!(a.len() >= k, "a too short");
     assert_eq!(b.len(), k * n, "b shape mismatch");
     assert_eq!(out.len(), n, "out shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: shapes and feature support asserted above.
-    unsafe {
-        match path {
-            KernelPath::Avx2 => x86::gemv_nn(a, b, k, n, out),
-            KernelPath::Avx512 => x86::gemv_nn_512(a, b, k, n, out),
-            KernelPath::Scalar => unreachable!(),
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("SIMD path resolved on non-x86_64");
+    on_tier!(path, gemv_nn(a, b, k, n, out))
 }
 
 /// `out[0..rows] = a[i0..i0+rows] * b^T` on a SIMD path, with `a`
@@ -485,17 +477,7 @@ pub fn gemm_nt(
     assert!(a.len() >= (i0 + rows) * k, "a too short for row block");
     assert_eq!(b.len(), n * k, "b shape mismatch");
     assert_eq!(out.len(), rows * n, "out block shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: shapes and feature support asserted above.
-    unsafe {
-        match path {
-            KernelPath::Avx2 => x86::nt_block(a, b, k, n, i0, rows, out),
-            KernelPath::Avx512 => x86::nt_block_512(a, b, k, n, i0, rows, out),
-            KernelPath::Scalar => unreachable!(),
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("SIMD path resolved on non-x86_64");
+    on_tier!(path, nt_block(a, b, k, n, i0, rows, out))
 }
 
 /// Dot product of two equal-length slices on a pre-resolved path. The
@@ -505,27 +487,10 @@ pub fn gemm_nt(
 #[inline]
 pub fn dot_on(path: KernelPath, a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    match path {
-        KernelPath::Scalar => a.iter().zip(b).map(|(x, y)| x * y).sum(),
-        KernelPath::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: lengths equal (asserted); path implies AVX2+FMA.
-            unsafe {
-                x86::dot(a, b)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 path resolved on non-x86_64")
-        }
-        KernelPath::Avx512 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: lengths equal (asserted); path implies AVX-512F.
-            unsafe {
-                x86::dot_512(a, b)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX-512 path resolved on non-x86_64")
-        }
+    if path == KernelPath::Scalar {
+        return a.iter().zip(b).map(|(x, y)| x * y).sum();
     }
+    on_tier!(path, dot(a, b))
 }
 
 /// `y += alpha * x` on a pre-resolved path; same determinism contract as
@@ -533,41 +498,28 @@ pub fn dot_on(path: KernelPath, a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn axpy_on(path: KernelPath, y: &mut [f32], alpha: f32, x: &[f32]) {
     assert_eq!(y.len(), x.len(), "axpy length mismatch");
-    match path {
-        KernelPath::Scalar => {
-            for (o, &v) in y.iter_mut().zip(x) {
-                *o += alpha * v;
-            }
+    if path == KernelPath::Scalar {
+        for (o, &v) in y.iter_mut().zip(x) {
+            *o += alpha * v;
         }
-        KernelPath::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: lengths equal (asserted); path implies AVX2+FMA.
-            unsafe {
-                x86::axpy(y, alpha, x)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 path resolved on non-x86_64")
-        }
-        KernelPath::Avx512 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: lengths equal (asserted); path implies AVX-512F.
-            unsafe {
-                x86::axpy_512(y, alpha, x)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX-512 path resolved on non-x86_64")
-        }
+        return;
     }
+    on_tier!(path, axpy(y, alpha, x))
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The intrinsics layer. Everything here is `unsafe fn` gated on the
-    //! features its tier needs (`avx2,fma`, plus `avx512f` for the
-    //! `_512` kernels); the safe wrappers in the parent module assert the
-    //! shape contracts and feature support before calling in.
+    //! The intrinsics layer: every kernel is written once, in
+    //! `simd_tier!`, over a lane-width parameter — the panel width `NR =
+    //! 2W`, the lane reduction, the tier's six intrinsics and its feature
+    //! string — and instantiated as [`avx2`] (`W = 8`) and [`avx512`]
+    //! (`W = 16`). Each instantiated kernel is a plain `#[target_feature]`
+    //! function calling its tier's intrinsics directly, so they inline
+    //! exactly as in hand-written code. Everything here is `unsafe fn`;
+    //! the safe wrappers in the parent module assert the shape contracts
+    //! and feature support before calling in through `on_tier!`.
 
-    use super::{PackedB, KC, MC, MR, NR, NR512};
+    use super::{PackedB, KC, MC, MR};
     use core::arch::x86_64::*;
 
     /// Sums the 8 lanes of `v` in a fixed order (128-bit halves, then
@@ -583,389 +535,6 @@ mod x86 {
         _mm_cvtss_f32(s)
     }
 
-    /// The 4x16 FMA micro-kernel: `out_tile (+)= a_tile * panel` over a
-    /// `kc`-long stretch of the inner dimension.
-    ///
-    /// `a` element `(r, p)` lives at `a_off + r * a_rs + p * a_ps`
-    /// (relative to the start of this `kc` stretch) — the stride pair
-    /// covers the `nn` (`a_rs = k, a_ps = 1`) and `tn` (`a_rs = 1,
-    /// a_ps = m`) layouts with one kernel. Accumulation per output
-    /// element is one ascending-`p` FMA chain; `accumulate` loads the
-    /// prior chunk's partial sums, which is value-preserving because the
-    /// accumulators are f32 in both places.
-    ///
-    /// # Safety
-    /// Caller ensures AVX2+FMA, that all `a` indices up to
-    /// `a_off + 3 * a_rs + (kc - 1) * a_ps` are in bounds, `panel` has
-    /// `kc * NR` readable floats, and `out` spans 4 rows of stride `n`
-    /// with `width` writable columns each.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn kernel_4(
-        a: *const f32,
-        a_off: usize,
-        a_rs: usize,
-        a_ps: usize,
-        mut panel: *const f32,
-        kc: usize,
-        out: *mut f32,
-        n: usize,
-        width: usize,
-        accumulate: bool,
-    ) {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        let mut spill = [[0.0f32; NR]; MR];
-        if accumulate {
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                if width == NR {
-                    acc_r[0] = _mm256_loadu_ps(out.add(r * n));
-                    acc_r[1] = _mm256_loadu_ps(out.add(r * n + 8));
-                } else {
-                    core::ptr::copy_nonoverlapping(out.add(r * n), spill[r].as_mut_ptr(), width);
-                    acc_r[0] = _mm256_loadu_ps(spill[r].as_ptr());
-                    acc_r[1] = _mm256_loadu_ps(spill[r].as_ptr().add(8));
-                }
-            }
-        }
-        let mut ap = [
-            a.add(a_off),
-            a.add(a_off + a_rs),
-            a.add(a_off + 2 * a_rs),
-            a.add(a_off + 3 * a_rs),
-        ];
-        for _ in 0..kc {
-            let b0 = _mm256_loadu_ps(panel);
-            let b1 = _mm256_loadu_ps(panel.add(8));
-            panel = panel.add(NR);
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ap[r]);
-                ap[r] = ap[r].add(a_ps);
-                acc_r[0] = _mm256_fmadd_ps(av, b0, acc_r[0]);
-                acc_r[1] = _mm256_fmadd_ps(av, b1, acc_r[1]);
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate() {
-            if width == NR {
-                _mm256_storeu_ps(out.add(r * n), acc_r[0]);
-                _mm256_storeu_ps(out.add(r * n + 8), acc_r[1]);
-            } else {
-                _mm256_storeu_ps(spill[r].as_mut_ptr(), acc_r[0]);
-                _mm256_storeu_ps(spill[r].as_mut_ptr().add(8), acc_r[1]);
-                core::ptr::copy_nonoverlapping(spill[r].as_ptr(), out.add(r * n), width);
-            }
-        }
-    }
-
-    /// Single-row variant of [`kernel_4`] for the row tail.
-    ///
-    /// # Safety
-    /// As [`kernel_4`], for one row.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn kernel_1(
-        a: *const f32,
-        a_off: usize,
-        a_ps: usize,
-        mut panel: *const f32,
-        kc: usize,
-        out: *mut f32,
-        width: usize,
-        accumulate: bool,
-    ) {
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut spill = [0.0f32; NR];
-        if accumulate {
-            if width == NR {
-                acc0 = _mm256_loadu_ps(out);
-                acc1 = _mm256_loadu_ps(out.add(8));
-            } else {
-                core::ptr::copy_nonoverlapping(out, spill.as_mut_ptr(), width);
-                acc0 = _mm256_loadu_ps(spill.as_ptr());
-                acc1 = _mm256_loadu_ps(spill.as_ptr().add(8));
-            }
-        }
-        let mut ap = a.add(a_off);
-        for _ in 0..kc {
-            let av = _mm256_set1_ps(*ap);
-            ap = ap.add(a_ps);
-            acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(panel), acc0);
-            acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(panel.add(8)), acc1);
-            panel = panel.add(NR);
-        }
-        if width == NR {
-            _mm256_storeu_ps(out, acc0);
-            _mm256_storeu_ps(out.add(8), acc1);
-        } else {
-            _mm256_storeu_ps(spill.as_mut_ptr(), acc0);
-            _mm256_storeu_ps(spill.as_mut_ptr().add(8), acc1);
-            core::ptr::copy_nonoverlapping(spill.as_ptr(), out, width);
-        }
-    }
-
-    /// Cache-blocked packed GEMM over one output row block (`rows x n` at
-    /// absolute row `row0`). Loop nest: `pc` (KC chunks) → `ic` (MC row
-    /// blocks) → `jp` (panels) → `i` (MR tiles), so one `kc x NR` panel
-    /// slab stays L1-resident across the row tiles it feeds.
-    ///
-    /// # Safety
-    /// Caller ensures AVX2+FMA and the shape contracts asserted by the
-    /// public wrappers ([`super::gemm_nn_packed`]/[`super::gemm_tn_packed`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_packed(
-        a: &[f32],
-        a_rs: usize,
-        a_ps: usize,
-        row0: usize,
-        packed: &PackedB,
-        rows: usize,
-        out: &mut [f32],
-    ) {
-        let (k, n) = (packed.k, packed.n);
-        if rows == 0 || n == 0 || k == 0 {
-            return; // out is pre-zeroed by the caller
-        }
-        let panels = n.div_ceil(NR);
-        let a_ptr = a.as_ptr();
-        let out_ptr = out.as_mut_ptr();
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            let accumulate = pc > 0;
-            let mut ic = 0;
-            while ic < rows {
-                let mc = MC.min(rows - ic);
-                for jp in 0..panels {
-                    let width = NR.min(n - jp * NR);
-                    let panel = packed.data.as_ptr().add(jp * k * NR + pc * NR);
-                    let mut i = ic;
-                    while i + MR <= ic + mc {
-                        let a_off = (row0 + i) * a_rs + pc * a_ps;
-                        kernel_4(
-                            a_ptr,
-                            a_off,
-                            a_rs,
-                            a_ps,
-                            panel,
-                            kc,
-                            out_ptr.add(i * n + jp * NR),
-                            n,
-                            width,
-                            accumulate,
-                        );
-                        i += MR;
-                    }
-                    while i < ic + mc {
-                        let a_off = (row0 + i) * a_rs + pc * a_ps;
-                        kernel_1(
-                            a_ptr,
-                            a_off,
-                            a_ps,
-                            panel,
-                            kc,
-                            out_ptr.add(i * n + jp * NR),
-                            width,
-                            accumulate,
-                        );
-                        i += 1;
-                    }
-                }
-                ic += mc;
-            }
-            pc += kc;
-        }
-    }
-
-    /// Unpacked row-vector GEMV: per output column one ascending-`p` FMA
-    /// chain — the same rounding sequence as the packed kernels, so the
-    /// `m == 1` fast path is bit-identical to the general path.
-    ///
-    /// # Safety
-    /// Caller ensures AVX2+FMA and the shapes asserted by
-    /// [`super::gemv_nn`].
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemv_nn(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut j = 0;
-        while j + NR <= n {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            for p in 0..k {
-                let av = _mm256_set1_ps(*ap.add(p));
-                let row = bp.add(p * n + j);
-                acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(row), acc0);
-                acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(row.add(8)), acc1);
-            }
-            _mm256_storeu_ps(op.add(j), acc0);
-            _mm256_storeu_ps(op.add(j + 8), acc1);
-            j += NR;
-        }
-        if j + 8 <= n {
-            let mut acc = _mm256_setzero_ps();
-            for p in 0..k {
-                acc = _mm256_fmadd_ps(
-                    _mm256_set1_ps(*ap.add(p)),
-                    _mm256_loadu_ps(bp.add(p * n + j)),
-                    acc,
-                );
-            }
-            _mm256_storeu_ps(op.add(j), acc);
-            j += 8;
-        }
-        while j < n {
-            let mut c = 0.0f32;
-            for p in 0..k {
-                // Scalar FMA keeps the tail's rounding identical to the
-                // vector lanes' chains.
-                c = (*ap.add(p)).mul_add(*bp.add(p * n + j), c);
-            }
-            *op.add(j) = c;
-            j += 1;
-        }
-    }
-
-    /// Dot-product shaped `a * b^T` row block: four output columns run
-    /// concurrently, each an 8-lane FMA chain reduced by [`hsum8`] plus a
-    /// scalar-FMA tail — a fixed order per element, deterministic for
-    /// every thread count.
-    ///
-    /// # Safety
-    /// Caller ensures AVX2+FMA and the shapes asserted by
-    /// [`super::gemm_nt`].
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn nt_block(
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
-        i0: usize,
-        rows: usize,
-        out: &mut [f32],
-    ) {
-        for i in 0..rows {
-            let ar = a.as_ptr().add((i0 + i) * k);
-            let orow = out.as_mut_ptr().add(i * n);
-            let mut j = 0;
-            while j + MR <= n {
-                let br = [
-                    b.as_ptr().add(j * k),
-                    b.as_ptr().add((j + 1) * k),
-                    b.as_ptr().add((j + 2) * k),
-                    b.as_ptr().add((j + 3) * k),
-                ];
-                let mut acc = [_mm256_setzero_ps(); MR];
-                let mut p = 0;
-                while p + 8 <= k {
-                    let av = _mm256_loadu_ps(ar.add(p));
-                    for (c, acc_c) in acc.iter_mut().enumerate() {
-                        *acc_c = _mm256_fmadd_ps(av, _mm256_loadu_ps(br[c].add(p)), *acc_c);
-                    }
-                    p += 8;
-                }
-                let mut sums = [hsum8(acc[0]), hsum8(acc[1]), hsum8(acc[2]), hsum8(acc[3])];
-                while p < k {
-                    let av = *ar.add(p);
-                    for (c, s) in sums.iter_mut().enumerate() {
-                        *s = av.mul_add(*br[c].add(p), *s);
-                    }
-                    p += 1;
-                }
-                for (c, &s) in sums.iter().enumerate() {
-                    *orow.add(j + c) = s;
-                }
-                j += MR;
-            }
-            while j < n {
-                let br = b.as_ptr().add(j * k);
-                let mut acc = _mm256_setzero_ps();
-                let mut p = 0;
-                while p + 8 <= k {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(ar.add(p)),
-                        _mm256_loadu_ps(br.add(p)),
-                        acc,
-                    );
-                    p += 8;
-                }
-                let mut s = hsum8(acc);
-                while p < k {
-                    s = (*ar.add(p)).mul_add(*br.add(p), s);
-                    p += 1;
-                }
-                *orow.add(j) = s;
-                j += 1;
-            }
-        }
-    }
-
-    /// Equal-length dot product: two interleaved 8-lane chains, fixed
-    /// reduction order, scalar-FMA tail.
-    ///
-    /// # Safety
-    /// Caller ensures AVX2+FMA and `a.len() == b.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let len = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut p = 0;
-        while p + 16 <= len {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(p)), _mm256_loadu_ps(bp.add(p)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(p + 8)),
-                _mm256_loadu_ps(bp.add(p + 8)),
-                acc1,
-            );
-            p += 16;
-        }
-        if p + 8 <= len {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(p)), _mm256_loadu_ps(bp.add(p)), acc0);
-            p += 8;
-        }
-        let mut s = hsum8(_mm256_add_ps(acc0, acc1));
-        while p < len {
-            s = (*ap.add(p)).mul_add(*bp.add(p), s);
-            p += 1;
-        }
-        s
-    }
-
-    /// `y += alpha * x` with 8-lane FMA and a scalar-FMA tail.
-    ///
-    /// # Safety
-    /// Caller ensures AVX2+FMA and `y.len() == x.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-        let len = y.len();
-        let yp = y.as_mut_ptr();
-        let xp = x.as_ptr();
-        let av = _mm256_set1_ps(alpha);
-        let mut p = 0;
-        while p + 8 <= len {
-            let r = _mm256_fmadd_ps(av, _mm256_loadu_ps(xp.add(p)), _mm256_loadu_ps(yp.add(p)));
-            _mm256_storeu_ps(yp.add(p), r);
-            p += 8;
-        }
-        while p < len {
-            *yp.add(p) = alpha.mul_add(*xp.add(p), *yp.add(p));
-            p += 1;
-        }
-    }
-
-    // ----- 512-bit tier -------------------------------------------------
-    //
-    // Same kernel shapes as the 256-bit tier at twice the lane width: the
-    // 4x32 micro-kernel keeps 8 independent ZMM accumulator chains (two
-    // FMA ports x 4-cycle latency), panels are NR512 = 32 lanes wide, and
-    // every output element is still one ascending-`p` FMA chain — so the
-    // per-path determinism argument carries over unchanged. The kernels
-    // also enable avx2+fma: tails and horizontal reductions reuse the
-    // 256-bit ops, and `avx512_supported` requires all three features.
-
     /// Sums the 16 lanes of `v` in a fixed order (256-bit halves, then
     /// [`hsum8`]) — deterministic for a given input.
     #[inline]
@@ -978,383 +547,455 @@ mod x86 {
         hsum8(_mm256_add_ps(lo, hi))
     }
 
-    /// The 4x32 ZMM FMA micro-kernel: `out_tile (+)= a_tile * panel` over
-    /// a `kc`-long stretch of the inner dimension. Stride handling,
-    /// spill-based ragged-width stores and the `accumulate` contract are
-    /// exactly [`kernel_4`]'s.
-    ///
-    /// # Safety
-    /// As [`kernel_4`], with `panel` holding `kc * NR512` readable floats
-    /// and `width <= NR512` writable columns per output row.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn kernel_4_512(
-        a: *const f32,
-        a_off: usize,
-        a_rs: usize,
-        a_ps: usize,
-        mut panel: *const f32,
-        kc: usize,
-        out: *mut f32,
-        n: usize,
-        width: usize,
-        accumulate: bool,
-    ) {
-        let mut acc = [[_mm512_setzero_ps(); 2]; MR];
-        let mut spill = [[0.0f32; NR512]; MR];
-        if accumulate {
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                if width == NR512 {
-                    acc_r[0] = _mm512_loadu_ps(out.add(r * n));
-                    acc_r[1] = _mm512_loadu_ps(out.add(r * n + 16));
-                } else {
-                    core::ptr::copy_nonoverlapping(out.add(r * n), spill[r].as_mut_ptr(), width);
-                    acc_r[0] = _mm512_loadu_ps(spill[r].as_ptr());
-                    acc_r[1] = _mm512_loadu_ps(spill[r].as_ptr().add(16));
-                }
-            }
-        }
-        let mut ap = [
-            a.add(a_off),
-            a.add(a_off + a_rs),
-            a.add(a_off + 2 * a_rs),
-            a.add(a_off + 3 * a_rs),
-        ];
-        for _ in 0..kc {
-            let b0 = _mm512_loadu_ps(panel);
-            let b1 = _mm512_loadu_ps(panel.add(16));
-            panel = panel.add(NR512);
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*ap[r]);
-                ap[r] = ap[r].add(a_ps);
-                acc_r[0] = _mm512_fmadd_ps(av, b0, acc_r[0]);
-                acc_r[1] = _mm512_fmadd_ps(av, b1, acc_r[1]);
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate() {
-            if width == NR512 {
-                _mm512_storeu_ps(out.add(r * n), acc_r[0]);
-                _mm512_storeu_ps(out.add(r * n + 16), acc_r[1]);
-            } else {
-                _mm512_storeu_ps(spill[r].as_mut_ptr(), acc_r[0]);
-                _mm512_storeu_ps(spill[r].as_mut_ptr().add(16), acc_r[1]);
-                core::ptr::copy_nonoverlapping(spill[r].as_ptr(), out.add(r * n), width);
-            }
-        }
-    }
+    /// Instantiates the kernel set as `mod $tier` for one vector width:
+    /// `$nr` is the packed panel width (two vectors), `$hsum` the lane
+    /// reduction, and the bracketed list names the tier's zero, broadcast,
+    /// unaligned load/store, fused multiply-add and add intrinsics.
+    macro_rules! simd_tier {
+        (
+            $tier:ident, $feat:literal, $nr:ident, $hsum:ident,
+            [$setzero:ident, $set1:ident, $loadu:ident, $storeu:ident, $fmadd:ident, $add:ident]
+        ) => {
+            pub mod $tier {
+                use super::$hsum as hsum;
+                use super::{PackedB, KC, MC, MR};
+                use crate::simd::$nr as NR;
+                use core::arch::x86_64::{
+                    $add as add, $fmadd as fmadd, $loadu as loadu, $set1 as set1,
+                    $setzero as setzero, $storeu as storeu,
+                };
 
-    /// Single-row variant of [`kernel_4_512`] for the row tail.
-    ///
-    /// # Safety
-    /// As [`kernel_4_512`], for one row.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn kernel_1_512(
-        a: *const f32,
-        a_off: usize,
-        a_ps: usize,
-        mut panel: *const f32,
-        kc: usize,
-        out: *mut f32,
-        width: usize,
-        accumulate: bool,
-    ) {
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut spill = [0.0f32; NR512];
-        if accumulate {
-            if width == NR512 {
-                acc0 = _mm512_loadu_ps(out);
-                acc1 = _mm512_loadu_ps(out.add(16));
-            } else {
-                core::ptr::copy_nonoverlapping(out, spill.as_mut_ptr(), width);
-                acc0 = _mm512_loadu_ps(spill.as_ptr());
-                acc1 = _mm512_loadu_ps(spill.as_ptr().add(16));
-            }
-        }
-        let mut ap = a.add(a_off);
-        for _ in 0..kc {
-            let av = _mm512_set1_ps(*ap);
-            ap = ap.add(a_ps);
-            acc0 = _mm512_fmadd_ps(av, _mm512_loadu_ps(panel), acc0);
-            acc1 = _mm512_fmadd_ps(av, _mm512_loadu_ps(panel.add(16)), acc1);
-            panel = panel.add(NR512);
-        }
-        if width == NR512 {
-            _mm512_storeu_ps(out, acc0);
-            _mm512_storeu_ps(out.add(16), acc1);
-        } else {
-            _mm512_storeu_ps(spill.as_mut_ptr(), acc0);
-            _mm512_storeu_ps(spill.as_mut_ptr().add(16), acc1);
-            core::ptr::copy_nonoverlapping(spill.as_ptr(), out, width);
-        }
-    }
+                /// Lanes per vector; a register tile row is two vectors.
+                const W: usize = NR / 2;
 
-    /// Cache-blocked packed GEMM on the AVX-512 tier; loop nest identical
-    /// to [`gemm_packed`] with [`NR512`]-wide panels.
-    ///
-    /// # Safety
-    /// Caller ensures AVX-512F (+AVX2+FMA) and the shape contracts
-    /// asserted by the public wrappers, with `packed` built at
-    /// [`NR512`] lanes.
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn gemm_packed_512(
-        a: &[f32],
-        a_rs: usize,
-        a_ps: usize,
-        row0: usize,
-        packed: &PackedB,
-        rows: usize,
-        out: &mut [f32],
-    ) {
-        let (k, n) = (packed.k, packed.n);
-        if rows == 0 || n == 0 || k == 0 {
-            return; // out is pre-zeroed by the caller
-        }
-        let panels = n.div_ceil(NR512);
-        let a_ptr = a.as_ptr();
-        let out_ptr = out.as_mut_ptr();
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            let accumulate = pc > 0;
-            let mut ic = 0;
-            while ic < rows {
-                let mc = MC.min(rows - ic);
-                for jp in 0..panels {
-                    let width = NR512.min(n - jp * NR512);
-                    let panel = packed.data.as_ptr().add(jp * k * NR512 + pc * NR512);
-                    let mut i = ic;
-                    while i + MR <= ic + mc {
-                        let a_off = (row0 + i) * a_rs + pc * a_ps;
-                        kernel_4_512(
-                            a_ptr,
-                            a_off,
-                            a_rs,
-                            a_ps,
-                            panel,
-                            kc,
-                            out_ptr.add(i * n + jp * NR512),
-                            n,
-                            width,
-                            accumulate,
-                        );
-                        i += MR;
+                /// The `MR x NR` FMA micro-kernel: `out_tile (+)= a_tile *
+                /// panel` over a `kc`-long stretch of the inner dimension,
+                /// with `2 * MR = 8` independent accumulator chains (enough
+                /// to hide FMA latency on two ports).
+                ///
+                /// `a` element `(r, p)` lives at `a_off + r * a_rs + p *
+                /// a_ps` (relative to the start of this `kc` stretch) — the
+                /// stride pair covers the `nn` (`a_rs = k, a_ps = 1`) and
+                /// `tn` (`a_rs = 1, a_ps = m`) layouts with one kernel.
+                /// Accumulation per output element is one ascending-`p` FMA
+                /// chain; `accumulate` loads the prior chunk's partial
+                /// sums, which is value-preserving because the
+                /// accumulators are f32 in both places.
+                ///
+                /// # Safety
+                /// Caller ensures the tier's features, that all `a` indices
+                /// up to `a_off + 3 * a_rs + (kc - 1) * a_ps` are in
+                /// bounds, `panel` has `kc * NR` readable floats, and `out`
+                /// spans 4 rows of stride `n` with `width <= NR` writable
+                /// columns each.
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = $feat)]
+                unsafe fn kernel_4(
+                    a: *const f32,
+                    a_off: usize,
+                    a_rs: usize,
+                    a_ps: usize,
+                    mut panel: *const f32,
+                    kc: usize,
+                    out: *mut f32,
+                    n: usize,
+                    width: usize,
+                    accumulate: bool,
+                ) {
+                    let mut acc = [[setzero(); 2]; MR];
+                    // Ragged panels go through a full-width spill row so
+                    // loads and stores never touch columns past `width`.
+                    let mut spill = [[0.0f32; NR]; MR];
+                    if accumulate {
+                        for (r, acc_r) in acc.iter_mut().enumerate() {
+                            if width == NR {
+                                acc_r[0] = loadu(out.add(r * n));
+                                acc_r[1] = loadu(out.add(r * n + W));
+                            } else {
+                                core::ptr::copy_nonoverlapping(
+                                    out.add(r * n),
+                                    spill[r].as_mut_ptr(),
+                                    width,
+                                );
+                                acc_r[0] = loadu(spill[r].as_ptr());
+                                acc_r[1] = loadu(spill[r].as_ptr().add(W));
+                            }
+                        }
                     }
-                    while i < ic + mc {
-                        let a_off = (row0 + i) * a_rs + pc * a_ps;
-                        kernel_1_512(
-                            a_ptr,
-                            a_off,
-                            a_ps,
-                            panel,
-                            kc,
-                            out_ptr.add(i * n + jp * NR512),
-                            width,
-                            accumulate,
-                        );
-                        i += 1;
+                    let mut ap = [
+                        a.add(a_off),
+                        a.add(a_off + a_rs),
+                        a.add(a_off + 2 * a_rs),
+                        a.add(a_off + 3 * a_rs),
+                    ];
+                    for _ in 0..kc {
+                        let b0 = loadu(panel);
+                        let b1 = loadu(panel.add(W));
+                        panel = panel.add(NR);
+                        for (r, acc_r) in acc.iter_mut().enumerate() {
+                            let av = set1(*ap[r]);
+                            ap[r] = ap[r].add(a_ps);
+                            acc_r[0] = fmadd(av, b0, acc_r[0]);
+                            acc_r[1] = fmadd(av, b1, acc_r[1]);
+                        }
+                    }
+                    for (r, acc_r) in acc.iter().enumerate() {
+                        if width == NR {
+                            storeu(out.add(r * n), acc_r[0]);
+                            storeu(out.add(r * n + W), acc_r[1]);
+                        } else {
+                            storeu(spill[r].as_mut_ptr(), acc_r[0]);
+                            storeu(spill[r].as_mut_ptr().add(W), acc_r[1]);
+                            core::ptr::copy_nonoverlapping(
+                                spill[r].as_ptr(),
+                                out.add(r * n),
+                                width,
+                            );
+                        }
                     }
                 }
-                ic += mc;
-            }
-            pc += kc;
-        }
-    }
 
-    /// Unpacked row-vector GEMV on the AVX-512 tier: 32-wide then 16-wide
-    /// column groups, scalar-FMA tail — every output element one
-    /// ascending-`p` FMA chain, as in [`gemv_nn`].
-    ///
-    /// # Safety
-    /// Caller ensures AVX-512F (+AVX2+FMA) and the shapes asserted by
-    /// [`super::gemv_nn`].
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn gemv_nn_512(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut j = 0;
-        while j + NR512 <= n {
-            let mut acc0 = _mm512_setzero_ps();
-            let mut acc1 = _mm512_setzero_ps();
-            for p in 0..k {
-                let av = _mm512_set1_ps(*ap.add(p));
-                let row = bp.add(p * n + j);
-                acc0 = _mm512_fmadd_ps(av, _mm512_loadu_ps(row), acc0);
-                acc1 = _mm512_fmadd_ps(av, _mm512_loadu_ps(row.add(16)), acc1);
-            }
-            _mm512_storeu_ps(op.add(j), acc0);
-            _mm512_storeu_ps(op.add(j + 16), acc1);
-            j += NR512;
-        }
-        if j + 16 <= n {
-            let mut acc = _mm512_setzero_ps();
-            for p in 0..k {
-                acc = _mm512_fmadd_ps(
-                    _mm512_set1_ps(*ap.add(p)),
-                    _mm512_loadu_ps(bp.add(p * n + j)),
-                    acc,
-                );
-            }
-            _mm512_storeu_ps(op.add(j), acc);
-            j += 16;
-        }
-        if j + 8 <= n {
-            let mut acc = _mm256_setzero_ps();
-            for p in 0..k {
-                acc = _mm256_fmadd_ps(
-                    _mm256_set1_ps(*ap.add(p)),
-                    _mm256_loadu_ps(bp.add(p * n + j)),
-                    acc,
-                );
-            }
-            _mm256_storeu_ps(op.add(j), acc);
-            j += 8;
-        }
-        while j < n {
-            let mut c = 0.0f32;
-            for p in 0..k {
-                c = (*ap.add(p)).mul_add(*bp.add(p * n + j), c);
-            }
-            *op.add(j) = c;
-            j += 1;
-        }
-    }
-
-    /// Dot-product shaped `a * b^T` row block on the AVX-512 tier: four
-    /// output columns of 16-lane FMA chains reduced by [`hsum16`] plus a
-    /// scalar-FMA tail — fixed order per element.
-    ///
-    /// # Safety
-    /// Caller ensures AVX-512F (+AVX2+FMA) and the shapes asserted by
-    /// [`super::gemm_nt`].
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn nt_block_512(
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
-        i0: usize,
-        rows: usize,
-        out: &mut [f32],
-    ) {
-        for i in 0..rows {
-            let ar = a.as_ptr().add((i0 + i) * k);
-            let orow = out.as_mut_ptr().add(i * n);
-            let mut j = 0;
-            while j + MR <= n {
-                let br = [
-                    b.as_ptr().add(j * k),
-                    b.as_ptr().add((j + 1) * k),
-                    b.as_ptr().add((j + 2) * k),
-                    b.as_ptr().add((j + 3) * k),
-                ];
-                let mut acc = [_mm512_setzero_ps(); MR];
-                let mut p = 0;
-                while p + 16 <= k {
-                    let av = _mm512_loadu_ps(ar.add(p));
-                    for (c, acc_c) in acc.iter_mut().enumerate() {
-                        *acc_c = _mm512_fmadd_ps(av, _mm512_loadu_ps(br[c].add(p)), *acc_c);
+                /// Single-row variant of [`kernel_4`] for the row tail.
+                ///
+                /// # Safety
+                /// As [`kernel_4`], for one row.
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = $feat)]
+                unsafe fn kernel_1(
+                    a: *const f32,
+                    a_off: usize,
+                    a_ps: usize,
+                    mut panel: *const f32,
+                    kc: usize,
+                    out: *mut f32,
+                    width: usize,
+                    accumulate: bool,
+                ) {
+                    let mut acc0 = setzero();
+                    let mut acc1 = setzero();
+                    let mut spill = [0.0f32; NR];
+                    if accumulate {
+                        if width == NR {
+                            acc0 = loadu(out);
+                            acc1 = loadu(out.add(W));
+                        } else {
+                            core::ptr::copy_nonoverlapping(out, spill.as_mut_ptr(), width);
+                            acc0 = loadu(spill.as_ptr());
+                            acc1 = loadu(spill.as_ptr().add(W));
+                        }
                     }
-                    p += 16;
-                }
-                let mut sums = [
-                    hsum16(acc[0]),
-                    hsum16(acc[1]),
-                    hsum16(acc[2]),
-                    hsum16(acc[3]),
-                ];
-                while p < k {
-                    let av = *ar.add(p);
-                    for (c, s) in sums.iter_mut().enumerate() {
-                        *s = av.mul_add(*br[c].add(p), *s);
+                    let mut ap = a.add(a_off);
+                    for _ in 0..kc {
+                        let av = set1(*ap);
+                        ap = ap.add(a_ps);
+                        acc0 = fmadd(av, loadu(panel), acc0);
+                        acc1 = fmadd(av, loadu(panel.add(W)), acc1);
+                        panel = panel.add(NR);
                     }
-                    p += 1;
+                    if width == NR {
+                        storeu(out, acc0);
+                        storeu(out.add(W), acc1);
+                    } else {
+                        storeu(spill.as_mut_ptr(), acc0);
+                        storeu(spill.as_mut_ptr().add(W), acc1);
+                        core::ptr::copy_nonoverlapping(spill.as_ptr(), out, width);
+                    }
                 }
-                for (c, &s) in sums.iter().enumerate() {
-                    *orow.add(j + c) = s;
+
+                /// Cache-blocked packed GEMM over one output row block
+                /// (`rows x n` at absolute row `row0`). Loop nest: `pc` (KC
+                /// chunks) → `ic` (MC row blocks) → `jp` (panels) → `i`
+                /// (MR tiles), so one `kc x NR` panel slab stays
+                /// L1-resident across the row tiles it feeds.
+                ///
+                /// # Safety
+                /// Caller ensures the tier's features and the shape
+                /// contracts asserted by [`crate::simd::gemm_packed`], with
+                /// `packed` built at this tier's panel width.
+                #[target_feature(enable = $feat)]
+                pub unsafe fn gemm_packed(
+                    a: &[f32],
+                    a_rs: usize,
+                    a_ps: usize,
+                    row0: usize,
+                    packed: &PackedB,
+                    rows: usize,
+                    out: &mut [f32],
+                ) {
+                    let (k, n) = (packed.k, packed.n);
+                    if rows == 0 || n == 0 || k == 0 {
+                        return; // out is pre-zeroed by the caller
+                    }
+                    let panels = n.div_ceil(NR);
+                    let a_ptr = a.as_ptr();
+                    let out_ptr = out.as_mut_ptr();
+                    let mut pc = 0;
+                    while pc < k {
+                        let kc = KC.min(k - pc);
+                        let accumulate = pc > 0;
+                        let mut ic = 0;
+                        while ic < rows {
+                            let mc = MC.min(rows - ic);
+                            for jp in 0..panels {
+                                let width = NR.min(n - jp * NR);
+                                let panel = packed.data.as_ptr().add(jp * k * NR + pc * NR);
+                                let mut i = ic;
+                                while i + MR <= ic + mc {
+                                    let a_off = (row0 + i) * a_rs + pc * a_ps;
+                                    kernel_4(
+                                        a_ptr,
+                                        a_off,
+                                        a_rs,
+                                        a_ps,
+                                        panel,
+                                        kc,
+                                        out_ptr.add(i * n + jp * NR),
+                                        n,
+                                        width,
+                                        accumulate,
+                                    );
+                                    i += MR;
+                                }
+                                while i < ic + mc {
+                                    let a_off = (row0 + i) * a_rs + pc * a_ps;
+                                    kernel_1(
+                                        a_ptr,
+                                        a_off,
+                                        a_ps,
+                                        panel,
+                                        kc,
+                                        out_ptr.add(i * n + jp * NR),
+                                        width,
+                                        accumulate,
+                                    );
+                                    i += 1;
+                                }
+                            }
+                            ic += mc;
+                        }
+                        pc += kc;
+                    }
                 }
-                j += MR;
+
+                /// Unpacked row-vector GEMV over the column ladder `2W → W
+                /// → scalar FMA`: per output column one ascending-`p` FMA
+                /// chain on every rung — the same rounding sequence as the
+                /// packed kernels, so the `m == 1` fast path is
+                /// bit-identical to the general path.
+                ///
+                /// # Safety
+                /// Caller ensures the tier's features and the shapes
+                /// asserted by [`crate::simd::gemv_nn`].
+                #[target_feature(enable = $feat)]
+                pub unsafe fn gemv_nn(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+                    let ap = a.as_ptr();
+                    let bp = b.as_ptr();
+                    let op = out.as_mut_ptr();
+                    let mut j = 0;
+                    while j + NR <= n {
+                        let mut acc0 = setzero();
+                        let mut acc1 = setzero();
+                        for p in 0..k {
+                            let av = set1(*ap.add(p));
+                            let row = bp.add(p * n + j);
+                            acc0 = fmadd(av, loadu(row), acc0);
+                            acc1 = fmadd(av, loadu(row.add(W)), acc1);
+                        }
+                        storeu(op.add(j), acc0);
+                        storeu(op.add(j + W), acc1);
+                        j += NR;
+                    }
+                    if j + W <= n {
+                        let mut acc = setzero();
+                        for p in 0..k {
+                            acc = fmadd(set1(*ap.add(p)), loadu(bp.add(p * n + j)), acc);
+                        }
+                        storeu(op.add(j), acc);
+                        j += W;
+                    }
+                    // Fewer than `W` columns left. Scalar FMA keeps their
+                    // rounding identical to the vector lanes' chains; four
+                    // columns at a time so their latency-bound chains overlap.
+                    while j + MR <= n {
+                        let mut c = [0.0f32; MR];
+                        for p in 0..k {
+                            let av = *ap.add(p);
+                            let row = bp.add(p * n + j);
+                            for (i, ci) in c.iter_mut().enumerate() {
+                                *ci = av.mul_add(*row.add(i), *ci);
+                            }
+                        }
+                        core::ptr::copy_nonoverlapping(c.as_ptr(), op.add(j), MR);
+                        j += MR;
+                    }
+                    while j < n {
+                        let mut c = 0.0f32;
+                        for p in 0..k {
+                            c = (*ap.add(p)).mul_add(*bp.add(p * n + j), c);
+                        }
+                        *op.add(j) = c;
+                        j += 1;
+                    }
+                }
+
+                /// Dot-product shaped `a * b^T` row block: four output
+                /// columns run concurrently, each a `W`-lane FMA chain
+                /// reduced by `hsum` plus a scalar-FMA tail — a fixed order
+                /// per element, deterministic for every thread count.
+                ///
+                /// # Safety
+                /// Caller ensures the tier's features and the shapes
+                /// asserted by [`crate::simd::gemm_nt`].
+                #[target_feature(enable = $feat)]
+                pub unsafe fn nt_block(
+                    a: &[f32],
+                    b: &[f32],
+                    k: usize,
+                    n: usize,
+                    i0: usize,
+                    rows: usize,
+                    out: &mut [f32],
+                ) {
+                    for i in 0..rows {
+                        let ar = a.as_ptr().add((i0 + i) * k);
+                        let orow = out.as_mut_ptr().add(i * n);
+                        let mut j = 0;
+                        while j + MR <= n {
+                            let br = [
+                                b.as_ptr().add(j * k),
+                                b.as_ptr().add((j + 1) * k),
+                                b.as_ptr().add((j + 2) * k),
+                                b.as_ptr().add((j + 3) * k),
+                            ];
+                            let mut acc = [setzero(); MR];
+                            let mut p = 0;
+                            while p + W <= k {
+                                let av = loadu(ar.add(p));
+                                for (c, acc_c) in acc.iter_mut().enumerate() {
+                                    *acc_c = fmadd(av, loadu(br[c].add(p)), *acc_c);
+                                }
+                                p += W;
+                            }
+                            let mut sums = [hsum(acc[0]), hsum(acc[1]), hsum(acc[2]), hsum(acc[3])];
+                            while p < k {
+                                let av = *ar.add(p);
+                                for (c, s) in sums.iter_mut().enumerate() {
+                                    *s = av.mul_add(*br[c].add(p), *s);
+                                }
+                                p += 1;
+                            }
+                            for (c, &s) in sums.iter().enumerate() {
+                                *orow.add(j + c) = s;
+                            }
+                            j += MR;
+                        }
+                        while j < n {
+                            let br = b.as_ptr().add(j * k);
+                            let mut acc = setzero();
+                            let mut p = 0;
+                            while p + W <= k {
+                                acc = fmadd(loadu(ar.add(p)), loadu(br.add(p)), acc);
+                                p += W;
+                            }
+                            let mut s = hsum(acc);
+                            while p < k {
+                                s = (*ar.add(p)).mul_add(*br.add(p), s);
+                                p += 1;
+                            }
+                            *orow.add(j) = s;
+                            j += 1;
+                        }
+                    }
+                }
+
+                /// Equal-length dot product: two interleaved `W`-lane
+                /// chains, fixed reduction order, scalar-FMA tail.
+                ///
+                /// # Safety
+                /// Caller ensures the tier's features and `a.len() ==
+                /// b.len()`.
+                #[target_feature(enable = $feat)]
+                pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
+                    let len = a.len();
+                    let ap = a.as_ptr();
+                    let bp = b.as_ptr();
+                    let mut acc0 = setzero();
+                    let mut acc1 = setzero();
+                    let mut p = 0;
+                    while p + NR <= len {
+                        acc0 = fmadd(loadu(ap.add(p)), loadu(bp.add(p)), acc0);
+                        acc1 = fmadd(loadu(ap.add(p + W)), loadu(bp.add(p + W)), acc1);
+                        p += NR;
+                    }
+                    if p + W <= len {
+                        acc0 = fmadd(loadu(ap.add(p)), loadu(bp.add(p)), acc0);
+                        p += W;
+                    }
+                    let mut s = hsum(add(acc0, acc1));
+                    while p < len {
+                        s = (*ap.add(p)).mul_add(*bp.add(p), s);
+                        p += 1;
+                    }
+                    s
+                }
+
+                /// `y += alpha * x` with `W`-lane FMA and a scalar-FMA
+                /// tail: one FMA per element at any width.
+                ///
+                /// # Safety
+                /// Caller ensures the tier's features and `y.len() ==
+                /// x.len()`.
+                #[target_feature(enable = $feat)]
+                pub unsafe fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
+                    let len = y.len();
+                    let yp = y.as_mut_ptr();
+                    let xp = x.as_ptr();
+                    let av = set1(alpha);
+                    let mut p = 0;
+                    while p + W <= len {
+                        storeu(yp.add(p), fmadd(av, loadu(xp.add(p)), loadu(yp.add(p))));
+                        p += W;
+                    }
+                    while p < len {
+                        *yp.add(p) = alpha.mul_add(*xp.add(p), *yp.add(p));
+                        p += 1;
+                    }
+                }
             }
-            while j < n {
-                let br = b.as_ptr().add(j * k);
-                let mut acc = _mm512_setzero_ps();
-                let mut p = 0;
-                while p + 16 <= k {
-                    acc = _mm512_fmadd_ps(
-                        _mm512_loadu_ps(ar.add(p)),
-                        _mm512_loadu_ps(br.add(p)),
-                        acc,
-                    );
-                    p += 16;
-                }
-                let mut s = hsum16(acc);
-                while p < k {
-                    s = (*ar.add(p)).mul_add(*br.add(p), s);
-                    p += 1;
-                }
-                *orow.add(j) = s;
-                j += 1;
-            }
-        }
+        };
     }
 
-    /// Equal-length dot product on the AVX-512 tier: two interleaved
-    /// 16-lane chains, fixed reduction order, scalar-FMA tail.
-    ///
-    /// # Safety
-    /// Caller ensures AVX-512F (+AVX2+FMA) and `a.len() == b.len()`.
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn dot_512(a: &[f32], b: &[f32]) -> f32 {
-        let len = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut p = 0;
-        while p + 32 <= len {
-            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(ap.add(p)), _mm512_loadu_ps(bp.add(p)), acc0);
-            acc1 = _mm512_fmadd_ps(
-                _mm512_loadu_ps(ap.add(p + 16)),
-                _mm512_loadu_ps(bp.add(p + 16)),
-                acc1,
-            );
-            p += 32;
-        }
-        if p + 16 <= len {
-            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(ap.add(p)), _mm512_loadu_ps(bp.add(p)), acc0);
-            p += 16;
-        }
-        let mut s = hsum16(_mm512_add_ps(acc0, acc1));
-        while p < len {
-            s = (*ap.add(p)).mul_add(*bp.add(p), s);
-            p += 1;
-        }
-        s
-    }
+    simd_tier!(
+        avx2,
+        "avx2,fma",
+        NR,
+        hsum8,
+        [
+            _mm256_setzero_ps,
+            _mm256_set1_ps,
+            _mm256_loadu_ps,
+            _mm256_storeu_ps,
+            _mm256_fmadd_ps,
+            _mm256_add_ps
+        ]
+    );
 
-    /// `y += alpha * x` with 16-lane FMA and a scalar-FMA tail.
-    ///
-    /// # Safety
-    /// Caller ensures AVX-512F (+AVX2+FMA) and `y.len() == x.len()`.
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn axpy_512(y: &mut [f32], alpha: f32, x: &[f32]) {
-        let len = y.len();
-        let yp = y.as_mut_ptr();
-        let xp = x.as_ptr();
-        let av = _mm512_set1_ps(alpha);
-        let mut p = 0;
-        while p + 16 <= len {
-            let r = _mm512_fmadd_ps(av, _mm512_loadu_ps(xp.add(p)), _mm512_loadu_ps(yp.add(p)));
-            _mm512_storeu_ps(yp.add(p), r);
-            p += 16;
-        }
-        while p < len {
-            *yp.add(p) = alpha.mul_add(*xp.add(p), *yp.add(p));
-            p += 1;
-        }
-    }
+    // The 512-bit tier also enables avx2+fma: `hsum16` finishes in 256-bit
+    // ops, and `avx512_supported` requires all three features.
+    simd_tier!(
+        avx512,
+        "avx512f,avx2,fma",
+        NR512,
+        hsum16,
+        [
+            _mm512_setzero_ps,
+            _mm512_set1_ps,
+            _mm512_loadu_ps,
+            _mm512_storeu_ps,
+            _mm512_fmadd_ps,
+            _mm512_add_ps
+        ]
+    );
 }
 
 #[cfg(test)]
