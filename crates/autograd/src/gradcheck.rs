@@ -145,6 +145,25 @@ mod tests {
     }
 
     #[test]
+    fn grad_matmul_nt_left_and_right() {
+        let w = rand_input(2, 4, 32);
+        assert_grad_close(&rand_input(3, 4, 33), 1e-3, 1e-2, move |g, x| {
+            let wv = g.leaf(w.clone());
+            x.matmul_nt(wv).square().sum_all().value().item()
+        });
+        let a = rand_input(3, 4, 34);
+        assert_grad_close(&rand_input(2, 4, 35), 1e-3, 1e-2, move |g, x| {
+            let av = g.leaf(a.clone());
+            av.matmul_nt(x).square().sum_all().value().item()
+        });
+        // Both operands at once, one row on the left: the scores of a
+        // one-item stream.
+        assert_grad_close(&rand_input(1, 4, 36), 1e-3, 1e-2, |_g, x| {
+            x.matmul_nt(x.scale(0.5)).sum_all().value().item()
+        });
+    }
+
+    #[test]
     fn grad_transpose_and_concat() {
         assert_grad_close(&rand_input(2, 3, 10), 1e-3, 1e-2, |_g, x| {
             x.t().square().sum_all().value().item()
@@ -318,7 +337,7 @@ mod tests {
             let q = x.matmul(g.leaf(wq.clone()));
             let k = x.matmul(g.leaf(wk.clone()));
             let v = x.matmul(g.leaf(wv.clone()));
-            let scores = q.matmul(k.t()).scale(1.0 / (d as f32).sqrt());
+            let scores = q.matmul_nt(k).scale(1.0 / (d as f32).sqrt());
             let attn = scores.masked_softmax_rows(&mask);
             attn.matmul(v).square().sum_all().value().item()
         });

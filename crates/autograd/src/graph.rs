@@ -1,9 +1,25 @@
 //! The autodiff tape: node arena, op enum, forward construction and the
 //! reverse sweep.
+//!
+//! The sweep walks the arena once, last node first, and costs what its
+//! products cost — it neither clones nor materializes:
+//!
+//! - a node's op and value are borrowed in place while its rule writes the
+//!   parents (the arena is split at the node; parents always sit below it);
+//! - the node's gradient is *consumed*: elementwise rules rewrite that
+//!   buffer and hand it on to the parent, and an interior node keeps no
+//!   gradient once it is propagated — only leaves do (see [`Graph::grad`]);
+//! - a rule that reaches part of its parent (`slice_rows`/`slice_cols`/
+//!   `gather_rows`/`pick`) adds just those elements into the parent's
+//!   accumulator, which is allocated zeroed the first time anything
+//!   touches it; a one-row `matmul` gradient adds its outer product into
+//!   the weight's accumulator row by row;
+//! - one sweep per tape, enforced: the rules accumulate, so a second sweep
+//!   would double-count.
 
 use crate::Var;
-use kvec_tensor::{Axis, Tensor};
-use std::cell::RefCell;
+use kvec_tensor::{simd, Axis, Tensor};
+use std::cell::{Cell, RefCell};
 
 /// Identifier of a node inside a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,6 +41,9 @@ pub(crate) enum Op {
     Scale(usize, f32),
     AddScalarC(usize),
     MatMul(usize, usize),
+    /// `A * B^T` for `A (m x k)`, `B (n x k)`: attention scores without a
+    /// transpose node.
+    MatMulNt(usize, usize),
     Transpose(usize),
     Sigmoid(usize),
     Tanh(usize),
@@ -71,6 +90,8 @@ pub(crate) struct Node {
 /// graph immutably) build the tape with ordinary method-call syntax.
 pub struct Graph {
     pub(crate) nodes: RefCell<Vec<Node>>,
+    /// Set by the reverse sweep, which may run only once per tape.
+    swept: Cell<bool>,
 }
 
 impl Default for Graph {
@@ -84,6 +105,7 @@ impl Graph {
     pub fn new() -> Self {
         Self {
             nodes: RefCell::new(Vec::with_capacity(256)),
+            swept: Cell::new(false),
         }
     }
 
@@ -129,8 +151,9 @@ impl Graph {
         f(&self.nodes.borrow()[v.id.0].value)
     }
 
-    /// Clones the accumulated gradient of a node, if the reverse sweep
-    /// reached it.
+    /// Clones the accumulated gradient of a leaf, if the reverse sweep
+    /// reached it. Interior nodes answer `None` after the sweep as before
+    /// it: their gradients are consumed as they are propagated.
     pub fn grad(&self, v: Var<'_>) -> Option<Tensor> {
         self.nodes.borrow()[v.id.0].grad.clone()
     }
@@ -138,9 +161,10 @@ impl Graph {
     /// Runs the reverse sweep from a scalar (`1 x 1`) output, seeding its
     /// gradient with 1.
     ///
-    /// Run the sweep at most once per tape: a second sweep would re-propagate
-    /// the interior gradients left by the first and double-count them. Build
-    /// a combined loss node instead when several objectives share the tape.
+    /// The sweep runs at most once per tape (a second call panics): backward
+    /// rules accumulate into the gradients the first sweep left, so a second
+    /// one would double-count them. Build a combined loss node instead when
+    /// several objectives share the tape.
     pub fn backward(&self, output: Var<'_>) {
         let shape = self.with_value(output, Tensor::shape);
         assert_eq!(
@@ -152,30 +176,39 @@ impl Graph {
     }
 
     /// Runs the reverse sweep seeding the output gradient with `seed`.
+    /// Like [`Graph::backward`], at most once per tape.
     pub fn backward_with(&self, output: Var<'_>, seed: Tensor) {
+        assert!(
+            !self.swept.replace(true),
+            "the reverse sweep runs at most once per tape: a second backward() would \
+             double-count into the gradients of the first"
+        );
         let mut nodes = self.nodes.borrow_mut();
-        {
-            let out = &mut nodes[output.id.0];
-            assert_eq!(
-                out.value.shape(),
-                seed.shape(),
-                "backward seed shape mismatch"
-            );
-            match &mut out.grad {
-                Some(g) => g.add_assign(&seed),
-                slot => *slot = Some(seed),
-            }
-        }
+        assert_eq!(
+            nodes[output.id.0].value.shape(),
+            seed.shape(),
+            "backward seed shape mismatch"
+        );
+        nodes[output.id.0].grad = Some(seed);
         for i in (0..=output.id.0).rev() {
-            let Some(grad) = nodes[i].grad.clone() else {
-                continue;
-            };
-            let op = nodes[i].op.clone();
-            let value = nodes[i].value.clone();
-            Self::propagate(&mut nodes, &op, &value, &grad);
+            // A rule reads this node and writes only its parents, which all
+            // sit below `i` on the tape: split the arena there so the node
+            // is borrowed, not cloned, while its parents are mutable.
+            let (parents, rest) = nodes.split_at_mut(i);
+            let node = &mut rest[0];
+            if matches!(node.op, Op::Leaf) {
+                continue; // the gradient stays here for `Graph::grad`
+            }
+            // Nothing reads an interior gradient once it is propagated:
+            // release it now, so its buffer is recycled within the sweep.
+            if let Some(grad) = node.grad.take() {
+                Self::propagate(parents, &node.op, &node.value, grad);
+            }
         }
     }
 
+    /// Adds an owned contribution to `parent`'s gradient (moved in on first
+    /// touch).
     fn accum(nodes: &mut [Node], parent: usize, contrib: Tensor) {
         match &mut nodes[parent].grad {
             Some(g) => g.add_assign(&contrib),
@@ -183,70 +216,117 @@ impl Graph {
         }
     }
 
-    /// Applies one node's backward rule, accumulating into its parents.
-    fn propagate(nodes: &mut [Node], op: &Op, value: &Tensor, grad: &Tensor) {
+    /// Adds a borrowed contribution to `parent`'s gradient, cloning it only
+    /// on first touch.
+    fn accum_ref(nodes: &mut [Node], parent: usize, contrib: &Tensor) {
+        match &mut nodes[parent].grad {
+            Some(g) => g.add_assign(contrib),
+            slot => *slot = Some(contrib.clone()),
+        }
+    }
+
+    /// Hands `scatter` the gradient accumulator of `parent` — allocated
+    /// zeroed on first touch — and read access to every node, so a rule
+    /// that reaches only part of its parent adds just those elements.
+    fn accum_into(nodes: &mut [Node], parent: usize, scatter: impl FnOnce(&mut Tensor, &[Node])) {
+        let mut acc = nodes[parent].grad.take().unwrap_or_else(|| {
+            let (rows, cols) = nodes[parent].value.shape();
+            Tensor::zeros(rows, cols)
+        });
+        scatter(&mut acc, nodes);
+        nodes[parent].grad = Some(acc);
+    }
+
+    /// Applies one node's backward rule, accumulating into its parents. The
+    /// node's gradient is consumed: elementwise rules rewrite it in place
+    /// and hand the same buffer on to the parent.
+    fn propagate(nodes: &mut [Node], op: &Op, value: &Tensor, mut grad: Tensor) {
         match op {
-            Op::Leaf => {}
+            Op::Leaf => unreachable!("the sweep skips leaves"),
             Op::Add(a, b) => {
-                Self::accum(nodes, *a, grad.clone());
-                Self::accum(nodes, *b, grad.clone());
+                Self::accum_ref(nodes, *a, &grad);
+                Self::accum(nodes, *b, grad);
             }
             Op::Sub(a, b) => {
-                Self::accum(nodes, *a, grad.clone());
-                Self::accum(nodes, *b, grad.scale(-1.0));
+                Self::accum_ref(nodes, *a, &grad);
+                grad.scale_assign(-1.0);
+                Self::accum(nodes, *b, grad);
             }
             Op::Hadamard(a, b) => {
-                let ga = grad.hadamard(&nodes[*b].value);
                 let gb = grad.hadamard(&nodes[*a].value);
+                let ga = zip_with(grad, &nodes[*b].value, |g, v| g * v);
                 Self::accum(nodes, *a, ga);
                 Self::accum(nodes, *b, gb);
             }
-            Op::Neg(a) => Self::accum(nodes, *a, grad.scale(-1.0)),
-            Op::Scale(a, c) => Self::accum(nodes, *a, grad.scale(*c)),
-            Op::AddScalarC(a) => Self::accum(nodes, *a, grad.clone()),
+            Op::Neg(a) => {
+                grad.scale_assign(-1.0);
+                Self::accum(nodes, *a, grad);
+            }
+            Op::Scale(a, c) => {
+                grad.scale_assign(*c);
+                Self::accum(nodes, *a, grad);
+            }
+            Op::AddScalarC(a) => Self::accum(nodes, *a, grad),
             Op::MatMul(a, b) => {
                 // y = A B  =>  dA = g B^T, dB = A^T g
                 let ga = grad.matmul_nt(&nodes[*b].value).expect("matmul bwd a");
-                let gb = nodes[*a].value.matmul_tn(grad).expect("matmul bwd b");
+                Self::accum(nodes, *a, ga);
+                if grad.rows() == 1 {
+                    // A^T g is the outer product of two rows: add it to dB
+                    // row by row instead of materializing it.
+                    let path = simd::active_path();
+                    Self::accum_into(nodes, *b, |gb, nodes| {
+                        for (p, &a_p) in nodes[*a].value.data().iter().enumerate() {
+                            simd::axpy_on(path, gb.row_mut(p), a_p, grad.data());
+                        }
+                    });
+                } else {
+                    let gb = nodes[*a].value.matmul_tn(&grad).expect("matmul bwd b");
+                    Self::accum(nodes, *b, gb);
+                }
+            }
+            Op::MatMulNt(a, b) => {
+                // y = A B^T  =>  dA = g B, dB = g^T A
+                let ga = grad.matmul(&nodes[*b].value);
+                let gb = grad.matmul_tn(&nodes[*a].value).expect("matmul_nt bwd b");
                 Self::accum(nodes, *a, ga);
                 Self::accum(nodes, *b, gb);
             }
             Op::Transpose(a) => Self::accum(nodes, *a, grad.transpose()),
             Op::Sigmoid(a) => {
                 // y' = y (1 - y)
-                let g = grad.zip_map(value, |g, y| g * y * (1.0 - y));
+                let g = zip_with(grad, value, |g, y| g * y * (1.0 - y));
                 Self::accum(nodes, *a, g);
             }
             Op::Tanh(a) => {
-                let g = grad.zip_map(value, |g, y| g * (1.0 - y * y));
+                let g = zip_with(grad, value, |g, y| g * (1.0 - y * y));
                 Self::accum(nodes, *a, g);
             }
             Op::Relu(a) => {
-                let g = grad.zip_map(value, |g, y| if y > 0.0 { g } else { 0.0 });
+                let g = zip_with(grad, value, |g, y| if y > 0.0 { g } else { 0.0 });
                 Self::accum(nodes, *a, g);
             }
             Op::Softplus(a) => {
                 // d/dx ln(1+e^x) = sigmoid(x); recover sigmoid from the
                 // output: sigma = 1 - e^{-y}.
-                let g = grad.zip_map(value, |g, y| g * (1.0 - (-y).exp()));
+                let g = zip_with(grad, value, |g, y| g * (1.0 - (-y).exp()));
                 Self::accum(nodes, *a, g);
             }
             Op::Ln(a) => {
-                let g = grad.zip_map(&nodes[*a].value, |g, x| g / x);
+                let g = zip_with(grad, &nodes[*a].value, |g, x| g / x);
                 Self::accum(nodes, *a, g);
             }
             Op::Square(a) => {
-                let g = grad.zip_map(&nodes[*a].value, |g, x| 2.0 * g * x);
+                let g = zip_with(grad, &nodes[*a].value, |g, x| 2.0 * g * x);
                 Self::accum(nodes, *a, g);
             }
             Op::SoftmaxRows(a) => {
                 // dx_i = y_i * (g_i - sum_j g_j y_j), row-wise.
-                let mut out = grad.hadamard(value);
+                let mut out = zip_with(grad, value, |g, y| g * y);
                 let row_dot = out.sum_axis(Axis::Cols); // rows x 1
                 for r in 0..out.rows() {
                     let d = row_dot.data()[r];
-                    let y_row = value.row(r).to_vec();
-                    for (o, y) in out.row_mut(r).iter_mut().zip(y_row) {
+                    for (o, y) in out.row_mut(r).iter_mut().zip(value.row(r)) {
                         // o currently holds g*y; subtract y*d.
                         *o -= y * d;
                     }
@@ -255,28 +335,20 @@ impl Graph {
             }
             Op::LogSoftmaxRows(a) => {
                 // dx = g - softmax(x) * rowsum(g); softmax = exp(output).
-                let softmax = value.map(f32::exp);
                 let row_sum = grad.sum_axis(Axis::Cols);
-                let mut out = grad.clone();
-                for r in 0..out.rows() {
+                for r in 0..grad.rows() {
                     let s = row_sum.data()[r];
-                    let p_row = softmax.row(r).to_vec();
-                    for (o, p) in out.row_mut(r).iter_mut().zip(p_row) {
-                        *o -= p * s;
+                    for (o, y) in grad.row_mut(r).iter_mut().zip(value.row(r)) {
+                        *o -= y.exp() * s;
                     }
                 }
-                Self::accum(nodes, *a, out);
+                Self::accum(nodes, *a, grad);
             }
-            Op::GatherRows(a, indices) => {
-                let mut g = Tensor::zeros(nodes[*a].value.rows(), nodes[*a].value.cols());
+            Op::GatherRows(a, indices) => Self::accum_into(nodes, *a, |ga, _| {
                 for (out_row, &src_row) in indices.iter().enumerate() {
-                    let src = grad.row(out_row).to_vec();
-                    for (dst, v) in g.row_mut(src_row).iter_mut().zip(src) {
-                        *dst += v;
-                    }
+                    add_to(ga.row_mut(src_row), grad.row(out_row));
                 }
-                Self::accum(nodes, *a, g);
-            }
+            }),
             Op::ConcatCols(a, b) => {
                 let ca = nodes[*a].value.cols();
                 let ga = grad.slice_cols(0, ca).expect("concat_cols bwd a");
@@ -291,64 +363,50 @@ impl Graph {
                 Self::accum(nodes, *a, ga);
                 Self::accum(nodes, *b, gb);
             }
-            Op::SliceRows(a, start, _end) => {
-                let mut g = Tensor::zeros(nodes[*a].value.rows(), nodes[*a].value.cols());
+            Op::SliceRows(a, start, _end) => Self::accum_into(nodes, *a, |ga, _| {
                 for r in 0..grad.rows() {
-                    let src = grad.row(r).to_vec();
-                    for (dst, v) in g.row_mut(start + r).iter_mut().zip(src) {
-                        *dst += v;
-                    }
+                    add_to(ga.row_mut(start + r), grad.row(r));
                 }
-                Self::accum(nodes, *a, g);
-            }
-            Op::SliceCols(a, start, _end) => {
-                let mut g = Tensor::zeros(nodes[*a].value.rows(), nodes[*a].value.cols());
+            }),
+            Op::SliceCols(a, start, end) => Self::accum_into(nodes, *a, |ga, _| {
                 for r in 0..grad.rows() {
-                    let src = grad.row(r).to_vec();
-                    for (c, v) in src.into_iter().enumerate() {
-                        g[(r, start + c)] += v;
-                    }
+                    add_to(&mut ga.row_mut(r)[*start..*end], grad.row(r));
                 }
-                Self::accum(nodes, *a, g);
-            }
+            }),
             Op::AddRowBroadcast(a, bias) => {
-                Self::accum(nodes, *a, grad.clone());
                 Self::accum(nodes, *bias, grad.sum_axis(Axis::Rows));
+                Self::accum(nodes, *a, grad);
             }
             Op::MulRowBroadcast(a, scale) => {
                 // y = a (.) tile(s): da = g (.) tile(s), ds = sum_rows(g (.) a)
-                let s_row = nodes[*scale].value.clone();
-                let a_val = nodes[*a].value.clone();
-                let mut ga = grad.clone();
-                for r in 0..ga.rows() {
-                    for (v, s) in ga.row_mut(r).iter_mut().zip(s_row.data()) {
+                let gs = grad.hadamard(&nodes[*a].value).sum_axis(Axis::Rows);
+                for r in 0..grad.rows() {
+                    for (v, s) in grad.row_mut(r).iter_mut().zip(nodes[*scale].value.data()) {
                         *v *= s;
                     }
                 }
-                let gs = grad.hadamard(&a_val).sum_axis(Axis::Rows);
-                Self::accum(nodes, *a, ga);
+                Self::accum(nodes, *a, grad);
                 Self::accum(nodes, *scale, gs);
             }
             Op::LayerNormRows(a, eps) => {
                 // Per row: xhat = (x - mu) / sigma, y == xhat (stored).
                 // dx = (g - mean(g) - xhat * mean(g (.) xhat)) / sigma
-                let x = nodes[*a].value.clone();
+                let x = &nodes[*a].value;
                 let n = x.cols() as f32;
-                let mut gx = Tensor::zeros(x.rows(), x.cols());
                 for r in 0..x.rows() {
                     let row = x.row(r);
                     let mu = row.iter().sum::<f32>() / n;
                     let var = row.iter().map(|v| (v - mu).powi(2)).sum::<f32>() / n;
                     let sigma = (var + eps).sqrt();
-                    let g_row = grad.row(r);
+                    let g_row = grad.row_mut(r);
                     let y_row = value.row(r);
                     let g_mean = g_row.iter().sum::<f32>() / n;
                     let gy_mean = g_row.iter().zip(y_row).map(|(g, y)| g * y).sum::<f32>() / n;
-                    for (c, out) in gx.row_mut(r).iter_mut().enumerate() {
-                        *out = (g_row[c] - g_mean - y_row[c] * gy_mean) / sigma;
+                    for (g, y) in g_row.iter_mut().zip(y_row) {
+                        *g = (*g - g_mean - y * gy_mean) / sigma;
                     }
                 }
-                Self::accum(nodes, *a, gx);
+                Self::accum(nodes, *a, grad);
             }
             Op::SumAll(a) => {
                 let (r, c) = nodes[*a].value.shape();
@@ -359,13 +417,28 @@ impl Graph {
                 let n = (r * c) as f32;
                 Self::accum(nodes, *a, Tensor::full(r, c, grad.item() / n));
             }
-            Op::MulConst(a, k) => Self::accum(nodes, *a, grad.hadamard(k)),
-            Op::Pick(a, r, c) => {
-                let mut g = Tensor::zeros(nodes[*a].value.rows(), nodes[*a].value.cols());
-                g[(*r, *c)] = grad.item();
+            Op::MulConst(a, k) => {
+                let g = zip_with(grad, k, |g, k| g * k);
                 Self::accum(nodes, *a, g);
             }
+            Op::Pick(a, r, c) => Self::accum_into(nodes, *a, |ga, _| ga[(*r, *c)] += grad.item()),
         }
+    }
+}
+
+/// The owned gradient rewritten in place: `g[i] = f(g[i], other[i])`.
+fn zip_with(mut grad: Tensor, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    assert_eq!(grad.shape(), other.shape(), "backward rule shape mismatch");
+    for (g, &o) in grad.data_mut().iter_mut().zip(other.data()) {
+        *g = f(*g, o);
+    }
+    grad
+}
+
+/// `dst += src`, elementwise over two equal-length rows.
+fn add_to(dst: &mut [f32], src: &[f32]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
     }
 }
 
@@ -434,6 +507,30 @@ mod tests {
         g.backward(y);
         // Row 0 was gathered twice.
         assert_eq!(g.grad(table).unwrap().data(), &[2.0, 2.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most once per tape")]
+    fn a_second_sweep_on_the_same_tape_panics() {
+        let g = Graph::new();
+        let x = g.leaf(Tensor::row_vector(&[1.0, 2.0]));
+        let y = x.square().sum_all();
+        g.backward(y);
+        g.backward(y);
+    }
+
+    #[test]
+    fn the_sweep_keeps_leaf_gradients_and_releases_interior_ones() {
+        let g = Graph::new();
+        let x = g.leaf(Tensor::row_vector(&[1.0, -2.0]));
+        let mid = x.scale(3.0);
+        let y = mid.square().sum_all();
+        g.backward(y);
+        assert_eq!(g.grad(x).unwrap().data(), &[18.0, -36.0]);
+        assert!(g.grad(mid).is_none(), "interior gradient kept");
+        assert!(g.grad(y).is_none(), "output gradient kept");
+        // Values are untouched by the sweep.
+        assert_eq!(g.value(mid).data(), &[3.0, -6.0]);
     }
 
     #[test]

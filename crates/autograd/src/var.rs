@@ -98,6 +98,18 @@ impl<'g> Var<'g> {
         self.unary(v, Op::MatMul(self.id.0, other.id.0))
     }
 
+    /// Matrix product with the transpose of `other`: `self (m x k) *
+    /// other (n x k)^T`, without a transpose node in either direction.
+    pub fn matmul_nt(&self, other: Var<'g>) -> Var<'g> {
+        self.same_graph(other);
+        let v = self.graph.with_value(*self, |a| {
+            other
+                .graph
+                .with_value(other, |b| a.matmul_nt(b).expect("matmul_nt"))
+        });
+        self.unary(v, Op::MatMulNt(self.id.0, other.id.0))
+    }
+
     /// Matrix transpose.
     pub fn t(&self) -> Var<'g> {
         let v = self.graph.with_value(*self, Tensor::transpose);

@@ -4,10 +4,12 @@
 //!
 //! 1. the stream is encoded once (teacher-forced; valid because the dynamic
 //!    mask is causal);
-//! 2. for every key, fusion/policy steps are simulated item by item,
-//!    sampling Halt/Wait from the policy; the first *Halt* fixes the number
-//!    of observations `n_k` (a sequence that never halts is classified at
-//!    its last item, the final action counting as Halt);
+//! 2. the fusion states of all keys are computed step by step as one batch
+//!    (fusion draws no randomness); then, for every key, the policy is
+//!    simulated item by item on those states, sampling Halt/Wait; the
+//!    first *Halt* fixes the number of observations `n_k` (a sequence that
+//!    never halts is classified at its last item, the final action
+//!    counting as Halt);
 //! 3. the classifier labels `s_k^(n_k)`; the prediction's correctness sets
 //!    the per-step reward `r = +/-1`;
 //! 4. the losses are assembled —
@@ -51,11 +53,11 @@ use crate::faults::FaultInjector;
 use crate::model::KvecModel;
 use crate::KvecConfig;
 use kvec_autograd::Var;
-use kvec_data::TangledSequence;
+use kvec_data::{Key, TangledSequence};
 use kvec_json::Json;
 use kvec_nn::checkpoint::{read_verified, write_atomic, CheckpointError};
 use kvec_nn::loss::{cross_entropy_logits, log_one_minus_sigmoid, log_sigmoid, squared_error};
-use kvec_nn::{clip_global_norm, Adam, AdamState, Optimizer, ParamId, Session};
+use kvec_nn::{clip_global_norm, Adam, AdamState, LstmState, Optimizer, ParamId, Session};
 use kvec_obs::{self as obs, LazyHistogram, Level};
 use kvec_tensor::{parallel, sigmoid_scalar, KvecRng, Tensor};
 use std::fmt;
@@ -454,46 +456,44 @@ impl Trainer {
         let num_keys = subsequences.len();
 
         let warmup = self.in_warmup();
-        for (key, item_rows) in &subsequences {
+        // Fusion states are computed for every whole sequence (teacher
+        // forcing) so the classifier can be supervised at arbitrary
+        // positions; the episode's halting point only governs the policy
+        // losses. Fusion draws no randomness, so all keys are fused up
+        // front, step by step as one batch.
+        let fused = fuse_keys(model, &sess, fwd.e, &subsequences);
+        for (k, (key, item_rows)) in subsequences.iter().enumerate() {
             let label = label_map[key];
+            let state_at = |i: usize| fused.steps[i].row(fused.slot[k]);
+            // The policy and the baseline read a detached state: the
+            // halting losses train their heads only, never reshaping the
+            // shared representation (which the classification loss owns).
+            // At this reproduction's scale, coupled gradients let the
+            // REINFORCE variance erode the encoder.
+            let detached_at = |i: usize| {
+                let row = sess
+                    .graph()
+                    .with_value(fused.steps[i], |h| h.row_tensor(fused.slot[k]));
+                sess.input(row)
+            };
             // --- generate the episode ---
             // During warmup the halting position is drawn uniformly (the
             // policy is neither consulted nor trained) so the classifier
             // and the baseline learn at every prefix length first.
             let forced_n = warmup.then(|| rng.range(1, item_rows.len() + 1));
-            // Fusion states are computed for the whole sequence (teacher
-            // forcing) so the classifier can be supervised at arbitrary
-            // positions; the episode's halting point only governs the
-            // policy losses.
-            let mut state = model.encoder.fusion.zero_state(&sess);
-            let mut states = Vec::with_capacity(item_rows.len());
-            let mut logits_z = Vec::with_capacity(item_rows.len());
+            let mut logits_z = Vec::new();
             let mut n_k = forced_n.unwrap_or(item_rows.len());
             let mut halted_by_policy = false;
-            let mut sampling = !warmup;
-            for (i, &g) in item_rows.iter().enumerate() {
-                state = model
-                    .encoder
-                    .fusion
-                    .step(&sess, &model.store, fwd.e.row(g), state);
-                states.push(state.h);
-                if !sampling {
-                    continue;
-                }
-                // The policy reads a detached state: the halting losses
-                // train the policy head only, never reshaping the shared
-                // representation (which the classification loss owns). At
-                // this reproduction's scale, coupled gradients let the
-                // REINFORCE variance erode the encoder.
-                let z = model
-                    .ectl
-                    .policy_logit(&sess, &model.store, state.h.detach());
-                logits_z.push(z);
-                let p_halt = sigmoid_scalar(z.value().item());
-                if Ectl::sample_action(p_halt, rng) == Action::Halt {
-                    n_k = i + 1;
-                    halted_by_policy = true;
-                    sampling = false;
+            if !warmup {
+                for i in 0..item_rows.len() {
+                    let z = model.ectl.policy_logit(&sess, &model.store, detached_at(i));
+                    logits_z.push(z);
+                    let p_halt = sigmoid_scalar(z.value().item());
+                    if Ectl::sample_action(p_halt, rng) == Action::Halt {
+                        n_k = i + 1;
+                        halted_by_policy = true;
+                        break;
+                    }
                 }
             }
             halt_fraction_sum += n_k as f32 / item_rows.len() as f32;
@@ -502,7 +502,7 @@ impl Trainer {
             // --- classify at the halting position ---
             let class_logits = model
                 .classifier
-                .logits(&sess, &model.store, states[n_k - 1]);
+                .logits(&sess, &model.store, state_at(n_k - 1));
             let pred = class_logits.value().argmax_row(0);
             let reward = if pred == label {
                 correct += 1;
@@ -519,14 +519,15 @@ impl Trainer {
             let ce = cross_entropy_logits(class_logits, label);
             l1 = Some(accumulate(l1, ce.scale(0.5)));
             let extra = rng.below(item_rows.len());
-            let extra_logits = model.classifier.logits(&sess, &model.store, states[extra]);
+            let extra_logits = model
+                .classifier
+                .logits(&sess, &model.store, state_at(extra));
             let extra_ce = cross_entropy_logits(extra_logits, label);
             l1 = Some(accumulate(l1, extra_ce.scale(0.5)));
 
             for i in 1..=n_k {
-                let s = states[i - 1];
                 let ret = (n_k - i) as f32 * reward;
-                let b_var = model.ectl.baseline(&sess, &model.store, s.detach());
+                let b_var = model.ectl.baseline(&sess, &model.store, detached_at(i - 1));
                 if warmup {
                     // Keep the baseline calibrated; no policy losses yet.
                     lb = Some(accumulate(lb, squared_error(b_var, ret)));
@@ -941,6 +942,63 @@ impl Trainer {
     pub fn beta(&self) -> f32 {
         self.beta
     }
+}
+
+/// The teacher-forced fusion states of every key of one scenario.
+struct FusedKeys<'s> {
+    /// `steps[i]` holds the states after item `i`, one row per key that has
+    /// an item `i`.
+    steps: Vec<Var<'s>>,
+    /// Row of key `k` (its index in `key_subsequences` order) in every
+    /// element of `steps` it appears in.
+    slot: Vec<usize>,
+}
+
+/// Runs the fusion cell over all keys at once: step `i` advances every key
+/// with more than `i` items as one `B_i x d` batch — one GEMM per gate
+/// where per-key stepping runs `B_i` GEMVs. Keys take their rows in order
+/// of decreasing length, so the keys still active at a step are always the
+/// leading rows of the carried state.
+fn fuse_keys<'s>(
+    model: &KvecModel,
+    sess: &'s Session,
+    e: Var<'s>,
+    subsequences: &[(Key, Vec<usize>)],
+) -> FusedKeys<'s> {
+    let fusion = &model.encoder.fusion;
+    let mut by_len: Vec<usize> = (0..subsequences.len()).collect();
+    by_len.sort_by_key(|&k| std::cmp::Reverse(subsequences[k].1.len()));
+    let mut slot = vec![0; by_len.len()];
+    for (row, &k) in by_len.iter().enumerate() {
+        slot[k] = row;
+    }
+    let zeros = || sess.input(Tensor::zeros(by_len.len(), fusion.hidden()));
+    let mut state = LstmState {
+        h: zeros(),
+        c: zeros(),
+    };
+    let mut active = by_len.len();
+    let mut steps = Vec::new();
+    for i in 0..subsequences[by_len[0]].1.len() {
+        let still = by_len[..active]
+            .iter()
+            .take_while(|&&k| subsequences[k].1.len() > i)
+            .count();
+        if still < active {
+            active = still;
+            state = LstmState {
+                h: state.h.slice_rows(0, active),
+                c: state.c.slice_rows(0, active),
+            };
+        }
+        let items: Vec<usize> = by_len[..active]
+            .iter()
+            .map(|&k| subsequences[k].1[i])
+            .collect();
+        state = fusion.step(sess, &model.store, e.gather_rows(&items), state);
+        steps.push(state.h);
+    }
+    FusedKeys { steps, slot }
 }
 
 fn accumulate<'s>(acc: Option<Var<'s>>, term: Var<'s>) -> Var<'s> {

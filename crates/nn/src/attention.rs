@@ -147,7 +147,7 @@ impl AttentionBlock {
                     v.slice_cols(lo, hi),
                 )
             };
-            let scores = qh.matmul(kh.t()).scale(scale);
+            let scores = qh.matmul_nt(kh).scale(scale);
             let attn = scores.masked_softmax_rows(mask);
             match &mut mean_weights {
                 Some(acc) => acc.add_assign(&attn.value()),

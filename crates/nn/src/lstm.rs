@@ -10,12 +10,13 @@ use crate::{Linear, ParamId, ParamStore, Session};
 use kvec_autograd::Var;
 use kvec_tensor::{KvecRng, Tensor};
 
-/// The `(hidden, cell)` pair carried between steps.
+/// The `(hidden, cell)` pair carried between steps: one row per sequence
+/// stepped together (a single row everywhere but batched training).
 #[derive(Clone, Copy)]
 pub struct LstmState<'s> {
-    /// Hidden state `s` (`1 x hidden`) — the sequence representation.
+    /// Hidden state `s` (`B x hidden`) — the sequence representation.
     pub h: Var<'s>,
-    /// Cell memory `C` (`1 x hidden`).
+    /// Cell memory `C` (`B x hidden`).
     pub c: Var<'s>,
 }
 
@@ -68,6 +69,10 @@ impl LstmCell {
     /// C' = f (.) C + i (.) tanh(Wc [h; x] + bc)
     /// h' = o (.) tanh(C')
     /// ```
+    ///
+    /// `x` is `B x input_dim` against a `B`-row state: every op above is
+    /// row-wise, so `B` independent sequences advance in one call and row
+    /// `b` of the result has the bits a single-row call on row `b` gives.
     pub fn step<'s>(
         &self,
         sess: &'s Session,
@@ -75,7 +80,8 @@ impl LstmCell {
         x: Var<'s>,
         state: LstmState<'s>,
     ) -> LstmState<'s> {
-        assert_eq!(x.shape(), (1, self.input_dim), "lstm input shape");
+        let rows = state.h.shape().0;
+        assert_eq!(x.shape(), (rows, self.input_dim), "lstm input shape");
         let cat = state.h.concat_cols(x);
         let f = self.wf.forward(sess, store, cat).sigmoid();
         let i = self.wi.forward(sess, store, cat).sigmoid();
@@ -191,6 +197,131 @@ mod tests {
                 store.grad(id).frobenius_norm() > 0.0,
                 "no grad for {}",
                 store.name(id)
+            );
+        }
+    }
+
+    /// Sum of `h (.) w` as a scalar node: hands `h` exactly `w` upstream.
+    fn weighted<'s>(h: Var<'s>, w: &Tensor) -> Var<'s> {
+        h.mul_const(w).sum_all()
+    }
+
+    #[test]
+    fn batched_steps_over_ragged_lengths_equal_per_key_steps() {
+        // Four sequences, longest first, stepped (a) one key at a time and
+        // (b) all together, dropping finished keys off the end of the
+        // batch — the way the trainer fuses a scenario's keys.
+        let lens = [5usize, 3, 3, 1];
+        // Wide enough that the gate products cross both tiers' vector
+        // widths and leave a scalar tail.
+        let (input_dim, hidden) = (12, 40);
+        let mut store = ParamStore::new();
+        let mut rng = KvecRng::seed_from_u64(12);
+        let cell = LstmCell::new(&mut store, "cell", input_dim, hidden, &mut rng);
+        let xs: Vec<Tensor> = lens
+            .iter()
+            .map(|&len| Tensor::rand_uniform(len, input_dim, -1.0, 1.0, &mut rng))
+            .collect();
+        let ws: Vec<Tensor> = lens
+            .iter()
+            .map(|&len| Tensor::rand_uniform(len, hidden, -1.0, 1.0, &mut rng))
+            .collect();
+
+        let mut per_key_store = store.clone();
+        let sess = Session::new();
+        let mut per_key_h = Vec::new();
+        let mut loss = sess.scalar(0.0);
+        for (x, w) in xs.iter().zip(&ws) {
+            let mut state = cell.zero_state(&sess);
+            let mut hs = Vec::new();
+            for t in 0..x.rows() {
+                state = cell.step(&sess, &per_key_store, sess.input(x.row_tensor(t)), state);
+                loss = loss.add(weighted(state.h, &w.row_tensor(t)));
+                hs.push(state.h.value());
+            }
+            per_key_h.push(hs);
+        }
+        sess.backward(loss);
+        sess.accumulate_grads(&mut per_key_store);
+
+        let sess = Session::new();
+        let zeros = || sess.input(Tensor::zeros(lens.len(), hidden));
+        let mut state = LstmState {
+            h: zeros(),
+            c: zeros(),
+        };
+        let mut loss = sess.scalar(0.0);
+        for t in 0..lens[0] {
+            let active = lens.iter().filter(|&&len| len > t).count();
+            if active < state.h.shape().0 {
+                state = LstmState {
+                    h: state.h.slice_rows(0, active),
+                    c: state.c.slice_rows(0, active),
+                };
+            }
+            let rows = |ts: &[Tensor]| {
+                let rows: Vec<Tensor> = ts[..active].iter().map(|x| x.row_tensor(t)).collect();
+                Tensor::concat_rows(&rows.iter().collect::<Vec<_>>()).unwrap()
+            };
+            state = cell.step(&sess, &store, sess.input(rows(&xs)), state);
+            loss = loss.add(weighted(state.h, &rows(&ws)));
+            let h = state.h.value();
+            for (k, per_key) in per_key_h.iter().enumerate().take(active) {
+                let (got, want) = (h.row(k), per_key[t].data());
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want), "key {k} step {t}");
+            }
+        }
+        sess.backward(loss);
+        sess.accumulate_grads(&mut store);
+
+        for id in cell.param_ids() {
+            let (got, want) = (store.grad(id), per_key_store.grad(id));
+            let scale = want.frobenius_norm().max(1e-6);
+            let diff = got.sub(want).frobenius_norm();
+            assert!(
+                diff <= 1e-5 * scale,
+                "{}: batched gradient off by {diff} (norm {scale})",
+                store.name(id)
+            );
+        }
+    }
+
+    #[test]
+    fn batched_step_gradient_matches_finite_differences() {
+        let mut store = ParamStore::new();
+        let cell = cell(&mut store);
+        let mut rng = KvecRng::seed_from_u64(13);
+        let x = Tensor::rand_uniform(3, 3, -1.0, 1.0, &mut rng);
+        let h0 = Tensor::rand_uniform(3, 4, -1.0, 1.0, &mut rng);
+        let c0 = Tensor::rand_uniform(3, 4, -1.0, 1.0, &mut rng);
+        // Two steps, so the gradient also flows through the carried state.
+        let loss_and_grad = |x: &Tensor| {
+            let sess = Session::new();
+            let xv = sess.input(x.clone());
+            let state = LstmState {
+                h: sess.input(h0.clone()),
+                c: sess.input(c0.clone()),
+            };
+            let state = cell.step(&sess, &store, xv, state);
+            let state = cell.step(&sess, &store, xv.scale(0.5), state);
+            let loss = state.h.square().sum_all().add(state.c.sum_all());
+            let value = loss.value().item();
+            sess.backward(loss);
+            (value, sess.graph().grad(xv).expect("x reached"))
+        };
+        let (_, analytic) = loss_and_grad(&x);
+        let eps = 1e-3;
+        for i in 0..x.len() {
+            let mut plus = x.clone();
+            plus.data_mut()[i] += eps;
+            let mut minus = x.clone();
+            minus.data_mut()[i] -= eps;
+            let numeric = (loss_and_grad(&plus).0 - loss_and_grad(&minus).0) / (2.0 * eps);
+            let a = analytic.data()[i];
+            assert!(
+                (a - numeric).abs() <= 1e-2 * a.abs().max(numeric.abs()).max(1.0),
+                "element {i}: analytic {a}, numeric {numeric}"
             );
         }
     }

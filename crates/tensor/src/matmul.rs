@@ -7,24 +7,27 @@
 //! inner-dimension loop, so the inner loop touches memory only to stream
 //! one `NR`-wide slice of `b` and `MR` scalars of `a` per step — the output
 //! is written exactly once, after the loop. That removes the per-step
-//! output load/store traffic that bounds the naive `i-k-j` kernel. The `nt`
-//! layout is dot-product shaped instead: [`MR`] independent dot chains run
-//! concurrently to hide FP add latency.
+//! output load/store traffic that bounds the naive `i-k-j` kernel. On the
+//! scalar path the `nt` layout is dot-product shaped instead ([`nt_block`]:
+//! [`MR`] independent dot chains run concurrently to hide FP add latency).
 //! Above [`PAR_MIN_FLOPS`] the output row blocks fan out across threads via
 //! [`crate::parallel`].
 //!
-//! Per output element of `nn`/`tn` the accumulation order is ascending over
-//! the inner dimension — exactly the order of the original scalar kernel —
-//! so results are **bit-identical for every thread count** (worker
-//! boundaries fall between output rows, never inside one; `nt` reorders the
-//! dot sums and is compared with `allclose` instead).
+//! Per output element the accumulation order is ascending over the inner
+//! dimension — exactly the order of the original scalar kernel — so
+//! results are **bit-identical for every thread count** (worker boundaries
+//! fall between output rows, never inside one).
 //!
 //! All three layouts additionally dispatch to the SIMD kernels in
 //! [`crate::simd`] — AVX-512 where the host has it, AVX2+FMA otherwise
 //! (`KVEC_SIMD` overrides): the dispatching thread resolves the path once
-//! per product, packs `b` once where the layout calls for it, and fans
-//! the same row blocks out across threads — so the path choice composes
-//! with `KVEC_THREADS` without changing any element's accumulation order.
+//! per product, packs the right operand once (`nt` transposes it while
+//! packing, so all three layouts run the one packed kernel and `matmul_nt`
+//! is bitwise `matmul` of the explicit transpose), and fans the same row
+//! blocks out across threads — so the path choice composes with
+//! `KVEC_THREADS` without changing any element's accumulation order. A
+//! single-row left operand skips packing: `nn`/`tn` take the GEMV kernel,
+//! `nt` one [`simd::dot_on`] per output.
 
 use crate::{parallel, simd, Tensor, TensorError, TensorResult};
 use kvec_obs::{LazyCounter, LazyHistogram};
@@ -310,7 +313,10 @@ impl Tensor {
     }
 
     /// `self (m x k) * other (n x k)^T -> (m x n)` without materializing the
-    /// transpose. Inner loops are dot products over contiguous rows.
+    /// transpose. On the SIMD paths `other` is transposed while it is
+    /// packed, so for `m > 1` the result is bitwise
+    /// `self.matmul(&other.transpose())`; for `m == 1` each output is one
+    /// [`simd::dot_on`] over two contiguous rows.
     pub fn matmul_nt(&self, other: &Tensor) -> TensorResult<Tensor> {
         if self.cols() != other.cols() {
             return Err(TensorError::ShapeMismatch {
@@ -319,22 +325,29 @@ impl Tensor {
                 rhs: other.shape(),
             });
         }
-        let m = self.rows();
-        let k = self.cols();
+        let (m, k) = self.shape();
         let n = other.rows();
         let t0 = kvec_obs::timer();
         let mut out = Tensor::zeros(m, n);
         let threads = plan_threads(m, k, n);
         let (a, b) = (self.data(), other.data());
         match simd::active_path() {
-            path @ (simd::KernelPath::Avx2 | simd::KernelPath::Avx512) => {
-                parallel::par_row_blocks(out.data_mut(), m, n, threads, |i0, rows, block| {
-                    simd::gemm_nt(path, a, b, k, n, i0, rows, block)
-                });
-            }
             simd::KernelPath::Scalar => {
                 parallel::par_row_blocks(out.data_mut(), m, n, threads, |i0, rows, block| {
                     nt_block(a, b, k, n, i0, rows, block)
+                });
+            }
+            path if m == 1 => {
+                // One output per row of `other`: both operands are already
+                // contiguous along `k`, so packing would only add traffic.
+                for (o, b_row) in out.data_mut().iter_mut().zip(b.chunks_exact(k.max(1))) {
+                    *o = simd::dot_on(path, a, b_row);
+                }
+            }
+            path => {
+                let packed = simd::pack_bt(path, b, k, n);
+                parallel::par_row_blocks(out.data_mut(), m, n, threads, |i0, rows, block| {
+                    simd::gemm_packed(path, a, (k, 1), &packed, i0, rows, block)
                 });
             }
         }

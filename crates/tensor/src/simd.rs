@@ -38,7 +38,9 @@
 //!   packed copy. The kernel reads `a` through a `(row, step)` stride
 //!   pair — `(k, 1)` for `nn`, `(1, m)` for `tn` — the same pair the
 //!   scalar tile in [`crate::matmul`] takes, so the two layouts share one
-//!   body on every path.
+//!   body on every path. The `nt` layout shares it too: `pack_bt` reads
+//!   its `n x k` right operand transposed while packing and the `nn`
+//!   kernel does the rest.
 //! - **GEMV fast path** ([`gemv_nn`]): the `1 x k` times `k x n` case that
 //!   dominates `StreamingEngine::feed` and the per-row inference path
 //!   skips packing entirely — `b` is read exactly once, so repacking would
@@ -46,24 +48,29 @@
 //!   `2W`-wide groups, one `W`-wide group, then scalar-FMA columns.
 //! - **Dot/axpy helpers** ([`dot_on`], [`axpy_on`]): head-dimension sized
 //!   primitives for `attend_row`, taking a pre-resolved path so hot loops
-//!   pay for dispatch once per call, not once per visible index.
+//!   pay for dispatch once per call, not once per visible index. `dot_on`
+//!   is also `matmul_nt` with a one-row left operand (both rows are
+//!   contiguous; packing would only add traffic), `axpy_on` the autodiff
+//!   sweep's row-wise outer-product accumulation.
 //!
 //! # Determinism contract
 //!
 //! Every kernel path is individually deterministic: the same input bits on
 //! the same path produce the same output bits, for every thread count
 //! (parallel row blocks never change any element's accumulation order;
-//! `nn`/`tn`/`gemv` accumulate each output element in one ascending-`k`
-//! FMA chain, and storing/reloading the f32 accumulator between KC chunks
-//! is value-preserving). Vector lanes never interact in those kernels or
-//! in `axpy`, so the chain — and every output bit — is the same at any
-//! lane width: the two SIMD tiers agree bitwise there (pinned by
-//! `tests/kernel_bits.rs`), as do the GEMV fast path and the packed GEMM.
-//! `nt` and `dot` deal products into `W` lane chains and sum the lanes in
-//! a fixed order, so they are deterministic per tier only. SIMD versus
-//! scalar legitimately differs: FMA rounds once per multiply-add where the
-//! scalar kernel rounds twice, so that agreement is a tight-ULP property
-//! (see `kvec_check::ulp_distance`), not bit equality.
+//! `nn`/`tn`/`nt`/`gemv` accumulate each output element in one
+//! ascending-`k` FMA chain, and storing/reloading the f32 accumulator
+//! between KC chunks is value-preserving). Vector lanes never interact in
+//! those kernels or in `axpy`, so the chain — and every output bit — is the
+//! same at any lane width: the two SIMD tiers agree bitwise there (pinned
+//! by `tests/kernel_bits.rs`), as do the GEMV fast path and the packed
+//! GEMM, and `matmul_nt` and `matmul` of the explicit transpose. `dot`
+//! alone deals products into `W` lane chains and sums the lanes in a fixed
+//! order, so it — and with it `matmul_nt` of a single row — is
+//! deterministic per tier only. SIMD versus scalar legitimately differs:
+//! FMA rounds once per multiply-add where the scalar kernel rounds twice,
+//! so that agreement is a tight-ULP property (see
+//! `kvec_check::ulp_distance`), not bit equality.
 //!
 //! `unsafe` is confined to this module's intrinsics layer; every public
 //! entry point is a safe wrapper that asserts the shape contracts the raw
@@ -364,23 +371,65 @@ fn panel_width(path: KernelPath) -> usize {
     }
 }
 
-/// Packs `b` (row-major `k x n`) for `path`'s GEMM kernels. Portable safe
-/// code: packing is plain copies, only the consuming micro-kernels are
-/// feature-gated.
-pub fn pack_b(path: KernelPath, b: &[f32], k: usize, n: usize) -> PackedB {
-    assert_eq!(b.len(), k * n, "pack_b shape mismatch");
+/// Packs a `k x n` operand for `path`'s GEMM kernels; `fill(j0, width,
+/// panel)` writes columns `j0..j0 + width` of it into one zeroed panel
+/// (`k` rows of the path's panel width). Portable safe code: packing is
+/// plain copies, only the consuming micro-kernels are feature-gated.
+fn pack_panels(
+    path: KernelPath,
+    k: usize,
+    n: usize,
+    fill: impl Fn(usize, usize, &mut [f32]),
+) -> PackedB {
     let nr = panel_width(path);
-    let panels = n.div_ceil(nr);
-    let mut data = vec![0.0f32; panels * k * nr];
-    for jp in 0..panels {
-        let j0 = jp * nr;
-        let width = nr.min(n - j0);
-        let panel = &mut data[jp * k * nr..(jp + 1) * k * nr];
-        for p in 0..k {
-            panel[p * nr..p * nr + width].copy_from_slice(&b[p * n + j0..p * n + j0 + width]);
+    let mut data = vec![0.0f32; n.div_ceil(nr) * k * nr];
+    if k > 0 {
+        for (jp, panel) in data.chunks_exact_mut(k * nr).enumerate() {
+            fill(jp * nr, nr.min(n - jp * nr), panel);
         }
     }
     PackedB { data, k, n, nr }
+}
+
+/// Packs `b` (row-major `k x n`) for `path`'s GEMM kernels.
+pub fn pack_b(path: KernelPath, b: &[f32], k: usize, n: usize) -> PackedB {
+    assert_eq!(b.len(), k * n, "pack_b shape mismatch");
+    let nr = panel_width(path);
+    pack_panels(path, k, n, |j0, width, panel| {
+        for (dst, src) in panel.chunks_exact_mut(nr).zip(b.chunks_exact(n)) {
+            dst[..width].copy_from_slice(&src[j0..j0 + width]);
+        }
+    })
+}
+
+/// Packs the transpose of `bt` (row-major `n x k`): the `nt` layout reads
+/// its right operand transposed *while packing*, then runs the same packed
+/// kernel as `nn`/`tn`. Each row of `bt` is read once, contiguously, and
+/// becomes one panel column — four rows at a time, so a panel row takes
+/// one 16-byte store per step instead of four scalar ones (small-`m`
+/// products are pack-bound: 2x on `8x64 * (128x64)^T`).
+pub(crate) fn pack_bt(path: KernelPath, bt: &[f32], k: usize, n: usize) -> PackedB {
+    assert_eq!(bt.len(), n * k, "pack_bt shape mismatch");
+    let nr = panel_width(path);
+    pack_panels(path, k, n, |j0, width, panel| {
+        let mut c = 0;
+        while c + 4 <= width {
+            let (r0, rest) = bt[(j0 + c) * k..(j0 + c + 4) * k].split_at(k);
+            let (r1, rest) = rest.split_at(k);
+            let (r2, r3) = rest.split_at(k);
+            let quads = r0.iter().zip(r1).zip(r2).zip(r3);
+            for (dst, (((&v0, &v1), &v2), &v3)) in panel.chunks_exact_mut(nr).zip(quads) {
+                dst[c..c + 4].copy_from_slice(&[v0, v1, v2, v3]);
+            }
+            c += 4;
+        }
+        let tail = bt[(j0 + c) * k..(j0 + width) * k].chunks_exact(k);
+        for (c, row) in (c..).zip(tail) {
+            for (dst, &v) in panel.chunks_exact_mut(nr).zip(row) {
+                dst[c] = v;
+            }
+        }
+    })
 }
 
 /// Asserts that `path` is a SIMD path the host can actually run — the
@@ -457,27 +506,6 @@ pub fn gemv_nn(path: KernelPath, a: &[f32], b: &[f32], k: usize, n: usize, out: 
     assert_eq!(b.len(), k * n, "b shape mismatch");
     assert_eq!(out.len(), n, "out shape mismatch");
     on_tier!(path, gemv_nn(a, b, k, n, out))
-}
-
-/// `out[0..rows] = a[i0..i0+rows] * b^T` on a SIMD path, with `a`
-/// row-major `m x k` and `b` row-major `n x k` (dot-product shaped — no
-/// packing; both operands are already contiguous along `k`).
-#[allow(clippy::too_many_arguments)] // flat kernel calling convention
-pub fn gemm_nt(
-    path: KernelPath,
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    rows: usize,
-    out: &mut [f32],
-) {
-    assert_path_supported(path);
-    assert!(a.len() >= (i0 + rows) * k, "a too short for row block");
-    assert_eq!(b.len(), n * k, "b shape mismatch");
-    assert_eq!(out.len(), rows * n, "out block shape mismatch");
-    on_tier!(path, nt_block(a, b, k, n, i0, rows, out))
 }
 
 /// Dot product of two equal-length slices on a pre-resolved path. The
@@ -838,76 +866,6 @@ mod x86 {
                     }
                 }
 
-                /// Dot-product shaped `a * b^T` row block: four output
-                /// columns run concurrently, each a `W`-lane FMA chain
-                /// reduced by `hsum` plus a scalar-FMA tail — a fixed order
-                /// per element, deterministic for every thread count.
-                ///
-                /// # Safety
-                /// Caller ensures the tier's features and the shapes
-                /// asserted by [`crate::simd::gemm_nt`].
-                #[target_feature(enable = $feat)]
-                pub unsafe fn nt_block(
-                    a: &[f32],
-                    b: &[f32],
-                    k: usize,
-                    n: usize,
-                    i0: usize,
-                    rows: usize,
-                    out: &mut [f32],
-                ) {
-                    for i in 0..rows {
-                        let ar = a.as_ptr().add((i0 + i) * k);
-                        let orow = out.as_mut_ptr().add(i * n);
-                        let mut j = 0;
-                        while j + MR <= n {
-                            let br = [
-                                b.as_ptr().add(j * k),
-                                b.as_ptr().add((j + 1) * k),
-                                b.as_ptr().add((j + 2) * k),
-                                b.as_ptr().add((j + 3) * k),
-                            ];
-                            let mut acc = [setzero(); MR];
-                            let mut p = 0;
-                            while p + W <= k {
-                                let av = loadu(ar.add(p));
-                                for (c, acc_c) in acc.iter_mut().enumerate() {
-                                    *acc_c = fmadd(av, loadu(br[c].add(p)), *acc_c);
-                                }
-                                p += W;
-                            }
-                            let mut sums = [hsum(acc[0]), hsum(acc[1]), hsum(acc[2]), hsum(acc[3])];
-                            while p < k {
-                                let av = *ar.add(p);
-                                for (c, s) in sums.iter_mut().enumerate() {
-                                    *s = av.mul_add(*br[c].add(p), *s);
-                                }
-                                p += 1;
-                            }
-                            for (c, &s) in sums.iter().enumerate() {
-                                *orow.add(j + c) = s;
-                            }
-                            j += MR;
-                        }
-                        while j < n {
-                            let br = b.as_ptr().add(j * k);
-                            let mut acc = setzero();
-                            let mut p = 0;
-                            while p + W <= k {
-                                acc = fmadd(loadu(ar.add(p)), loadu(br.add(p)), acc);
-                                p += W;
-                            }
-                            let mut s = hsum(acc);
-                            while p < k {
-                                s = (*ar.add(p)).mul_add(*br.add(p), s);
-                                p += 1;
-                            }
-                            *orow.add(j) = s;
-                            j += 1;
-                        }
-                    }
-                }
-
                 /// Equal-length dot product: two interleaved `W`-lane
                 /// chains, fixed reduction order, scalar-FMA tail.
                 ///
@@ -1097,6 +1055,25 @@ mod tests {
         assert_eq!(packed.data.len(), 2 * NR512);
         assert_eq!(packed.data[NR512], b[18]); // p = 1, lane 0
         assert_eq!(packed.data[18], 0.0); // lane padding
+    }
+
+    #[test]
+    fn pack_bt_equals_pack_b_of_the_transpose() {
+        // Widths that fill panels, end in a four-row block and leave a
+        // one-to-three-row tail, on both panel widths.
+        for path in [KernelPath::Avx2, KernelPath::Avx512] {
+            for (k, n) in [(1usize, 1usize), (5, 3), (7, 16), (3, 18), (9, 39), (4, 70)] {
+                let bt: Vec<f32> = (0..n * k).map(|v| v as f32).collect();
+                let mut b = vec![0.0f32; k * n];
+                for j in 0..n {
+                    for p in 0..k {
+                        b[p * n + j] = bt[j * k + p];
+                    }
+                }
+                let got = pack_bt(path, &bt, k, n);
+                assert_eq!(got.data, pack_b(path, &b, k, n).data, "{path:?} {k}x{n}");
+            }
+        }
     }
 
     #[test]
