@@ -16,19 +16,6 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Best-of-`reps` wall-clock of `f`, in milliseconds. For macro-scale
-/// timings (an epoch, a full forward) where one call is already long
-/// enough to measure directly.
-pub fn time_best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 fn fast_mode() -> bool {
     std::env::var("KVEC_FAST").is_ok_and(|v| v == "1")
 }
@@ -190,31 +177,9 @@ pub fn measure(samples: usize, mut f: impl FnMut()) -> Stats {
     summarize(per_iter, batch)
 }
 
-/// Full statistics over `reps` direct calls of `f` (no batching, no
-/// warmup): the macro-scale companion of [`time_best_ms`] for bodies long
-/// enough to time individually — an epoch, a full forward pass.
-pub fn stats_direct(reps: usize, mut f: impl FnMut()) -> Stats {
-    let reps = reps.max(1);
-    let mut per_iter = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        per_iter.push(t0.elapsed().as_secs_f64() * 1e9);
-    }
-    summarize(per_iter, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_best_ms_is_positive_and_finite() {
-        let ms = time_best_ms(3, || {
-            black_box((0..1000).sum::<u64>());
-        });
-        assert!(ms.is_finite() && ms >= 0.0);
-    }
 
     #[test]
     fn measure_orders_stats_and_batches() {
@@ -242,15 +207,6 @@ mod tests {
         assert!((s.stddev_ns - 35f64.sqrt()).abs() < 1e-9);
         assert_eq!(s.p95_ns, 19.0);
         assert_eq!(s.samples, 20);
-    }
-
-    #[test]
-    fn stats_direct_times_each_call() {
-        let s = stats_direct(3, || std::thread::sleep(Duration::from_millis(1)));
-        assert_eq!(s.batch, 1);
-        assert_eq!(s.samples, 3);
-        assert!(s.min_ns >= 1e6);
-        assert!(s.p95_ns >= s.median_ns);
     }
 
     #[test]

@@ -56,10 +56,8 @@ pub struct CrossValReport {
 /// tangled into `k_concurrent`-way training scenarios, a fresh model is
 /// trained for `epochs`, and the fold report is collected.
 ///
-/// The fold loop itself is serial — it shares one RNG stream, so the split
-/// and every fold's trajectory stay reproducible — but the scenario loops
-/// inside it (`train_epoch`'s kernels, `evaluate`'s shards) fan out across
-/// `KVEC_THREADS` workers, which is where the wall-clock goes.
+/// The folds share one RNG stream, so the split and every fold's
+/// trajectory are reproducible from the seed.
 pub fn cross_validate(
     cfg: &KvecConfig,
     pool: &[LabeledSequence],

@@ -5,7 +5,7 @@ use crate::ectl::{Action, Ectl};
 use crate::model::KvecModel;
 use kvec_data::{Key, TangledSequence};
 use kvec_nn::Session;
-use kvec_tensor::{parallel, sigmoid_scalar};
+use kvec_tensor::sigmoid_scalar;
 
 /// Outcome of one key-value sequence at evaluation time.
 #[derive(Debug, Clone)]
@@ -235,20 +235,12 @@ pub fn attention_profile(
     buckets
 }
 
-/// Evaluates a set of scenarios and aggregates every metric.
-///
-/// Scenarios are sharded across `KVEC_THREADS` workers (they are
-/// independent and evaluation is RNG-free); shard results are concatenated
-/// in shard order, so the report is identical for every thread count.
+/// Evaluates a set of scenarios, in order, and aggregates every metric.
 pub fn evaluate(model: &KvecModel, scenarios: &[TangledSequence]) -> EvalReport {
-    let threads = parallel::num_threads();
-    let shards = parallel::par_map_shards(scenarios, threads, |_, shard| {
-        shard
-            .iter()
-            .flat_map(|s| evaluate_scenario(model, s))
-            .collect::<Vec<_>>()
-    });
-    let outcomes = shards.into_iter().flatten().collect();
+    let outcomes = scenarios
+        .iter()
+        .flat_map(|s| evaluate_scenario(model, s))
+        .collect();
     report_from_outcomes(outcomes, model.cfg.num_classes)
 }
 

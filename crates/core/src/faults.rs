@@ -25,8 +25,7 @@ use std::path::Path;
 
 /// A seeded injector of training-time faults. Attach to a trainer with
 /// `Trainer::set_fault_injector`; steps are counted as optimizer-step
-/// attempts (one per scenario serially, one per worker group in the
-/// data-parallel epoch).
+/// attempts (one per scenario).
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     kill_at_step: Option<u64>,

@@ -12,9 +12,7 @@ use kvec_tensor::KvecRng;
 
 /// KVRL + ECTL + classifier, sharing one [`ParamStore`].
 ///
-/// `Clone` replicates the full model (parameters included) — the
-/// data-parallel training loop clones one replica per worker so each can
-/// accumulate gradients privately before the ordered reduction.
+/// `Clone` replicates the full model (parameters included).
 #[derive(Clone)]
 pub struct KvecModel {
     /// The model configuration.

@@ -23,10 +23,8 @@
 //! scenario (the paper sums) so the learning rate is insensitive to the
 //! number of concurrent sequences `K`.
 //!
-//! Two epoch drivers exist: [`Trainer::train_epoch`] (serial, one step per
-//! scenario — the reference schedule) and [`Trainer::train_epoch_parallel`]
-//! (data-parallel over worker replicas with an ordered gradient reduction;
-//! see its docs for the determinism contract).
+//! [`Trainer::train_epoch`] is the one epoch driver: one optimizer step per
+//! scenario (Algorithm 1's schedule), on the calling thread.
 //!
 //! ## Fault tolerance
 //!
@@ -59,12 +57,11 @@ use kvec_nn::checkpoint::{read_verified, write_atomic, CheckpointError};
 use kvec_nn::loss::{cross_entropy_logits, log_one_minus_sigmoid, log_sigmoid, squared_error};
 use kvec_nn::{clip_global_norm, Adam, AdamState, LstmState, Optimizer, ParamId, Session};
 use kvec_obs::{self as obs, LazyHistogram, Level};
-use kvec_tensor::{parallel, sigmoid_scalar, KvecRng, Tensor};
+use kvec_tensor::{sigmoid_scalar, KvecRng, Tensor};
 use std::fmt;
 use std::path::Path;
 
-/// Halting positions `n_k` across every trained key (Algorithm 1 line 9);
-/// recorded from worker threads too, hence a lock-free histogram.
+/// Halting positions `n_k` across every trained key (Algorithm 1 line 9).
 static HALT_STEP_HIST: LazyHistogram = LazyHistogram::new("train.halt_step");
 /// Pre-clip model-group gradient norm of every applied step.
 static GRAD_NORM_HIST: LazyHistogram = LazyHistogram::new("train.grad_norm");
@@ -302,8 +299,7 @@ pub struct Trainer {
     epochs_done: usize,
     // --- fault-tolerance state ---
     watchdog: WatchdogConfig,
-    /// Optimizer-step attempts so far, good and skipped (serial: one per
-    /// scenario; parallel: one per worker group).
+    /// Optimizer-step attempts so far, good and skipped (one per scenario).
     step: u64,
     good_steps: u64,
     consecutive_bad: usize,
@@ -432,8 +428,7 @@ impl Trainer {
     /// The forward/backward pass of one scenario: accumulates gradients into
     /// `model.store` and reports the step diagnostics, **without** touching
     /// the optimizers. [`Trainer::train_scenario`] is this plus
-    /// [`Trainer::apply_step`]; the data-parallel epoch runs this on worker
-    /// replicas and reduces their gradients before one shared step.
+    /// [`Trainer::guarded_step`].
     fn scenario_grads(
         &self,
         model: &mut KvecModel,
@@ -718,8 +713,7 @@ impl Trainer {
     }
 
     /// Trains one pass over a set of scenarios, one optimizer step per
-    /// scenario (Algorithm 1's schedule). For multi-core runs see
-    /// [`Trainer::train_epoch_parallel`]. Watchdog interventions are
+    /// scenario (Algorithm 1's schedule). Watchdog interventions are
     /// reported through [`Trainer::take_events`]; `Err` aborts the epoch
     /// (injected crash, impossible rollback).
     pub fn train_epoch(
@@ -769,86 +763,6 @@ impl Trainer {
                 ("watchdog_rollbacks", Json::Int(eo.rollbacks as i128)),
             ],
         );
-    }
-
-    /// Data-parallel epoch: scenarios are processed in groups of up to
-    /// `workers`; every worker clones the model, runs the forward/backward
-    /// of one scenario with a scenario-specific RNG, and the group's
-    /// gradients are averaged — **reduced in worker-index order** — into one
-    /// optimizer step.
-    ///
-    /// Determinism: per-scenario seeds are drawn from `rng` in scenario
-    /// order before any worker runs, and the reduction order is fixed, so
-    /// the trajectory is a pure function of `(seed, workers)` — two runs
-    /// with the same inputs agree bitwise. With `workers <= 1` this *is*
-    /// [`Trainer::train_epoch`] (same RNG stream, one step per scenario).
-    /// With `workers > 1` the step granularity changes (one averaged step
-    /// per group instead of one per scenario), so trajectories match across
-    /// worker counts only step-for-step, not bit-for-bit — the usual
-    /// data-parallel trade.
-    pub fn train_epoch_parallel(
-        &mut self,
-        model: &mut KvecModel,
-        scenarios: &[TangledSequence],
-        rng: &mut KvecRng,
-        workers: usize,
-    ) -> Result<EpochStats, TrainError> {
-        if workers <= 1 {
-            return self.train_epoch(model, scenarios, rng);
-        }
-        let _span = obs::span("train.epoch");
-        self.epoch_obs = EpochObs::default();
-        let ids = model.store.ids();
-        let mut agg = EpochStats::default();
-        for group in scenarios.chunks(workers) {
-            // Seeds are pre-drawn in scenario order so the RNG stream does
-            // not depend on worker scheduling.
-            let jobs: Vec<(&TangledSequence, u64)> =
-                group.iter().map(|s| (s, rng.next_u64())).collect();
-            let trainer = &*self;
-            let shared = &*model;
-            let results = parallel::par_map_shards(&jobs, jobs.len(), |_, shard| {
-                let mut replica = shared.clone();
-                let mut stats = Vec::with_capacity(shard.len());
-                for (scenario, seed) in shard {
-                    let mut wrng = KvecRng::seed_from_u64(*seed);
-                    stats.push(trainer.scenario_grads(&mut replica, scenario, &mut wrng));
-                }
-                (stats, replica.store.take_grads())
-            });
-            // Ordered reduction: worker 0 first, then 1, ... so float
-            // summation order is reproducible.
-            let inv = 1.0 / results.len() as f32;
-            for (_, grads) in &results {
-                for (&id, g) in ids.iter().zip(grads) {
-                    model.store.accumulate_grad(id, g);
-                }
-            }
-            // Average over the group so one grouped step has the same
-            // gradient scale as one per-scenario step.
-            for &id in &ids {
-                model.store.scale_grad(id, inv);
-            }
-            // The watchdog sees the group-mean loss, matching the
-            // group-mean gradient it guards (any NaN member poisons the
-            // mean, so per-worker divergence is still caught).
-            let group_loss = results
-                .iter()
-                .flat_map(|(stats, _)| stats)
-                .map(|s| self.total_loss(s))
-                .sum::<f32>()
-                * inv;
-            self.guarded_step(model, group_loss)?;
-            for (stats, _) in results {
-                for s in stats {
-                    self.fold_step(&mut agg, s);
-                }
-            }
-        }
-        Self::finish_epoch_stats(&mut agg);
-        self.epochs_done += 1;
-        self.emit_epoch_event(&agg);
-        Ok(agg)
     }
 
     /// Atomically writes the complete trainer state — parameters, both
@@ -1086,73 +1000,6 @@ mod tests {
             first,
             last
         );
-    }
-
-    #[test]
-    fn parallel_epoch_with_one_worker_matches_serial_trajectory() {
-        let ds = tiny_dataset(7);
-        let cfg = KvecConfig::tiny(&ds.schema, ds.num_classes);
-
-        let run = |parallel_path: bool| {
-            let mut rng = KvecRng::seed_from_u64(8);
-            let mut model = KvecModel::new(&cfg, &mut rng);
-            let mut trainer = Trainer::new(&cfg, &model);
-            let mut stats = Vec::new();
-            for _ in 0..2 {
-                stats.push(if parallel_path {
-                    trainer
-                        .train_epoch_parallel(&mut model, &ds.train, &mut rng, 1)
-                        .unwrap()
-                } else {
-                    trainer
-                        .train_epoch(&mut model, &ds.train, &mut rng)
-                        .unwrap()
-                });
-            }
-            (model, stats)
-        };
-        let (serial_model, serial_stats) = run(false);
-        let (par_model, par_stats) = run(true);
-
-        for (a, b) in serial_stats.iter().zip(&par_stats) {
-            assert_eq!(a.loss, b.loss);
-            assert_eq!(a.accuracy, b.accuracy);
-            assert_eq!(a.earliness, b.earliness);
-            assert_eq!(a.num_keys, b.num_keys);
-        }
-        for id in serial_model.store.ids() {
-            assert_eq!(
-                serial_model.store.value(id),
-                par_model.store.value(id),
-                "param {} diverged",
-                serial_model.store.name(id)
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_epoch_is_deterministic_across_runs() {
-        let ds = tiny_dataset(9);
-        let cfg = KvecConfig::tiny(&ds.schema, ds.num_classes);
-
-        let run = || {
-            let mut rng = KvecRng::seed_from_u64(10);
-            let mut model = KvecModel::new(&cfg, &mut rng);
-            let mut trainer = Trainer::new(&cfg, &model);
-            let stats = trainer
-                .train_epoch_parallel(&mut model, &ds.train, &mut rng, 2)
-                .unwrap();
-            (model, stats)
-        };
-        let (m1, s1) = run();
-        let (m2, s2) = run();
-        assert_eq!(s1.loss, s2.loss);
-        assert_eq!(s1.accuracy, s2.accuracy);
-        assert_eq!(s1.earliness, s2.earliness);
-        for id in m1.store.ids() {
-            assert_eq!(m1.store.value(id), m2.store.value(id));
-        }
-        assert!(!m1.store.has_non_finite());
     }
 
     #[test]

@@ -28,11 +28,6 @@ struct ParamEntry {
 /// 2. `session.backward(loss)`;
 /// 3. `session.accumulate_grads(&mut store)`;
 /// 4. `optimizer.step(&mut store)` followed by `store.zero_grads()`.
-///
-/// The store is `Clone` so data-parallel training can give every worker a
-/// private replica to accumulate gradients into (see `kvec_core`'s
-/// `Trainer::train_epoch_parallel`); [`ParamStore::take_grads`] then moves
-/// a replica's gradients out for an ordered reduction.
 #[derive(Default, Clone)]
 pub struct ParamStore {
     entries: Vec<ParamEntry>,
@@ -105,19 +100,6 @@ impl ParamStore {
     /// Multiplies a parameter's gradient accumulator by `s` in place.
     pub fn scale_grad(&mut self, id: ParamId, s: f32) {
         self.entries[id.0].grad.scale_assign(s);
-    }
-
-    /// Moves every accumulated gradient out (in id order), leaving zeroed
-    /// accumulators behind — how data-parallel workers hand their gradient
-    /// contributions to the reducing thread without an extra copy.
-    pub fn take_grads(&mut self) -> Vec<Tensor> {
-        self.entries
-            .iter_mut()
-            .map(|e| {
-                let (r, c) = e.grad.shape();
-                std::mem::replace(&mut e.grad, Tensor::zeros(r, c))
-            })
-            .collect()
     }
 
     /// Clears every gradient accumulator.

@@ -13,7 +13,8 @@
 //!   file.
 //! - **Metrics** — lock-free [`metrics::Counter`]s, [`metrics::Gauge`]s
 //!   and log-bucketed [`metrics::Histogram`]s built on relaxed atomics, so
-//!   `train_epoch_parallel` workers record without contending on a lock.
+//!   concurrent recorders (the `kvec-serve` shard workers) never contend
+//!   on a lock.
 //!
 //! ## Environment control
 //!

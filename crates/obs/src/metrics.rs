@@ -1,8 +1,8 @@
 //! Lock-free counters, gauges, and log-bucketed histograms.
 //!
-//! All metric state is relaxed atomics: recording from
-//! `train_epoch_parallel` workers (or any other thread) never takes a
-//! lock and never blocks another recorder. The only mutex in this module
+//! All metric state is relaxed atomics: recording from any thread (the
+//! `kvec-serve` shard workers, say) never takes a lock and never blocks
+//! another recorder. The only mutex in this module
 //! guards *registration* — a once-per-callsite cold path that
 //! [`LazyCounter`]-style handles cache through a `OnceLock`.
 //!

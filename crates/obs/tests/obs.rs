@@ -39,15 +39,8 @@ fn parse_lines(lines: &[String]) -> Vec<Json> {
         .collect()
 }
 
-/// Worker count for the concurrency tests: honors the CI matrix's
-/// `KVEC_THREADS` so the 1-thread and 4-thread legs genuinely differ.
-fn worker_count() -> usize {
-    std::env::var("KVEC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
+/// Threads the concurrency tests spawn to check lock-free recording.
+const WORKERS: usize = 4;
 
 #[test]
 fn span_nesting_depth_and_ordering() {
@@ -173,7 +166,7 @@ fn histogram_quantiles_match_a_sorted_vec_oracle() {
 fn concurrent_recording_loses_nothing() {
     let _g = lock();
     memory_subscriber(Level::Info);
-    let threads = worker_count();
+    let threads = WORKERS;
     const PER_THREAD: u64 = 20_000;
 
     let c = obs::metrics::counter("t.conc.counter");
@@ -208,7 +201,7 @@ fn concurrent_recording_loses_nothing() {
 fn concurrent_spans_keep_per_thread_depth() {
     let _g = lock();
     memory_subscriber(Level::Debug);
-    let threads = worker_count();
+    let threads = WORKERS;
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
@@ -367,7 +360,7 @@ fn windowed_counter_rotation_boundaries() {
 fn windowed_concurrent_recording_loses_nothing() {
     let _g = lock();
     memory_subscriber(Level::Info);
-    let threads = worker_count();
+    let threads = WORKERS;
     const PER_THREAD: u64 = 20_000;
     let c = obs::window::windowed_counter("t.w.conc.counter", 1000);
     let h = obs::window::windowed_histogram("t.w.conc.hist", 1000);

@@ -14,10 +14,8 @@
 //! - binary operations have a checked `try_*` form returning
 //!   [`TensorError`] and a panicking convenience form used internally where a
 //!   shape mismatch is a programming error;
-//! - large kernels (matmul family, row softmax) fan out across threads via
-//!   [`parallel`] (`KVEC_THREADS`); results are bit-identical for every
-//!   thread count because work splits over disjoint output rows;
-//! - the matmul family additionally dispatches to AVX-512 / AVX2+FMA
+//! - every kernel runs on the calling thread;
+//! - the matmul family dispatches to AVX-512 / AVX2+FMA
 //!   kernels via [`simd`] (`KVEC_SIMD`) when the host supports them; each
 //!   kernel path is individually deterministic, and the paths agree to
 //!   tight ULP tolerance (FMA legitimately rounds differently).
@@ -26,7 +24,6 @@ mod error;
 mod init;
 mod matmul;
 mod ops;
-pub mod parallel;
 mod reduce;
 mod rng;
 pub mod simd;
@@ -34,11 +31,16 @@ mod softmax;
 mod tensor;
 
 pub use error::{TensorError, TensorResult};
-pub use parallel::{num_threads, set_num_threads};
 pub use rng::KvecRng;
 pub use simd::{set_simd_mode, simd_mode, with_simd, KernelPath, SimdMode};
 pub use softmax::sigmoid_scalar;
 pub use tensor::Tensor;
+
+/// No-op: every kernel runs on the calling thread. Exists only because
+/// `src/bin/kvbench/main.rs` (frozen outside benchmark PRs) still calls it;
+/// it leaves with ROADMAP item 3(f).
+#[doc(hidden)]
+pub fn set_num_threads(_n: usize) {}
 
 /// Axis selector for axis-wise reductions on a 2-D tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,4 +1,4 @@
-//! Matrix multiplication kernels: register-tiled and row-parallel.
+//! Matrix multiplication kernels: register-tiled, run on the calling thread.
 //!
 //! The `nn` and `tn` layouts share one kernel ([`scalar_block`] reads `a`
 //! through a `(row, step)` stride pair, as the SIMD micro-kernels do): the
@@ -10,26 +10,21 @@
 //! output load/store traffic that bounds the naive `i-k-j` kernel. On the
 //! scalar path the `nt` layout is dot-product shaped instead ([`nt_block`]:
 //! [`MR`] independent dot chains run concurrently to hide FP add latency).
-//! Above [`PAR_MIN_FLOPS`] the output row blocks fan out across threads via
-//! [`crate::parallel`].
 //!
 //! Per output element the accumulation order is ascending over the inner
-//! dimension — exactly the order of the original scalar kernel — so
-//! results are **bit-identical for every thread count** (worker boundaries
-//! fall between output rows, never inside one).
+//! dimension — exactly the order of [`Tensor::matmul_reference`] — so the
+//! scalar path is bit-identical to that oracle.
 //!
 //! All three layouts additionally dispatch to the SIMD kernels in
 //! [`crate::simd`] — AVX-512 where the host has it, AVX2+FMA otherwise
-//! (`KVEC_SIMD` overrides): the dispatching thread resolves the path once
-//! per product, packs the right operand once (`nt` transposes it while
-//! packing, so all three layouts run the one packed kernel and `matmul_nt`
-//! is bitwise `matmul` of the explicit transpose), and fans the same row
-//! blocks out across threads — so the path choice composes with
-//! `KVEC_THREADS` without changing any element's accumulation order. A
-//! single-row left operand skips packing: `nn`/`tn` take the GEMV kernel,
-//! `nt` one [`simd::dot_on`] per output.
+//! (`KVEC_SIMD` overrides): the path is resolved once per product and the
+//! right operand packed once (`nt` transposes it while packing, so all
+//! three layouts run the one packed kernel and `matmul_nt` is bitwise
+//! `matmul` of the explicit transpose). A single-row left operand skips
+//! packing: `nn`/`tn` take the GEMV kernel, `nt` one [`simd::dot_on`] per
+//! output.
 
-use crate::{parallel, simd, Tensor, TensorError, TensorResult};
+use crate::{simd, Tensor, TensorError, TensorResult};
 use kvec_obs::{LazyCounter, LazyHistogram};
 
 /// Per-kernel instrumentation: cumulative wall time, call count, and FLOP
@@ -91,18 +86,6 @@ const MR: usize = 4;
 /// binaries; AVX2 arrives via [`crate::simd`]'s runtime dispatch), so on
 /// SSE2 the tile spills a little but still beats the naive kernel ~1.4x.
 const NR: usize = 16;
-
-/// Multiply-add count below which a kernel stays on the calling thread
-/// (64^3; thread spawn would dominate smaller products).
-const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
-
-fn plan_threads(m: usize, k: usize, n: usize) -> usize {
-    if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_FLOPS {
-        1
-    } else {
-        parallel::num_threads().min(m).max(1)
-    }
-}
 
 /// Fixed-width view of `s[at..at + NR]`; the array type lets the compiler
 /// keep the slice in registers and drop per-lane bounds checks.
@@ -239,8 +222,8 @@ fn nt_block(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, rows: usize, ou
 
 /// The shared body of [`Tensor::try_matmul`] and [`Tensor::matmul_tn`]:
 /// `A (m x k) * b (k x n)` with `A` read through the stride pair of
-/// [`scalar_block`]. The dispatching thread resolves the kernel path once,
-/// packs `b` once where the path calls for it, and fans row blocks out.
+/// [`scalar_block`]. Resolves the kernel path once and packs `b` once where
+/// the path calls for it.
 #[inline(always)]
 fn strided_matmul(
     a: &[f32],
@@ -251,13 +234,8 @@ fn strided_matmul(
 ) -> Tensor {
     let t0 = kvec_obs::timer();
     let mut out = Tensor::zeros(m, n);
-    let threads = plan_threads(m, k, n);
     match simd::active_path() {
-        simd::KernelPath::Scalar => {
-            parallel::par_row_blocks(out.data_mut(), m, n, threads, |i0, rows, block| {
-                scalar_block(a, a_rs, a_ps, b, k, n, i0, rows, block)
-            });
-        }
+        simd::KernelPath::Scalar => scalar_block(a, a_rs, a_ps, b, k, n, 0, m, out.data_mut()),
         path if m == 1 && k > 0 => {
             // Row-vector GEMV fast path: `b` is read once, packing would
             // double the traffic. A `k x 1` `tn` operand is the same
@@ -265,11 +243,8 @@ fn strided_matmul(
             simd::gemv_nn(path, a, b, k, n, out.data_mut());
         }
         path => {
-            // Pack once on the dispatching thread; workers share it.
             let packed = simd::pack_b(path, b, k, n);
-            parallel::par_row_blocks(out.data_mut(), m, n, threads, |i0, rows, block| {
-                simd::gemm_packed(path, a, (a_rs, a_ps), &packed, i0, rows, block)
-            });
+            simd::gemm_packed(path, a, (a_rs, a_ps), &packed, 0, m, out.data_mut());
         }
     }
     obs.record(t0, m, k, n);
@@ -329,14 +304,9 @@ impl Tensor {
         let n = other.rows();
         let t0 = kvec_obs::timer();
         let mut out = Tensor::zeros(m, n);
-        let threads = plan_threads(m, k, n);
         let (a, b) = (self.data(), other.data());
         match simd::active_path() {
-            simd::KernelPath::Scalar => {
-                parallel::par_row_blocks(out.data_mut(), m, n, threads, |i0, rows, block| {
-                    nt_block(a, b, k, n, i0, rows, block)
-                });
-            }
+            simd::KernelPath::Scalar => nt_block(a, b, k, n, 0, m, out.data_mut()),
             path if m == 1 => {
                 // One output per row of `other`: both operands are already
                 // contiguous along `k`, so packing would only add traffic.
@@ -346,18 +316,15 @@ impl Tensor {
             }
             path => {
                 let packed = simd::pack_bt(path, b, k, n);
-                parallel::par_row_blocks(out.data_mut(), m, n, threads, |i0, rows, block| {
-                    simd::gemm_packed(path, a, (k, 1), &packed, i0, rows, block)
-                });
+                simd::gemm_packed(path, a, (k, 1), &packed, 0, m, out.data_mut());
             }
         }
         NT_OBS.record(t0, m, k, n);
         Ok(out)
     }
 
-    /// The pre-parallel scalar `i-k-j` kernel, kept verbatim as the oracle
-    /// for property tests and the serial baseline for benchmarks. Not used
-    /// on any hot path.
+    /// The naive scalar `i-k-j` kernel, kept verbatim as the oracle for
+    /// property tests. Not used on any hot path.
     pub fn matmul_reference(&self, other: &Tensor) -> TensorResult<Tensor> {
         if self.cols() != other.rows() {
             return Err(TensorError::ShapeMismatch {
@@ -532,25 +499,6 @@ mod tests {
                         a.matmul_nt(&bt).unwrap().allclose(&want, 1e-4),
                         "nt {m}x{k}x{n} {mode:?}"
                     );
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn results_are_thread_count_invariant() {
-        let mut rng = KvecRng::seed_from_u64(7);
-        // Above the dispatch threshold so multi-thread paths really run.
-        // Holds on every kernel path: row-block boundaries never split an
-        // output element's accumulation chain.
-        let a = Tensor::rand_uniform(96, 64, -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform(64, 80, -1.0, 1.0, &mut rng);
-        for mode in runnable_modes() {
-            crate::simd::with_simd(mode, || {
-                let serial = crate::parallel::with_threads(1, || a.matmul(&b));
-                for threads in [2usize, 3, 8] {
-                    let par = crate::parallel::with_threads(threads, || a.matmul(&b));
-                    assert_eq!(par.data(), serial.data(), "{threads} threads ({mode:?})");
                 }
             });
         }

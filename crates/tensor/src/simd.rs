@@ -11,9 +11,9 @@
 //!
 //! # Dispatch
 //!
-//! The requested mode resolves exactly like the thread count in
-//! [`crate::parallel`]: scoped [`with_simd`] override → [`set_simd_mode`] →
-//! the `KVEC_SIMD` env var (`auto`, `avx512`, `avx2`, `scalar`) → `auto`.
+//! The requested mode resolves as: scoped [`with_simd`] override →
+//! [`set_simd_mode`] → the `KVEC_SIMD` env var (`auto`, `avx512`, `avx2`,
+//! `scalar`) → `auto`.
 //! The mode is a *request*; [`active_path`] maps it to the [`KernelPath`]
 //! actually run, degrading down the ladder `avx512` → `avx2` → `scalar`
 //! as hardware support runs out — forcing a tier the host lacks never
@@ -33,14 +33,13 @@
 //!   AVX-512), zero-padded column panels so the micro-kernel streams it
 //!   with unit stride, then the [`MR`]-row FMA micro-kernel runs under
 //!   MC/KC cache blocking (`jp` panels outermost within a block so one
-//!   `KC`-deep panel slab stays in L1 across the row tiles). Packing
-//!   happens *before* the row-block thread fan-out, so workers share one
-//!   packed copy. The kernel reads `a` through a `(row, step)` stride
-//!   pair — `(k, 1)` for `nn`, `(1, m)` for `tn` — the same pair the
-//!   scalar tile in [`crate::matmul`] takes, so the two layouts share one
-//!   body on every path. The `nt` layout shares it too: `pack_bt` reads
-//!   its `n x k` right operand transposed while packing and the `nn`
-//!   kernel does the rest.
+//!   `KC`-deep panel slab stays in L1 across the row tiles). The kernel
+//!   reads `a` through a `(row, step)` stride pair — `(k, 1)` for `nn`,
+//!   `(1, m)` for `tn` — the same pair the scalar tile in
+//!   [`crate::matmul`] takes, so the two layouts share one body on every
+//!   path. The `nt` layout shares it too: `pack_bt` reads its `n x k`
+//!   right operand transposed while packing and the `nn` kernel does the
+//!   rest.
 //! - **GEMV fast path** ([`gemv_nn`]): the `1 x k` times `k x n` case that
 //!   dominates `StreamingEngine::feed` and the per-row inference path
 //!   skips packing entirely — `b` is read exactly once, so repacking would
@@ -56,11 +55,10 @@
 //! # Determinism contract
 //!
 //! Every kernel path is individually deterministic: the same input bits on
-//! the same path produce the same output bits, for every thread count
-//! (parallel row blocks never change any element's accumulation order;
-//! `nn`/`tn`/`nt`/`gemv` accumulate each output element in one
-//! ascending-`k` FMA chain, and storing/reloading the f32 accumulator
-//! between KC chunks is value-preserving). Vector lanes never interact in
+//! the same path produce the same output bits (`nn`/`tn`/`nt`/`gemv`
+//! accumulate each output element in one ascending-`k` FMA chain, and
+//! storing/reloading the f32 accumulator between KC chunks is
+//! value-preserving). Vector lanes never interact in
 //! those kernels or in `axpy`, so the chain — and every output bit — is the
 //! same at any lane width: the two SIMD tiers agree bitwise there (pinned
 //! by `tests/kernel_bits.rs`), as do the GEMV fast path and the packed
@@ -219,9 +217,7 @@ pub fn set_simd_mode(mode: SimdMode) {
 }
 
 /// Runs `f` with the *calling thread's* requested mode forced to `mode`,
-/// restoring the previous override afterwards (also on panic). Worker
-/// threads spawned by a kernel dispatch are unaffected — the dispatching
-/// thread alone picks the path, before fanning out.
+/// restoring the previous override afterwards (also on panic).
 pub fn with_simd<R>(mode: SimdMode, f: impl FnOnce() -> R) -> R {
     struct Restore(u8);
     impl Drop for Restore {
@@ -475,7 +471,7 @@ macro_rules! on_tier {
 /// `a[i * a_rs + p * a_ps]`: `(a_rs, a_ps) = (k, 1)` reads a row-major
 /// `m x k` operand (`nn`), `(1, m)` reads the transpose of a row-major
 /// `k x m` one (`tn`). `out` is the zeroed row block starting at absolute
-/// row `i0` (the [`crate::parallel::par_row_blocks`] calling convention).
+/// row `i0`.
 pub(crate) fn gemm_packed(
     path: KernelPath,
     a: &[f32],

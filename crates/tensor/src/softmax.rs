@@ -2,11 +2,7 @@
 //! additive mask, as the KVEC attention requires), log-softmax, and pointwise
 //! nonlinearities.
 
-use crate::{parallel, Tensor};
-
-/// Element count above which the row-softmax fans out across threads
-/// (rows are independent, so results do not depend on the thread count).
-const PAR_MIN_ELEMS: usize = 16 * 1024;
+use crate::Tensor;
 
 /// Numerically stable softmax of one row, in place. Rows whose every entry
 /// is `-inf` (fully masked) become all-zero rather than NaN.
@@ -43,20 +39,13 @@ impl Tensor {
     /// than NaN; KVEC guarantees the diagonal of its mask is 0 so this only
     /// matters for defensive robustness.
     pub fn softmax_rows_inplace(&mut self) {
-        let (rows, cols) = self.shape();
-        if cols == 0 || rows == 0 {
+        let cols = self.cols();
+        if cols == 0 {
             return;
         }
-        let threads = if rows * cols < PAR_MIN_ELEMS {
-            1
-        } else {
-            parallel::num_threads()
-        };
-        parallel::par_row_blocks(self.data_mut(), rows, cols, threads, |_, n, block| {
-            for chunk in block.chunks_mut(cols).take(n) {
-                softmax_row(chunk);
-            }
-        });
+        for row in self.data_mut().chunks_mut(cols) {
+            softmax_row(row);
+        }
     }
 
     /// Row-wise softmax of `self + mask` where `mask` entries are `0` or

@@ -2,7 +2,7 @@
 //! in-tree `kvec-check` harness).
 
 use kvec_check::{check, check_n, ulp_distance, Gen};
-use kvec_tensor::{parallel, simd, Axis, KvecRng, SimdMode, Tensor};
+use kvec_tensor::{simd, Axis, KvecRng, SimdMode, Tensor};
 
 fn gen_tensor(g: &mut Gen, max_dim: usize) -> Tensor {
     let r = g.usize_in(1, max_dim + 1);
@@ -178,43 +178,33 @@ fn json_round_trip_preserves_tensor() {
     });
 }
 
-// Larger-shape properties of the register-tiled parallel kernels. Shapes go
+// Larger-shape properties of the register-tiled kernels. Shapes go
 // up to 512x512 outputs, so the operands are filled from a seeded KvecRng
 // and the case count is kept small. Pinned to the scalar path: these are
 // bit-identity assertions against the reference accumulation order, which
 // the SIMD paths legitimately break (FMA); see the ULP suites below for
 // the cross-path contract.
 #[test]
-fn parallel_kernels_match_serial_reference() {
-    check_n("parallel_kernels_match_serial_reference", 8, |g| {
+fn large_kernels_match_reference() {
+    check_n("large_kernels_match_reference", 8, |g| {
         let m = g.usize_in(1, 513);
         let k = g.usize_in(1, 65);
         let n = g.usize_in(1, 513);
-        let threads = g.usize_in(2, 9);
         let mut rng = KvecRng::seed_from_u64(g.u64());
         let a = Tensor::rand_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(k, n, -1.0, 1.0, &mut rng);
         let reference = a.matmul_reference(&b).unwrap();
 
         simd::with_simd(SimdMode::Scalar, || {
-            // Single-thread dispatch is bit-identical to the pre-parallel
-            // serial kernel (same per-element accumulation order).
-            let serial = parallel::with_threads(1, || a.matmul(&b));
-            assert_eq!(serial.data(), reference.data());
-
-            // Multi-thread dispatch: nn/tn stay bitwise (the row split
-            // never crosses an output row), nt reorders its dot sums.
-            let par = parallel::with_threads(threads, || a.matmul(&b));
-            assert_eq!(par.data(), reference.data());
-            assert!(par.allclose(&reference, 1e-5));
+            // nn/tn are bit-identical to the reference (same per-element
+            // accumulation order); nt reorders its dot sums.
+            assert_eq!(a.matmul(&b).data(), reference.data());
 
             let at = a.transpose();
-            let tn = parallel::with_threads(threads, || at.matmul_tn(&b).unwrap());
-            assert_eq!(tn.data(), reference.data());
+            assert_eq!(at.matmul_tn(&b).unwrap().data(), reference.data());
 
             let bt = b.transpose();
-            let nt = parallel::with_threads(threads, || a.matmul_nt(&bt).unwrap());
-            assert!(nt.allclose(&reference, 1e-5));
+            assert!(a.matmul_nt(&bt).unwrap().allclose(&reference, 1e-5));
         });
     });
 }
@@ -289,7 +279,6 @@ fn simd_kernels_match_reference_within_ulp() {
         let m = g.usize_in(1, 70);
         let k = g.usize_in(1, 130);
         let n = g.usize_in(1, 161);
-        let threads = g.usize_in(1, 5);
         let mut rng = KvecRng::seed_from_u64(g.u64());
         let a = Tensor::rand_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(k, n, -1.0, 1.0, &mut rng);
@@ -298,18 +287,16 @@ fn simd_kernels_match_reference_within_ulp() {
 
         for &mode in &modes {
             simd::with_simd(mode, || {
-                parallel::with_threads(threads, || {
-                    let nn = a.matmul(&b);
-                    assert_ulp_close(&nn, &reference, &abs_bound, k, mode.name(), "nn");
+                let nn = a.matmul(&b);
+                assert_ulp_close(&nn, &reference, &abs_bound, k, mode.name(), "nn");
 
-                    let at = a.transpose();
-                    let tn = at.matmul_tn(&b).unwrap();
-                    assert_ulp_close(&tn, &reference, &abs_bound, k, mode.name(), "tn");
+                let at = a.transpose();
+                let tn = at.matmul_tn(&b).unwrap();
+                assert_ulp_close(&tn, &reference, &abs_bound, k, mode.name(), "tn");
 
-                    let bt = b.transpose();
-                    let nt = a.matmul_nt(&bt).unwrap();
-                    assert_ulp_close(&nt, &reference, &abs_bound, k, mode.name(), "nt");
-                });
+                let bt = b.transpose();
+                let nt = a.matmul_nt(&bt).unwrap();
+                assert_ulp_close(&nt, &reference, &abs_bound, k, mode.name(), "nt");
             });
         }
     });
@@ -352,8 +339,8 @@ fn kernel_edge_shapes_on_both_paths() {
 }
 
 // Within-path determinism: the same inputs through the same kernel path
-// produce the same output bits, run to run and thread count to thread
-// count (cross-path bits legitimately differ; see the ULP suite).
+// produce the same output bits, run to run (cross-path bits legitimately
+// differ; see the ULP suite).
 #[test]
 fn same_input_twice_is_bitwise_identical_per_path() {
     let mut rng = KvecRng::seed_from_u64(77);
@@ -378,11 +365,6 @@ fn same_input_twice_is_bitwise_identical_per_path() {
                 bits(&a.matmul_nt(&bt).unwrap()),
                 "{mode:?} nt rerun"
             );
-
-            // And across thread counts within the path.
-            let serial = parallel::with_threads(1, || a.matmul(&b));
-            let par = parallel::with_threads(4, || a.matmul(&b));
-            assert_eq!(bits(&serial), bits(&par), "{mode:?} thread invariance");
         });
     }
 }

@@ -2,8 +2,7 @@
 //! fault injector (`kvec::faults`):
 //!
 //! - a run killed at an arbitrary optimizer step resumes from its last
-//!   checkpoint **bit-identically** to a run that was never interrupted —
-//!   for both the serial and the data-parallel epoch driver;
+//!   checkpoint **bit-identically** to a run that was never interrupted;
 //! - NaN gradients are skipped (parameters untouched), reported through
 //!   the typed [`RecoveryEvent`] API, and after K consecutive bad steps
 //!   the trainer rolls back to its last good state and keeps training;
@@ -70,7 +69,7 @@ fn epoch_fingerprint(s: &kvec::train::EpochStats) -> Fingerprint {
 
 /// Trains EPOCHS epochs, checkpointing after each, and returns the
 /// per-epoch fingerprints plus the final parameter bits.
-fn uninterrupted_run(ds: &Dataset, workers: usize, dir: &Path) -> (Vec<Fingerprint>, Vec<u32>) {
+fn uninterrupted_run(ds: &Dataset, dir: &Path) -> (Vec<Fingerprint>, Vec<u32>) {
     let cfg = KvecConfig::tiny(&ds.schema, ds.num_classes);
     let mut rng = KvecRng::seed_from_u64(SEED);
     let mut model = KvecModel::new(&cfg, &mut rng);
@@ -78,7 +77,7 @@ fn uninterrupted_run(ds: &Dataset, workers: usize, dir: &Path) -> (Vec<Fingerpri
     let mut fingerprints = Vec::with_capacity(EPOCHS);
     for epoch in 0..EPOCHS {
         let s = trainer
-            .train_epoch_parallel(&mut model, &ds.train, &mut rng, workers)
+            .train_epoch(&mut model, &ds.train, &mut rng)
             .expect("uninterrupted run must not fail");
         fingerprints.push(epoch_fingerprint(&s));
         trainer
@@ -88,16 +87,16 @@ fn uninterrupted_run(ds: &Dataset, workers: usize, dir: &Path) -> (Vec<Fingerpri
     (fingerprints, param_bits(&model))
 }
 
-/// The kill/resume contract for one epoch driver: die at `kill_step` (an
-/// arbitrary optimizer step inside epoch 1), resume from the epoch-0
-/// checkpoint the killed run itself wrote, finish the remaining epochs,
-/// and land on exactly the uninterrupted trajectory.
-fn kill_resume_is_bit_identical(workers: usize, kill_step: u64, dir_name: &str) {
+/// The kill/resume contract: die at `kill_step` (an arbitrary optimizer
+/// step inside epoch 1), resume from the epoch-0 checkpoint the killed run
+/// itself wrote, finish the remaining epochs, and land on exactly the
+/// uninterrupted trajectory.
+fn kill_resume_is_bit_identical(kill_step: u64, dir_name: &str) {
     let ds = dataset(1);
     assert!(ds.train.len() >= 3, "need a few scenarios per epoch");
 
     let ref_dir = tmp_dir(&format!("{dir_name}-ref"));
-    let (ref_fingerprints, ref_bits) = uninterrupted_run(&ds, workers, &ref_dir);
+    let (ref_fingerprints, ref_bits) = uninterrupted_run(&ds, &ref_dir);
 
     // --- the run that crashes ---
     let crash_dir = tmp_dir(&format!("{dir_name}-crash"));
@@ -108,7 +107,7 @@ fn kill_resume_is_bit_identical(workers: usize, kill_step: u64, dir_name: &str) 
     trainer.set_fault_injector(FaultInjector::new(0).kill_at_step(kill_step));
 
     let first = trainer
-        .train_epoch_parallel(&mut model, &ds.train, &mut rng, workers)
+        .train_epoch(&mut model, &ds.train, &mut rng)
         .expect("epoch 0 completes before the kill step");
     assert_eq!(epoch_fingerprint(&first), ref_fingerprints[0]);
     let ckpt = crash_dir.join("epoch0.ckpt");
@@ -117,7 +116,7 @@ fn kill_resume_is_bit_identical(workers: usize, kill_step: u64, dir_name: &str) 
         .expect("checkpoint write");
 
     let err = trainer
-        .train_epoch_parallel(&mut model, &ds.train, &mut rng, workers)
+        .train_epoch(&mut model, &ds.train, &mut rng)
         .expect_err("the injected crash must abort epoch 1");
     match err {
         TrainError::Killed { step } => assert_eq!(step, kill_step),
@@ -136,7 +135,7 @@ fn kill_resume_is_bit_identical(workers: usize, kill_step: u64, dir_name: &str) 
 
     for fingerprint in &ref_fingerprints[1..] {
         let s = resumed
-            .train_epoch_parallel(&mut resumed_model, &ds.train, &mut resumed_rng, workers)
+            .train_epoch(&mut resumed_model, &ds.train, &mut resumed_rng)
             .expect("resumed run must not fail");
         assert_eq!(
             epoch_fingerprint(&s),
@@ -159,21 +158,14 @@ fn serial_kill_and_resume_is_bit_identical() {
     let ds = dataset(1);
     let steps_per_epoch = ds.train.len() as u64;
     // Mid-epoch-1 kill: an arbitrary step, neither the first nor the last.
-    kill_resume_is_bit_identical(1, steps_per_epoch + steps_per_epoch / 2, "serial-mid");
+    kill_resume_is_bit_identical(steps_per_epoch + steps_per_epoch / 2, "serial-mid");
 }
 
 #[test]
 fn serial_kill_at_first_step_of_epoch_resumes_identically() {
     let ds = dataset(1);
     let steps_per_epoch = ds.train.len() as u64;
-    kill_resume_is_bit_identical(1, steps_per_epoch, "serial-first");
-}
-
-#[test]
-fn parallel_kill_and_resume_is_bit_identical() {
-    let ds = dataset(1);
-    let groups_per_epoch = ds.train.len().div_ceil(2) as u64;
-    kill_resume_is_bit_identical(2, groups_per_epoch + 1, "parallel-mid");
+    kill_resume_is_bit_identical(steps_per_epoch, "serial-first");
 }
 
 #[test]
@@ -265,32 +257,6 @@ fn nan_gradients_are_skipped_and_k_consecutive_trigger_rollback() {
         !model.store.has_non_finite(),
         "NaN never reached the parameters"
     );
-}
-
-#[test]
-fn watchdog_fires_in_the_parallel_driver_too() {
-    let ds = dataset(3);
-    let cfg = KvecConfig::tiny(&ds.schema, ds.num_classes);
-    let mut rng = KvecRng::seed_from_u64(6);
-    let mut model = KvecModel::new(&cfg, &mut rng);
-    let mut trainer = Trainer::new(&cfg, &model);
-    trainer.set_fault_injector(FaultInjector::new(4).poison_grads_at([1]));
-
-    trainer
-        .train_epoch_parallel(&mut model, &ds.train, &mut rng, 2)
-        .expect("a skipped group step aborts nothing");
-    let events = trainer.take_events();
-    assert!(
-        events.iter().any(|e| matches!(
-            e,
-            RecoveryEvent::StepSkipped {
-                step: 1,
-                reason: BadStepReason::NonFiniteGradient
-            }
-        )),
-        "poisoned group step was not reported: {events:?}"
-    );
-    assert!(!model.store.has_non_finite());
 }
 
 /// `Trainer::resume` that must fail, returning the error (`Trainer` is
