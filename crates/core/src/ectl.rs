@@ -59,12 +59,20 @@ impl Ectl {
             .scale(Self::LOGIT_BOUND)
     }
 
-    /// Tape-free halting probability for inference.
+    /// Tape-free halting probability for inference (`s` is `1 x d`).
     pub fn halt_probability(&self, store: &ParamStore, s: &Tensor) -> f32 {
+        assert_eq!(s.rows(), 1, "halting probability of one state row");
+        self.halt_probability_row(store, s.data())
+    }
+
+    /// [`Self::halt_probability`] of a state row held in a slice, with its
+    /// bits and no allocation.
+    pub fn halt_probability_row(&self, store: &ParamStore, s: &[f32]) -> f32 {
         // The one-element tanh on the active path: the bits the taped
         // `policy_logit` gets from `Tensor::tanh`, so streaming and batch
         // agree on every halt at the threshold edge.
-        let mut raw = [self.policy.apply(store, s).item()];
+        let mut raw = [0.0f32];
+        self.policy.apply_into(store, s, &mut raw);
         simd::tanh_on(simd::active_path(), &mut raw);
         sigmoid_scalar(Self::LOGIT_BOUND * raw[0])
     }

@@ -21,7 +21,7 @@ use kvec_tensor::KvecRng;
 use std::collections::BTreeMap;
 
 /// Precomputed lookup indices of one item.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ItemIndices {
     /// One code per value field.
     pub fields: Vec<usize>,
@@ -113,12 +113,27 @@ impl InputEmbedding {
         pos_in_key: usize,
         global_t: usize,
     ) -> ItemIndices {
-        ItemIndices {
-            fields: value.iter().map(|&v| v as usize).collect(),
-            membership: membership_bucket(key, self.membership_buckets),
-            rel_pos: pos_in_key.min(self.max_rel_pos - 1),
-            time: (global_t / self.time_bucket_size).min(self.time_buckets - 1),
-        }
+        let mut idx = ItemIndices::default();
+        self.indices_for_item_into(key, value, pos_in_key, global_t, &mut idx);
+        idx
+    }
+
+    /// [`Self::indices_for_item`] into a reused `idx`: its `fields` list is
+    /// refilled in place, so a stream's one `ItemIndices` allocates only
+    /// until it has grown to the field count.
+    pub fn indices_for_item_into(
+        &self,
+        key: Key,
+        value: &[u32],
+        pos_in_key: usize,
+        global_t: usize,
+        idx: &mut ItemIndices,
+    ) {
+        idx.fields.clear();
+        idx.fields.extend(value.iter().map(|&v| v as usize));
+        idx.membership = membership_bucket(key, self.membership_buckets);
+        idx.rel_pos = pos_in_key.min(self.max_rel_pos - 1);
+        idx.time = (global_t / self.time_bucket_size).min(self.time_buckets - 1);
     }
 
     /// Embeds a batch of items, producing the dynamic embedding matrix
@@ -155,20 +170,34 @@ impl InputEmbedding {
         total
     }
 
-    /// Tape-free embedding of a single item (streaming inference).
+    /// Tape-free embedding of a single item (streaming inference): an
+    /// allocating wrapper over [`Self::lookup_one_into`], with its bits.
     pub fn lookup_one(&self, store: &ParamStore, idx: &ItemIndices) -> kvec_tensor::Tensor {
-        let mut total = self.field_tables[0].lookup(store, &idx.fields[..1]);
+        let mut out = kvec_tensor::Tensor::zeros(1, self.membership.dim());
+        self.lookup_one_into(store, idx, out.data_mut());
+        out
+    }
+
+    /// Writes one item's embedding into `out` (`d_model` wide): the
+    /// component rows summed in the batch [`Self::forward`]'s order —
+    /// value fields first, then membership, relative position and time.
+    pub fn lookup_one_into(&self, store: &ParamStore, idx: &ItemIndices, out: &mut [f32]) {
+        let add = |out: &mut [f32], row: &[f32]| {
+            for (o, &v) in out.iter_mut().zip(row) {
+                *o += v;
+            }
+        };
+        out.copy_from_slice(self.field_tables[0].row(store, idx.fields[0]));
         for (f, table) in self.field_tables.iter().enumerate().skip(1) {
-            total.add_assign(&table.lookup(store, &idx.fields[f..f + 1]));
+            add(out, table.row(store, idx.fields[f]));
         }
         if self.use_membership {
-            total.add_assign(&self.membership.lookup(store, &[idx.membership]));
+            add(out, self.membership.row(store, idx.membership));
         }
         if self.use_time {
-            total.add_assign(&self.rel_pos.lookup(store, &[idx.rel_pos]));
-            total.add_assign(&self.time.lookup(store, &[idx.time]));
+            add(out, self.rel_pos.row(store, idx.rel_pos));
+            add(out, self.time.row(store, idx.time));
         }
-        total
     }
 
     /// All trainable parameter ids of the module.

@@ -17,6 +17,9 @@
 //! The builder is incremental: rows are fixed at arrival time and never
 //! change afterwards, matching how `M^(t)` grows in the paper and enabling
 //! the streaming inference engine to cache per-layer attention outputs.
+//! A session index (code → positions of the matching trailing sessions)
+//! keeps an arrival's cost linear in its visible set, with no scan over
+//! the live keys and no sort.
 
 use kvec_data::{Key, TangledSequence};
 use kvec_tensor::Tensor;
@@ -45,9 +48,13 @@ pub struct RowEdges {
 }
 
 struct KeyState {
+    /// Global positions of the key's registered items, ascending.
     items: Vec<usize>,
     trailing_code: u32,
-    trailing_items: Vec<usize>,
+    /// The trailing session is the suffix `items[trailing_start..]`: a
+    /// session is a maximal run of one code, and the trailing one is the
+    /// key's last run.
+    trailing_start: usize,
     /// Oldest global position any *future* arrival can still attend
     /// through this key: with key correlation, its first item (key edges
     /// reach the whole history); otherwise the start of its trailing
@@ -57,11 +64,105 @@ struct KeyState {
     anchor: Option<usize>,
 }
 
+impl KeyState {
+    fn trailing(&self) -> &[usize] {
+        &self.items[self.trailing_start..]
+    }
+}
+
+/// The three ascending runs one arrival's visible set is made of, read
+/// before the arrival is registered.
+struct Runs<'a> {
+    /// The key's own history (empty without key correlation).
+    own: &'a [usize],
+    /// Every registered key's trailing session with the arriving code
+    /// (empty without value correlation), the arriving key's included.
+    shared: &'a [usize],
+    /// The arriving key's own trailing session when it is in `shared`:
+    /// value edges reach only *other* keys, so these are skipped there.
+    skip: &'a [usize],
+}
+
+impl Runs<'_> {
+    /// `shared \ skip`: the value edges, ascending.
+    fn value_edges(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.shared.len() - self.skip.len());
+        let mut s = 0;
+        for &p in self.shared {
+            if self.skip.get(s) == Some(&p) {
+                s += 1;
+            } else {
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    fn row_edges(&self) -> RowEdges {
+        RowEdges {
+            key_edges: self.own.to_vec(),
+            value_edges: self.value_edges(),
+        }
+    }
+
+    /// Writes `own ∪ (shared \ skip) ∪ {t}` into `out` in ascending order,
+    /// as one linear merge. The union is disjoint — `own` holds only the
+    /// arriving key's items, `shared \ skip` only other keys' — so no
+    /// index is written twice, and `t` exceeds every earlier position.
+    fn merge_into(&self, t: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.reserve(self.own.len() + self.shared.len() + 1);
+        let (own, mut i, mut s) = (self.own, 0, 0);
+        for &p in self.shared {
+            if self.skip.get(s) == Some(&p) {
+                s += 1;
+                continue;
+            }
+            while i < own.len() && own[i] < p {
+                out.push(own[i]);
+                i += 1;
+            }
+            out.push(p);
+        }
+        out.extend_from_slice(&own[i..]);
+        out.push(t);
+    }
+}
+
+/// Removes `gone` from `list`; both ascending, `gone ⊆ list`.
+fn remove_sorted(list: &mut Vec<usize>, gone: &[usize]) {
+    let Some(&first) = gone.first() else {
+        return;
+    };
+    let start = list.partition_point(|&p| p < first);
+    let (mut g, mut w) = (0, start);
+    for r in start..list.len() {
+        let p = list[r];
+        if gone.get(g) == Some(&p) {
+            g += 1;
+        } else {
+            list[w] = p;
+            w += 1;
+        }
+    }
+    debug_assert_eq!(g, gone.len(), "removed positions not in the session list");
+    list.truncate(w);
+}
+
 /// Incremental builder of the dynamic mask.
 pub struct MaskBuilder {
     use_key: bool,
     use_value: bool,
     keys: BTreeMap<Key, KeyState>,
+    /// The session index (maintained only under value correlation):
+    /// session code → the ascending positions of every registered key's
+    /// trailing session with that code. An arrival appends its own
+    /// position to its code's list; a session switch or a retirement
+    /// removes the key's old trailing session from its list. So the value
+    /// edges of an arrival are one list, read without a scan over the
+    /// keys. A list that empties keeps its entry, so the index holds at
+    /// most one list per code the session field takes.
+    sessions: BTreeMap<u32, Vec<usize>>,
     rows: Vec<RowEdges>,
     /// Whether per-row edge lists are retained for [`Self::build_mask`] /
     /// [`Self::edge_kinds`]. The streaming engine disables this: retaining
@@ -75,6 +176,20 @@ pub struct MaskBuilder {
     anchors: BTreeMap<usize, usize>,
 }
 
+fn add_anchor(anchors: &mut BTreeMap<usize, usize>, pos: usize) {
+    *anchors.entry(pos).or_insert(0) += 1;
+}
+
+fn remove_anchor(anchors: &mut BTreeMap<usize, usize>, pos: usize) {
+    match anchors.get_mut(&pos) {
+        Some(1) => {
+            anchors.remove(&pos);
+        }
+        Some(n) => *n -= 1,
+        None => debug_assert!(false, "anchor {pos} not in multiset"),
+    }
+}
+
 impl MaskBuilder {
     /// Creates a builder; the flags implement the paper's Fig. 9 ablations.
     pub fn new(use_key: bool, use_value: bool) -> Self {
@@ -82,6 +197,7 @@ impl MaskBuilder {
             use_key,
             use_value,
             keys: BTreeMap::new(),
+            sessions: BTreeMap::new(),
             rows: Vec::new(),
             record_rows: true,
             len: 0,
@@ -115,85 +231,108 @@ impl MaskBuilder {
         self.keys.len()
     }
 
-    fn add_anchor(&mut self, pos: usize) {
-        *self.anchors.entry(pos).or_insert(0) += 1;
-    }
-
-    fn remove_anchor(&mut self, pos: usize) {
-        match self.anchors.get_mut(&pos) {
-            Some(1) => {
-                self.anchors.remove(&pos);
-            }
-            Some(n) => *n -= 1,
-            None => debug_assert!(false, "anchor {pos} not in multiset"),
-        }
-    }
-
-    /// Registers the arrival of an item, returning its visible set.
+    /// Registers the arrival of an item, returning its visible set split
+    /// by correlation type: the same runs [`Self::push_visible`] merges,
+    /// copied into two fresh lists.
     pub fn push(&mut self, key: Key, session_code: u32) -> RowEdges {
-        let t = self.len;
-        let mut edges = RowEdges::default();
-
-        if self.use_key {
-            if let Some(state) = self.keys.get(&key) {
-                edges.key_edges.extend_from_slice(&state.items);
-            }
-        }
-        if self.use_value {
-            for (other_key, state) in &self.keys {
-                if *other_key == key {
-                    continue;
-                }
-                if !state.trailing_items.is_empty() && state.trailing_code == session_code {
-                    edges.value_edges.extend_from_slice(&state.trailing_items);
-                }
-            }
-            edges.value_edges.sort_unstable();
-        }
-
-        // Update this key's state.
-        let (use_key, use_value) = (self.use_key, self.use_value);
-        let state = self.keys.entry(key).or_insert_with(|| KeyState {
-            items: Vec::new(),
-            trailing_code: session_code,
-            trailing_items: Vec::new(),
-            anchor: None,
-        });
-        let had_anchor = state.anchor;
-        if state.trailing_items.is_empty() || state.trailing_code == session_code {
-            state.trailing_code = session_code;
-            state.trailing_items.push(t);
-        } else {
-            state.trailing_code = session_code;
-            state.trailing_items.clear();
-            state.trailing_items.push(t);
-        }
-        state.items.push(t);
-        // Re-derive the anchor: fixed at the first item under key
-        // correlation, tracking the trailing-session start under value
-        // correlation alone, absent otherwise.
-        let new_anchor = if use_key {
-            Some(state.items[0])
-        } else if use_value {
-            Some(state.trailing_items[0])
-        } else {
-            None
-        };
-        state.anchor = new_anchor;
-        if had_anchor != new_anchor {
-            if let Some(old) = had_anchor {
-                self.remove_anchor(old);
-            }
-            if let Some(new) = new_anchor {
-                self.add_anchor(new);
-            }
-        }
-
-        self.len += 1;
+        let edges = self.arrive(key, session_code, |runs, _| runs.row_edges());
         if self.record_rows {
             self.rows.push(edges.clone());
         }
         edges
+    }
+
+    /// Registers the arrival of an item and writes its whole visible list
+    /// into `visible` (cleared first): the key's own history, the trailing
+    /// sessions of other keys with this session code, and the arrival's
+    /// own position — ascending and without duplicates, the list
+    /// `attend_row` takes. Returns how many earlier items of this key are
+    /// registered (its position within its sequence). Allocates nothing
+    /// once `visible`, the key's history and its code's session list have
+    /// grown to size.
+    pub fn push_visible(&mut self, key: Key, session_code: u32, visible: &mut Vec<usize>) -> usize {
+        let t = self.len;
+        let record = self.record_rows;
+        let (prior, edges) = self.arrive(key, session_code, |runs, prior| {
+            runs.merge_into(t, visible);
+            (prior, record.then(|| runs.row_edges()))
+        });
+        if let Some(edges) = edges {
+            self.rows.push(edges);
+        }
+        prior
+    }
+
+    /// The one body of [`Self::push`] and [`Self::push_visible`]: hands
+    /// `read` the arrival's runs and the key's earlier item count, taken
+    /// before the arrival is registered, then registers it — the key's
+    /// history and trailing session, the session index and the anchor
+    /// multiset.
+    fn arrive<R>(
+        &mut self,
+        key: Key,
+        session_code: u32,
+        read: impl FnOnce(&Runs<'_>, usize) -> R,
+    ) -> R {
+        let t = self.len;
+        let state = self.keys.entry(key).or_insert_with(|| KeyState {
+            items: Vec::new(),
+            trailing_code: session_code,
+            trailing_start: 0,
+            anchor: None,
+        });
+        let runs = Runs {
+            own: if self.use_key { &state.items } else { &[] },
+            shared: match self.sessions.get(&session_code) {
+                Some(list) if self.use_value => list,
+                _ => &[],
+            },
+            skip: if self.use_value && state.trailing_code == session_code {
+                state.trailing()
+            } else {
+                &[]
+            },
+        };
+        let out = read(&runs, state.items.len());
+
+        // A new code starts a new trailing session; the old one leaves the
+        // index. (A fresh key starts with its own code, so it continues.)
+        if state.trailing_code != session_code {
+            if self.use_value {
+                let list = self
+                    .sessions
+                    .get_mut(&state.trailing_code)
+                    .expect("a trailing session is indexed under its code");
+                remove_sorted(list, state.trailing());
+            }
+            state.trailing_code = session_code;
+            state.trailing_start = state.items.len();
+        }
+        state.items.push(t);
+        if self.use_value {
+            self.sessions.entry(session_code).or_default().push(t);
+        }
+        // Re-derive the anchor: fixed at the first item under key
+        // correlation, tracking the trailing-session start under value
+        // correlation alone, absent otherwise.
+        let new_anchor = if self.use_key {
+            Some(state.items[0])
+        } else if self.use_value {
+            Some(state.items[state.trailing_start])
+        } else {
+            None
+        };
+        if state.anchor != new_anchor {
+            if let Some(old) = state.anchor {
+                remove_anchor(&mut self.anchors, old);
+            }
+            if let Some(new) = new_anchor {
+                add_anchor(&mut self.anchors, new);
+            }
+            state.anchor = new_anchor;
+        }
+        self.len += 1;
+        out
     }
 
     /// Unregisters a key: none of its past items will appear in any future
@@ -203,8 +342,15 @@ impl MaskBuilder {
     /// drop-halted semantics. Unknown keys are a no-op.
     pub fn retire(&mut self, key: Key) {
         if let Some(state) = self.keys.remove(&key) {
+            if self.use_value {
+                let list = self
+                    .sessions
+                    .get_mut(&state.trailing_code)
+                    .expect("a trailing session is indexed under its code");
+                remove_sorted(list, state.trailing());
+            }
             if let Some(anchor) = state.anchor {
-                self.remove_anchor(anchor);
+                remove_anchor(&mut self.anchors, anchor);
             }
         }
     }
@@ -424,17 +570,20 @@ mod tests {
 
     #[test]
     fn key_and_value_edges_never_overlap() {
-        // Audit for the streaming engine's `visible` list, which merges
-        // `key_edges` and `value_edges` and sorts WITHOUT deduplicating:
-        // an index reachable by both edge types would then be attended
+        // Audit for the streaming engine's `visible` list, which
+        // `push_visible` builds as one merge WITHOUT deduplicating: an
+        // index reachable by both edge types would then be attended
         // twice, silently doubling its softmax weight. The builder makes
         // overlap impossible — value edges only ever reference *other*
-        // keys' items (`push` skips the arriving key in the value loop)
-        // while key edges only reference the same key's items — and this
-        // test pins that invariant on an adversarial stream where every
-        // key shares one session code, so trailing sessions match
-        // constantly and value edges are as dense as they can get.
+        // keys' items (the arriving key's own trailing session is skipped
+        // in its code's list) while key edges only reference the same
+        // key's items — and this test pins that invariant on an
+        // adversarial stream where every key shares one session code, so
+        // trailing sessions match constantly and value edges are as dense
+        // as they can get.
         let mut builder = MaskBuilder::new(true, true);
+        let mut merged = MaskBuilder::streaming(true, true);
+        let mut visible = Vec::new();
         // 3 keys interleaved, all items session code 0, then a code flip
         // and back, exercising trailing-session resets too.
         let stream: Vec<(u64, u32)> = vec![
@@ -450,19 +599,17 @@ mod tests {
         ];
         for (i, &(key, code)) in stream.iter().enumerate() {
             let edges = builder.push(Key(key), code);
-
-            // Exactly the merge `StreamingEngine::feed` performs.
-            let mut visible: Vec<usize> =
-                Vec::with_capacity(edges.key_edges.len() + edges.value_edges.len() + 1);
-            visible.extend_from_slice(&edges.key_edges);
-            visible.extend_from_slice(&edges.value_edges);
-            visible.push(i);
-            visible.sort_unstable();
+            merged.push_visible(Key(key), code, &mut visible);
 
             // Strictly increasing == no index attended twice.
             assert!(
                 visible.windows(2).all(|w| w[0] < w[1]),
                 "item {i}: duplicate index in visible list {visible:?}"
+            );
+            assert_eq!(
+                visible.len(),
+                edges.key_edges.len() + edges.value_edges.len() + 1,
+                "item {i}: the merge is the disjoint union of both edge lists and self"
             );
             for j in &edges.key_edges {
                 assert!(
@@ -475,6 +622,114 @@ mod tests {
         let kinds = builder.edge_kinds();
         assert!(kinds.contains(&EdgeKind::Key));
         assert!(kinds.contains(&EdgeKind::Value));
+    }
+
+    /// The pre-index `push`: a scan over every registered key for a
+    /// trailing session with the arriving code, then a sort. Kept as the
+    /// oracle the session index is checked against.
+    fn scan_edges(b: &MaskBuilder, key: Key, session_code: u32) -> RowEdges {
+        let mut edges = RowEdges::default();
+        if b.use_key {
+            if let Some(state) = b.keys.get(&key) {
+                edges.key_edges.extend_from_slice(&state.items);
+            }
+        }
+        if b.use_value {
+            for (other_key, state) in &b.keys {
+                if *other_key != key && state.trailing_code == session_code {
+                    edges.value_edges.extend_from_slice(state.trailing());
+                }
+            }
+            edges.value_edges.sort_unstable();
+        }
+        edges
+    }
+
+    /// The horizon re-derived from the keys' histories, without the
+    /// anchor multiset.
+    fn scan_horizon(b: &MaskBuilder) -> usize {
+        let anchor = |s: &KeyState| match (b.use_key, b.use_value) {
+            (true, _) => Some(s.items[0]),
+            (false, true) => Some(s.trailing()[0]),
+            (false, false) => None,
+        };
+        b.keys.values().filter_map(anchor).min().unwrap_or(b.len)
+    }
+
+    /// Every index list is exactly the ascending union of the registered
+    /// keys' trailing sessions with its code.
+    fn assert_index_consistent(b: &MaskBuilder) {
+        let mut want: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        if b.use_value {
+            for state in b.keys.values() {
+                let list = want.entry(state.trailing_code).or_default();
+                list.extend_from_slice(state.trailing());
+            }
+        }
+        for list in want.values_mut() {
+            list.sort_unstable();
+        }
+        let got: BTreeMap<u32, Vec<usize>> = b
+            .sessions
+            .iter()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(&code, list)| (code, list.clone()))
+            .collect();
+        assert_eq!(got, want, "session index out of step with the keys");
+    }
+
+    #[test]
+    fn session_index_matches_scan_oracle_under_random_retires() {
+        for (use_key, use_value) in [(true, true), (true, false), (false, true), (false, false)] {
+            for cardinality in [2u32, 16] {
+                let name = format!(
+                    "session index (key={use_key}, value={use_value}, codes={cardinality})"
+                );
+                kvec_check::check_n(&name, 48, |g| {
+                    let mut by_push = MaskBuilder::streaming(use_key, use_value);
+                    let mut by_merge = MaskBuilder::streaming(use_key, use_value);
+                    let mut visible = Vec::new();
+                    let n_keys = g.usize_in(1, 12) as u64;
+                    let mut last_horizon = 0;
+                    for _ in 0..g.usize_in(1, 240) {
+                        if g.usize_in(0, 8) == 0 {
+                            let gone = Key(g.u64() % n_keys);
+                            by_push.retire(gone);
+                            by_merge.retire(gone);
+                        }
+                        let key = Key(g.u64() % n_keys);
+                        let code = g.u32_below(cardinality);
+                        let t = by_push.len();
+                        let oracle = scan_edges(&by_push, key, code);
+                        let prior = by_push.keys.get(&key).map_or(0, |s| s.items.len());
+
+                        let edges = by_push.push(key, code);
+                        assert_eq!(edges.key_edges, oracle.key_edges, "key edges at {t}");
+                        assert_eq!(edges.value_edges, oracle.value_edges, "value edges at {t}");
+
+                        let got_prior = by_merge.push_visible(key, code, &mut visible);
+                        let mut want: Vec<usize> = oracle
+                            .key_edges
+                            .iter()
+                            .chain(&oracle.value_edges)
+                            .copied()
+                            .collect();
+                        want.push(t);
+                        want.sort_unstable();
+                        assert_eq!(visible, want, "visible list at {t}");
+                        assert_eq!(got_prior, prior, "position in key at {t}");
+
+                        let horizon = by_push.live_horizon();
+                        assert_eq!(horizon, scan_horizon(&by_push), "horizon at {t}");
+                        assert_eq!(by_merge.live_horizon(), horizon, "horizon at {t}");
+                        assert!(horizon >= last_horizon, "horizon regressed at {t}");
+                        last_horizon = horizon;
+                        assert_index_consistent(&by_push);
+                        assert_index_consistent(&by_merge);
+                    }
+                });
+            }
+        }
     }
 
     #[test]

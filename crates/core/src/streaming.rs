@@ -32,13 +32,14 @@
 
 use crate::cache::CacheWindow;
 use crate::ectl::{Action, Ectl};
+use crate::embedding::ItemIndices;
 use crate::mask::MaskBuilder;
 use crate::model::KvecModel;
 use kvec_data::{Item, Key, TangledSequence};
 use kvec_json::Json;
 use kvec_obs::{self as obs, FlowCtx, LazyCounter, LazyGauge, Level};
 use kvec_tensor::Tensor;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 
 /// Distinct keys with *live* (not yet halted) fusion state — sampled after
@@ -130,10 +131,6 @@ struct KeySeqState {
 }
 
 impl KeySeqState {
-    fn n_items_total(&self) -> usize {
-        self.n_items
-    }
-
     /// Frees the fusion state once a decision has been emitted — a halted
     /// key keeps only this struct's scalars, not two `d`-wide tensors.
     fn release(&mut self) {
@@ -166,11 +163,18 @@ pub struct StreamingEngine<'m> {
     drop_halted: bool,
     /// Prefix eviction over the KV caches (implies `drop_halted`).
     window: Option<CacheWindow>,
-    /// Per-arrival scratch, reused so the attention rows and the fusion
-    /// step allocate nothing: one block's logits, its attended row, and
+    /// Per-arrival scratch, reused so that `feed` allocates nothing once
+    /// it has grown: the visible list, the item's lookup indices, the row
+    /// `x` going through the blocks, one projection row, one block's
+    /// logits and attended row, `finish_row`'s residual and FFN strip, and
     /// the LSTM step's `[h; x]` and gate strip.
+    visible: Vec<usize>,
+    indices: ItemIndices,
+    x: Vec<f32>,
+    row: Vec<f32>,
     logits: Vec<f32>,
-    attended: Tensor,
+    attended: Vec<f32>,
+    block_scratch: Vec<f32>,
     fusion_scratch: Vec<f32>,
 }
 
@@ -196,8 +200,13 @@ impl<'m> StreamingEngine<'m> {
             high_water: 0,
             drop_halted: false,
             window: None,
+            visible: Vec::new(),
+            indices: ItemIndices::default(),
+            x: vec![0.0; model.cfg.d_model],
+            row: vec![0.0; model.cfg.d_model],
             logits: Vec::new(),
-            attended: Tensor::zeros(1, model.cfg.d_model),
+            attended: vec![0.0; model.cfg.d_model],
+            block_scratch: Vec::new(),
             fusion_scratch: Vec::new(),
         }
     }
@@ -327,14 +336,29 @@ impl<'m> StreamingEngine<'m> {
         if self.finished {
             return Err(StreamError::Finished);
         }
-        if let Some(limit) = self.max_active_keys {
-            if !self.keys_state.contains_key(&item.key) && self.keys_state.len() >= limit {
-                return Err(StreamError::ActiveKeyLimit { limit });
+        // The arrival's one key-state lookup. A new key's state is
+        // inserted only past the active-key bound check, so a refused item
+        // leaves the engine untouched.
+        let tracked = self.keys_state.len();
+        let d_fusion = self.model.cfg.fusion_hidden;
+        let (state, tracked) = match self.keys_state.entry(item.key) {
+            Entry::Occupied(slot) => (slot.into_mut(), tracked),
+            Entry::Vacant(slot) => {
+                if let Some(limit) = self.max_active_keys.filter(|&limit| tracked >= limit) {
+                    return Err(StreamError::ActiveKeyLimit { limit });
+                }
+                let fresh = KeySeqState {
+                    h: Tensor::zeros(1, d_fusion),
+                    c: Tensor::zeros(1, d_fusion),
+                    n_items: 0,
+                    halted: false,
+                };
+                (slot.insert(fresh), tracked + 1)
             }
-        }
+        };
         self.fed += 1;
         STREAM_ITEMS.add(1);
-        if self.drop_halted && self.keys_state.get(&item.key).is_some_and(|s| s.halted) {
+        if self.drop_halted && state.halted {
             self.dropped_feeds += 1;
             HALTED_FEED_DROPS.add(1);
             return Ok(None);
@@ -342,86 +366,66 @@ impl<'m> StreamingEngine<'m> {
         let model = self.model;
         let store = &model.store;
         let session_code = item.value[model.cfg.session_field];
-        let edges = self.masks.push(item.key, session_code);
-        let global_pos = self.t;
-        self.t += 1;
-
-        let mut visible: Vec<usize> =
-            Vec::with_capacity(edges.key_edges.len() + edges.value_edges.len() + 1);
-        visible.extend_from_slice(&edges.key_edges);
-        visible.extend_from_slice(&edges.value_edges);
-        visible.push(global_pos);
-        visible.sort_unstable();
-        // No dedup needed: key edges reference this key's items, value
-        // edges only other keys' items (MaskBuilder::push skips the
-        // arriving key), so the merged list is duplicate-free — an index
-        // attended twice would double its softmax weight. Pinned by
-        // `mask::tests::key_and_value_edges_never_overlap`.
+        // The visible list: the key's history, the matching trailing
+        // sessions of other keys and this arrival, merged ascending. The
+        // two edge runs are disjoint (own items versus other keys' items),
+        // so no index is attended twice — which would double its softmax
+        // weight. Pinned by `mask::tests::key_and_value_edges_never_overlap`.
+        let pos_in_key = self
+            .masks
+            .push_visible(item.key, session_code, &mut self.visible);
+        let visible = &self.visible;
         debug_assert!(
             visible.windows(2).all(|w| w[0] < w[1]),
             "visible list has duplicates: {visible:?}"
         );
-
-        // Per-key bookkeeping (position within the key's sequence).
-        let pos_in_key = edges.key_edges.len();
-        // NOTE: with key correlation ablated, key_edges is empty and the
-        // relative position must be tracked separately.
-        let pos_in_key = if model.cfg.use_key_correlation {
-            pos_in_key
-        } else {
-            self.keys_state
-                .get(&item.key)
-                .map_or(0, |s| s.n_items_total())
-        };
+        // The mask counts a key's earlier items as the engine does, under
+        // every correlation ablation: it retires a key only once the
+        // key's later feeds are dropped.
+        debug_assert_eq!(pos_in_key, state.n_items, "position within the key");
+        let global_pos = self.t;
+        self.t += 1;
 
         // Embed and run the new row through the block stack. Visible
         // positions are global; the window base maps them to physical
         // cache rows (0 for the unbounded engine).
         let base = self.window.as_ref().map_or(0, CacheWindow::base);
-        let idx =
-            model
-                .encoder
-                .input
-                .indices_for_item(item.key, &item.value, pos_in_key, global_pos);
-        let mut x = model.encoder.input.lookup_one(store, &idx);
+        let input = &model.encoder.input;
+        input.indices_for_item_into(
+            item.key,
+            &item.value,
+            pos_in_key,
+            global_pos,
+            &mut self.indices,
+        );
+        let x = &mut self.x;
+        input.lookup_one_into(store, &self.indices, x);
+        let row = &mut self.row;
         for (l, block) in model.encoder.blocks().iter().enumerate() {
-            let k = block.project_k(store, &x);
-            let v = block.project_v(store, &x);
-            self.layer_keys[l].push_row(k.data());
-            self.layer_values[l].push_row(v.data());
-            let q = block.project_q(store, &x);
+            block.project_k_into(store, x, row);
+            self.layer_keys[l].push_row(row);
+            block.project_v_into(store, x, row);
+            self.layer_values[l].push_row(row);
+            block.project_q_into(store, x, row);
             block.attend_row_into(
-                q.data(),
+                row,
                 (&self.layer_keys[l], &self.layer_values[l]),
-                &visible,
+                visible,
                 base,
                 &mut self.logits,
-                self.attended.data_mut(),
+                &mut self.attended,
                 None,
             );
-            x = block.finish_row(store, &self.attended, &x);
+            block.finish_row_into(store, &self.attended, x, &mut self.block_scratch);
             if let Some(norms) = model.encoder.norms() {
-                x = norms[l].apply(store, &x);
+                norms[l].apply_in_place(store, x);
             }
         }
 
         // Fusion + halting for this key (skipped once halted).
-        let d = model.cfg.fusion_hidden;
-        self.keys_state
-            .entry(item.key)
-            .or_insert_with(|| KeySeqState {
-                h: Tensor::zeros(1, d),
-                c: Tensor::zeros(1, d),
-                n_items: 0,
-                halted: false,
-            });
-        let live = self.keys_state.len() - self.halted;
+        let live = tracked - self.halted;
         self.high_water = self.high_water.max(live);
         ACTIVE_KEYS_GAUGE.set(live as f64);
-        let state = self
-            .keys_state
-            .get_mut(&item.key)
-            .expect("entry inserted above");
         state.n_items += 1;
         if state.halted {
             self.maintain_window();
@@ -429,13 +433,13 @@ impl<'m> StreamingEngine<'m> {
         }
         model.encoder.fusion.step_into(
             store,
-            x.data(),
+            x,
             state.h.data_mut(),
             state.c.data_mut(),
             &mut self.fusion_scratch,
         );
 
-        let p_halt = model.ectl.halt_probability(store, &state.h);
+        let p_halt = model.ectl.halt_probability_row(store, state.h.data());
         let mut decision = None;
         if Ectl::threshold_action(p_halt, model.cfg.halt_threshold) == Action::Halt {
             state.halted = true;

@@ -201,6 +201,24 @@ impl AttentionBlock {
         self.wv.apply(store, x)
     }
 
+    /// [`Self::project_q`] of row-major `x` into a caller slice, with its
+    /// bits.
+    pub fn project_q_into(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        self.wq.apply_into(store, x, out);
+    }
+
+    /// [`Self::project_k`] of row-major `x` into a caller slice, with its
+    /// bits.
+    pub fn project_k_into(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        self.wk.apply_into(store, x, out);
+    }
+
+    /// [`Self::project_v`] of row-major `x` into a caller slice, with its
+    /// bits.
+    pub fn project_v_into(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        self.wv.apply_into(store, x, out);
+    }
+
     /// Tape-free attention of one query row over a visible subset of
     /// cached keys/values (the streaming-inference hot path).
     ///
@@ -323,22 +341,46 @@ impl AttentionBlock {
     /// Tape-free completion of one row after [`Self::attend_row`]: applies
     /// the residual connections and the feed-forward network exactly as the
     /// training-path [`Self::forward`] does (dropout is identity at
-    /// inference).
+    /// inference). An allocating wrapper over [`Self::finish_row_into`],
+    /// with its bits.
     pub fn finish_row(&self, store: &ParamStore, attended: &Tensor, x_row: &Tensor) -> Tensor {
-        let projected = match &self.wo {
-            Some(wo) => wo.apply(store, attended),
-            None => attended.clone(),
-        };
-        let mid = if self.use_residual {
-            projected.add(x_row)
-        } else {
-            projected
-        };
-        let ffn_out = self.ffn.apply(store, &mid);
+        let mut out = x_row.clone();
+        self.finish_row_into(store, attended.data(), out.data_mut(), &mut Vec::new());
+        out
+    }
+
+    /// The body of [`Self::finish_row`] in place: `x` (`d_model` wide)
+    /// holds the block's input row and is overwritten with its output.
+    /// `scratch` holds the residual sum and the FFN hidden row; it is grown
+    /// on first use and carries nothing between calls.
+    pub fn finish_row_into(
+        &self,
+        store: &ParamStore,
+        attended: &[f32],
+        x: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) {
+        let d = self.d_model;
+        assert!(
+            attended.len() == d && x.len() == d,
+            "finish_row width mismatch"
+        );
+        scratch.resize(d + self.ffn.hidden_dim(), 0.0);
+        let (mid, hidden) = scratch.split_at_mut(d);
+        match &self.wo {
+            Some(wo) => wo.apply_into(store, attended, mid),
+            None => mid.copy_from_slice(attended),
+        }
         if self.use_residual {
-            ffn_out.add(&mid)
-        } else {
-            ffn_out
+            for (m, &xi) in mid.iter_mut().zip(x.iter()) {
+                *m += xi;
+            }
+        }
+        self.ffn.apply_into(store, mid, hidden, x);
+        if self.use_residual {
+            for (o, &m) in x.iter_mut().zip(mid.iter()) {
+                *o += m;
+            }
         }
     }
 

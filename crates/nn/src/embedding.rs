@@ -56,6 +56,13 @@ impl Embedding {
             .expect("embedding lookup")
     }
 
+    /// The embedding row of one id, borrowed from the table: what
+    /// [`Self::lookup`] copies out for that id. Panics on an
+    /// out-of-range id.
+    pub fn row<'a>(&self, store: &'a ParamStore, id: usize) -> &'a [f32] {
+        store.value(self.table).row(id)
+    }
+
     /// Vocabulary size.
     pub fn vocab(&self) -> usize {
         self.vocab

@@ -37,14 +37,21 @@ impl LayerNorm {
             .add_row_broadcast(sess.param(store, self.beta))
     }
 
-    /// Tape-free application for inference paths.
+    /// Tape-free application for inference paths: [`Self::apply_in_place`]
+    /// on a copy.
     pub fn apply(&self, store: &ParamStore, x: &Tensor) -> Tensor {
+        assert_eq!(x.cols(), self.dim, "LayerNorm width mismatch");
+        let mut out = x.clone();
+        self.apply_in_place(store, out.data_mut());
+        out
+    }
+
+    /// Normalizes each `dim`-wide row of row-major `x` in place.
+    pub fn apply_in_place(&self, store: &ParamStore, x: &mut [f32]) {
         let gamma = store.value(self.gamma);
         let beta = store.value(self.beta);
-        let n = x.cols() as f32;
-        let mut out = x.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
+        let n = self.dim as f32;
+        for row in x.chunks_exact_mut(self.dim) {
             let mu = row.iter().sum::<f32>() / n;
             let var = row.iter().map(|v| (v - mu).powi(2)).sum::<f32>() / n;
             let inv = 1.0 / (var + self.eps).sqrt();
@@ -52,7 +59,6 @@ impl LayerNorm {
                 *v = (*v - mu) * inv * g + b;
             }
         }
-        out
     }
 
     /// Normalized width.

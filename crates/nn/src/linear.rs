@@ -144,9 +144,21 @@ impl FeedForward {
         self.lin2.forward(sess, store, h)
     }
 
-    /// Tape-free application for inference paths.
-    pub fn apply(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        self.lin2.apply(store, &self.lin1.apply(store, x).relu())
+    /// Tape-free application for inference paths: `out = ReLU(x W1 + b1)
+    /// W2 + b2` for row-major `x` into caller slices. `hidden` (`rows x
+    /// d_ff`) receives the activations, `out` (`rows x d_model`) the
+    /// result — [`Self::forward`]'s values without an allocation.
+    pub fn apply_into(&self, store: &ParamStore, x: &[f32], hidden: &mut [f32], out: &mut [f32]) {
+        self.lin1.apply_into(store, x, hidden);
+        for h in hidden.iter_mut() {
+            *h = h.max(0.0);
+        }
+        self.lin2.apply_into(store, hidden, out);
+    }
+
+    /// Hidden width `d_ff`.
+    pub fn hidden_dim(&self) -> usize {
+        self.lin1.out_dim
     }
 
     /// Parameter ids of both affine layers.

@@ -44,7 +44,8 @@
 //!   dominates `StreamingEngine::feed` and the per-row inference path
 //!   skips packing entirely — `b` is read exactly once, so repacking would
 //!   double the memory traffic. Columns go down one ladder on both tiers:
-//!   `2W`-wide groups, one `W`-wide group, then scalar-FMA columns.
+//!   `4W`-wide groups, one `2W`-wide and one `W`-wide group, then
+//!   scalar-FMA columns.
 //! - **Dot/axpy helpers** ([`dot_on`], [`axpy_on`]): head-dimension sized
 //!   primitives for `attend_row`, taking a pre-resolved path so hot loops
 //!   pay for dispatch once per call, not once per visible index. `dot_on`
@@ -918,11 +919,13 @@ mod x86 {
                     }
                 }
 
-                /// Unpacked row-vector GEMV over the column ladder `2W → W
-                /// → scalar FMA`: per output column one ascending-`p` FMA
-                /// chain on every rung — the same rounding sequence as the
-                /// packed kernels, so the `m == 1` fast path is
-                /// bit-identical to the general path.
+                /// Unpacked row-vector GEMV over the column ladder `4W →
+                /// 2W → W → scalar FMA`: per output column one
+                /// ascending-`p` FMA chain on every rung — the same
+                /// rounding sequence as the packed kernels, so the `m ==
+                /// 1` fast path is bit-identical to the general path. The
+                /// four-vector rung reads each `a[p]` once per `4W`
+                /// columns and keeps four independent chains in flight.
                 ///
                 /// # Safety
                 /// Caller ensures the tier's features and the shapes
@@ -933,7 +936,21 @@ mod x86 {
                     let bp = b.as_ptr();
                     let op = out.as_mut_ptr();
                     let mut j = 0;
-                    while j + NR <= n {
+                    while j + 2 * NR <= n {
+                        let mut acc = [setzero(); 4];
+                        for p in 0..k {
+                            let av = set1(*ap.add(p));
+                            let row = bp.add(p * n + j);
+                            for (v, acc_v) in acc.iter_mut().enumerate() {
+                                *acc_v = fmadd(av, loadu(row.add(v * W)), *acc_v);
+                            }
+                        }
+                        for (v, acc_v) in acc.iter().enumerate() {
+                            storeu(op.add(j + v * W), *acc_v);
+                        }
+                        j += 2 * NR;
+                    }
+                    if j + NR <= n {
                         let mut acc0 = setzero();
                         let mut acc1 = setzero();
                         for p in 0..k {

@@ -81,13 +81,14 @@ fn avx2_and_avx512_tiers_are_bitwise_equal() {
 
 #[test]
 fn gemv_fast_path_equals_packed_gemm_row_bitwise() {
-    // Every column width 1..=70 walks the whole 2W -> W -> scalar ladder
-    // of both tiers; the inner dimensions cross the KC = 256 cache block.
+    // Every column width 1..=140 walks the whole 4W -> 2W -> W -> scalar
+    // ladder of both tiers (4W = 64 columns on AVX-512, 32 on AVX2); the
+    // inner dimensions cross the KC = 256 cache block.
     let mut rng = KvecRng::seed_from_u64(19);
     for (mode, _) in simd_tiers() {
         simd::with_simd(mode, || {
             for k in [1usize, 17, 256, 300, 513] {
-                for n in 1..=70 {
+                for n in 1..=140 {
                     let a = rand(5, k, &mut rng);
                     let b = rand(k, n, &mut rng);
                     let full = a.matmul(&b);
