@@ -91,8 +91,7 @@ impl SrnEncoder {
 
         let mask = causal_mask(values.len());
         for block in &self.blocks {
-            let (next, _trace) = block.forward(sess, store, e, &mask, rng.as_deref_mut());
-            e = next;
+            e = block.forward(sess, store, e, &mask, rng.as_deref_mut());
         }
         e
     }

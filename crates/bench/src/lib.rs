@@ -1,8 +1,8 @@
 //! # kvec-bench
 //!
 //! The experiment harness regenerating every table and figure of the KVEC
-//! paper's evaluation (Section V), plus zero-dependency micro-benchmarks
-//! (see [`timing`]).
+//! paper's evaluation (Section V). Performance is measured by the
+//! repository benchmark, `kvbench` (`src/bin/kvbench`).
 //!
 //! One binary per experiment (see `DESIGN.md` for the full index):
 //!
@@ -23,4 +23,3 @@
 
 pub mod datasets;
 pub mod harness;
-pub mod timing;

@@ -2,10 +2,10 @@
 //! the paper's earliness / harmonic-mean measures (Section V-A3).
 
 use crate::ectl::{Action, Ectl};
+use crate::mask::split_attention_row;
 use crate::model::KvecModel;
 use kvec_data::{Key, TangledSequence};
-use kvec_nn::Session;
-use kvec_tensor::sigmoid_scalar;
+use kvec_tensor::Tensor;
 
 /// Outcome of one key-value sequence at evaluation time.
 #[derive(Debug, Clone)]
@@ -120,59 +120,77 @@ pub fn macro_prf(pairs: &[(usize, usize)], num_classes: usize) -> (f32, f32, f32
     }
 }
 
-/// Evaluates one scenario, returning per-key outcomes.
+/// One key's halting decision on encoded rows.
+#[derive(Debug, Clone)]
+pub struct KeyDecision {
+    /// Number of observed items `n_k`.
+    pub n_k: usize,
+    /// Predicted label.
+    pub pred: usize,
+    /// Class probabilities at the halt.
+    pub probs: Vec<f32>,
+}
+
+/// Runs fusion and halting over one key's rows of `e` (`item_rows`, in
+/// arrival order) with the bodies `StreamingEngine::feed` runs, so the
+/// decision has the default engine's bits.
 ///
 /// Halting is deterministic: the first item whose halting probability
 /// clears `cfg.halt_threshold` stops the sequence; a sequence that never
 /// clears it is classified at its last item.
+pub fn decide_key(model: &KvecModel, e: &Tensor, item_rows: &[usize]) -> KeyDecision {
+    let (store, fusion) = (&model.store, &model.encoder.fusion);
+    let hidden = fusion.hidden();
+    let (mut h, mut c, mut scratch) = (Tensor::zeros(1, hidden), vec![0.0; hidden], Vec::new());
+    let mut n_k = item_rows.len();
+    for (i, &g) in item_rows.iter().enumerate() {
+        fusion.step_into(store, e.row(g), h.data_mut(), &mut c, &mut scratch);
+        let p_halt = model.ectl.halt_probability_row(store, h.data());
+        if Ectl::threshold_action(p_halt, model.cfg.halt_threshold) == Action::Halt {
+            n_k = i + 1;
+            break;
+        }
+    }
+    let (pred, probs) = model.classifier.predict(store, &h);
+    KeyDecision {
+        n_k,
+        pred,
+        probs: probs.into_vec(),
+    }
+}
+
+/// Evaluates one scenario, returning per-key outcomes: the tape-free
+/// [`KvrlEncoder::encode_rows`](crate::kvrl::KvrlEncoder::encode_rows),
+/// then [`decide_key`] per key. Every decision equals the default
+/// `StreamingEngine`'s, bit for bit.
 pub fn evaluate_scenario(model: &KvecModel, scenario: &TangledSequence) -> Vec<KeyOutcome> {
     if scenario.is_empty() {
         return Vec::new();
     }
-    let sess = Session::new();
-    let fwd = model.encode_stream(&sess, scenario, None);
+    let rows = model
+        .encoder
+        .encode_rows(&model.store, &model.cfg, scenario);
     let label_map = scenario.label_map();
     let mut outcomes = Vec::new();
-
     for (key, item_rows) in scenario.key_subsequences() {
-        let label = label_map[&key];
-        let mut state = model.encoder.fusion.zero_state(&sess);
-        let mut n_k = item_rows.len();
-        let mut final_state = None;
-        for (i, &g) in item_rows.iter().enumerate() {
-            state = model
-                .encoder
-                .fusion
-                .step(&sess, &model.store, fwd.e.row(g), state);
-            let z = model.ectl.policy_logit(&sess, &model.store, state.h);
-            let p_halt = sigmoid_scalar(z.value().item());
-            if Ectl::threshold_action(p_halt, model.cfg.halt_threshold) == Action::Halt {
-                n_k = i + 1;
-                final_state = Some(state.h);
-                break;
-            }
-        }
-        let final_state = final_state.unwrap_or(state.h);
-        let (pred, _probs) = model.classifier.predict(&model.store, &final_state.value());
+        let decision = decide_key(model, &rows.e, &item_rows);
+        let n_k = decision.n_k;
 
-        // Attention-mass split over the observed items (all blocks).
+        // Attention-mass split over the observed items.
         let mut internal = 0.0f32;
         let mut external = 0.0f32;
-        let mut samples = 0usize;
         for &g in &item_rows[..n_k] {
-            for trace in &fwd.traces {
-                let (i_mass, e_mass) = fwd.dyn_mask.split_attention_row(&trace.weights, g);
-                internal += i_mass;
-                external += e_mass;
-                samples += 1;
-            }
+            let (visible, weights) = rows.row(g);
+            let (i_mass, e_mass) = split_attention_row(&scenario.items, g, visible, weights);
+            internal += i_mass;
+            external += e_mass;
         }
-        let inv = 1.0 / samples.max(1) as f32;
+        let inv = 1.0 / n_k as f32;
 
         outcomes.push(KeyOutcome {
             key,
-            label,
-            pred,
+            label: label_map[&key],
+            pred: decision.pred,
             n_k,
             seq_len: item_rows.len(),
             halt_global_pos: item_rows[n_k - 1],
@@ -190,7 +208,7 @@ pub struct AttentionBucket {
     pub internal: f32,
     /// Mean attention mass on cross-sequence value-correlation edges.
     pub external: f32,
-    /// Number of (item, block) samples aggregated.
+    /// Number of items aggregated.
     pub count: usize,
 }
 
@@ -210,19 +228,19 @@ pub fn attention_profile(
         if scenario.is_empty() {
             continue;
         }
-        let sess = Session::new();
-        let fwd = model.encode_stream(&sess, scenario, None);
+        let rows = model
+            .encoder
+            .encode_rows(&model.store, &model.cfg, scenario);
         for (_key, item_rows) in scenario.key_subsequences() {
             let len = item_rows.len();
             for (i, &g) in item_rows.iter().enumerate() {
                 let rel = i as f32 / len as f32;
                 let b = ((rel * bins as f32) as usize).min(bins - 1);
-                for trace in &fwd.traces {
-                    let (int, ext) = fwd.dyn_mask.split_attention_row(&trace.weights, g);
-                    buckets[b].internal += int;
-                    buckets[b].external += ext;
-                    buckets[b].count += 1;
-                }
+                let (visible, weights) = rows.row(g);
+                let (int, ext) = split_attention_row(&scenario.items, g, visible, weights);
+                buckets[b].internal += int;
+                buckets[b].external += ext;
+                buckets[b].count += 1;
             }
         }
     }

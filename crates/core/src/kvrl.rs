@@ -3,10 +3,39 @@
 //! gated fusion cell.
 
 use crate::embedding::{InputEmbedding, ItemIndices};
+use crate::mask::MaskBuilder;
 use crate::KvecConfig;
 use kvec_autograd::Var;
-use kvec_nn::{AttentionBlock, AttentionTrace, LayerNorm, LstmCell, ParamId, ParamStore, Session};
+use kvec_data::TangledSequence;
+use kvec_nn::{AttentionBlock, LayerNorm, LstmCell, ParamId, ParamStore, Session};
 use kvec_tensor::{KvecRng, Tensor};
+
+/// What the tape-free batch forward ([`KvrlEncoder::encode_rows`]) gives
+/// for one stream: the refined item embeddings, every row's visible list
+/// in CSR form, and one attention weight per CSR entry.
+#[derive(Debug)]
+pub struct EncodedRows {
+    /// Refined item embeddings `E` (`T x d`). Row `g` has the bits
+    /// `StreamingEngine::feed` computes for item `g` on the default
+    /// engine.
+    pub e: Tensor,
+    /// Row `g`'s visible list is `positions[offsets[g]..offsets[g + 1]]`.
+    pub offsets: Vec<usize>,
+    /// Every row's visible positions, ascending within a row and ending
+    /// at the row itself.
+    pub positions: Vec<usize>,
+    /// The attention weight of each CSR entry, averaged over heads and
+    /// blocks.
+    pub weights: Vec<f32>,
+}
+
+impl EncodedRows {
+    /// Row `g`'s visible positions and their attention weights.
+    pub fn row(&self, g: usize) -> (&[usize], &[f32]) {
+        let span = self.offsets[g]..self.offsets[g + 1];
+        (&self.positions[span.clone()], &self.weights[span])
+    }
+}
 
 /// The KVRL encoder: `E_0 -> attention blocks -> E`.
 #[derive(Clone)]
@@ -52,8 +81,8 @@ impl KvrlEncoder {
     }
 
     /// Runs the embedding + attention stack over a whole tangled prefix,
-    /// producing the refined item embedding matrix `E` (`T x d`) and the
-    /// per-block attention traces.
+    /// producing the refined item embedding matrix `E` (`T x d`). This is
+    /// the taped training forward; inference runs [`Self::encode_rows`].
     ///
     /// `rng = Some(..)` enables dropout (training).
     pub fn encode<'s>(
@@ -63,18 +92,83 @@ impl KvrlEncoder {
         items: &[ItemIndices],
         mask: &Tensor,
         mut rng: Option<&mut KvecRng>,
-    ) -> (Var<'s>, Vec<AttentionTrace>) {
+    ) -> Var<'s> {
         let mut e = self.input.forward(sess, store, items);
-        let mut traces = Vec::with_capacity(self.blocks.len());
         for (l, block) in self.blocks.iter().enumerate() {
-            let (next, trace) = block.forward(sess, store, e, mask, rng.as_deref_mut());
+            let next = block.forward(sess, store, e, mask, rng.as_deref_mut());
             e = match &self.norms {
                 Some(norms) => norms[l].forward(sess, store, next),
                 None => next,
             };
-            traces.push(trace);
         }
-        (e, traces)
+        e
+    }
+
+    /// The tape-free inference forward over a whole stream, in block-major
+    /// order and built only from the row bodies `StreamingEngine::feed`
+    /// runs. The mask writes every row's visible list into one CSR. Each
+    /// block then projects all `T` rows with one GEMM per projection,
+    /// attends each row over its own list with the weight sink on, and
+    /// finishes all rows at once. A GEMM row has the GEMV's bits, so every
+    /// row of `e` equals the default engine's, bit for bit. Nothing is
+    /// `T x T`: the work is linear in the visible entries.
+    pub fn encode_rows(
+        &self,
+        store: &ParamStore,
+        cfg: &KvecConfig,
+        tangled: &TangledSequence,
+    ) -> EncodedRows {
+        let (t, d) = (tangled.len(), cfg.d_model);
+        let mut masks = MaskBuilder::streaming(cfg.use_key_correlation, cfg.use_value_correlation);
+        let (mut offsets, mut positions, mut visible) = (vec![0], Vec::new(), Vec::new());
+        let mut idx = ItemIndices::default();
+        let mut x = Tensor::zeros(t, d);
+        for (g, item) in tangled.items.iter().enumerate() {
+            let code = item.value[cfg.session_field];
+            let pos_in_key = masks.push_visible(item.key, code, &mut visible);
+            positions.extend_from_slice(&visible);
+            offsets.push(positions.len());
+            self.input
+                .indices_for_item_into(item.key, &item.value, pos_in_key, g, &mut idx);
+            self.input.lookup_one_into(store, &idx, x.row_mut(g));
+        }
+
+        let mut weights = vec![0.0; positions.len()];
+        let mut sink = vec![0.0; positions.len()];
+        let [mut q, mut k, mut v, mut attended] = [(); 4].map(|_| Tensor::zeros(t, d));
+        let (mut logits, mut scratch) = (Vec::new(), Vec::new());
+        for (l, block) in self.blocks.iter().enumerate() {
+            block.project_k_into(store, x.data(), k.data_mut());
+            block.project_v_into(store, x.data(), v.data_mut());
+            block.project_q_into(store, x.data(), q.data_mut());
+            for (g, span) in offsets.windows(2).enumerate() {
+                let span = span[0]..span[1];
+                block.attend_row_into(
+                    q.row(g),
+                    (&k, &v),
+                    &positions[span.clone()],
+                    0,
+                    &mut logits,
+                    attended.row_mut(g),
+                    Some(&mut sink[span]),
+                );
+            }
+            for (w, &s) in weights.iter_mut().zip(&sink) {
+                *w += s;
+            }
+            block.finish_row_into(store, attended.data(), x.data_mut(), &mut scratch);
+            if let Some(norms) = &self.norms {
+                norms[l].apply_in_place(store, x.data_mut());
+            }
+        }
+        let inv = 1.0 / self.blocks.len() as f32;
+        weights.iter_mut().for_each(|w| *w *= inv);
+        EncodedRows {
+            e: x,
+            offsets,
+            positions,
+            weights,
+        }
     }
 
     /// The per-block layer norms, when `use_layer_norm` is enabled.
@@ -135,10 +229,24 @@ mod tests {
         let dm = build_mask(&t, 0, true, true);
         let sess = Session::new();
         let idx = enc.input.indices_for(&t);
-        let (e, traces) = enc.encode(&sess, &store, &idx, &dm.mask, None);
+        let e = enc.encode(&sess, &store, &idx, &dm.mask, None);
         assert_eq!(e.shape(), (4, cfg.d_model));
-        assert_eq!(traces.len(), cfg.n_blocks);
-        assert_eq!(traces[0].weights.shape(), (4, 4));
+
+        // The batch inference forward: one CSR entry per visible mask
+        // cell, one weight per entry, each row's weights a distribution,
+        // and the taped rows reproduced.
+        let rows = enc.encode_rows(&store, &cfg, &t);
+        assert_eq!(rows.e.shape(), (4, cfg.d_model));
+        assert!(rows.e.allclose(&e.value(), 1e-5));
+        assert_eq!(rows.offsets.len(), 5);
+        assert_eq!(rows.weights.len(), rows.positions.len());
+        for g in 0..4 {
+            let (visible, weights) = rows.row(g);
+            let want: Vec<usize> = (0..4).filter(|&j| dm.mask[(g, j)] == 0.0).collect();
+            assert_eq!(visible, &want[..], "row {g}");
+            let sum: f32 = weights.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5, "row {g} sums to {sum}");
+        }
     }
 
     #[test]
@@ -163,7 +271,7 @@ mod tests {
         let dm = build_mask(&t, 0, false, false);
         let sess = Session::new();
         let idx = enc.input.indices_for(&t);
-        let (e, _) = enc.encode(&sess, &store, &idx, &dm.mask, None);
+        let e = enc.encode(&sess, &store, &idx, &dm.mask, None);
         let v = e.value();
         assert_eq!(v.row(0), v.row(1));
     }
@@ -178,7 +286,7 @@ mod tests {
         let dm = build_mask(&t, 0, true, true);
         let sess = Session::new();
         let idx = enc.input.indices_for(&t);
-        let (e, _) = enc.encode(&sess, &store, &idx, &dm.mask, None);
+        let e = enc.encode(&sess, &store, &idx, &dm.mask, None);
 
         // Fuse key 1's two items and backprop through fusion + encoder.
         let mut state = enc.fusion.zero_state(&sess);
@@ -213,14 +321,14 @@ mod tests {
 
         let eval = |_unused: ()| {
             let sess = Session::new();
-            let (e, _) = enc.encode(&sess, &store, &idx, &dm.mask, None);
+            let e = enc.encode(&sess, &store, &idx, &dm.mask, None);
             e.value()
         };
         assert!(eval(()).allclose(&eval(()), 1e-6), "eval is deterministic");
 
         let sess = Session::new();
         let mut drng = KvecRng::seed_from_u64(5);
-        let (e_train, _) = enc.encode(&sess, &store, &idx, &dm.mask, Some(&mut drng));
+        let e_train = enc.encode(&sess, &store, &idx, &dm.mask, Some(&mut drng));
         assert!(!e_train.value().allclose(&eval(()), 1e-6));
     }
 }

@@ -21,7 +21,7 @@
 //! keeps an arrival's cost linear in its visible set, with no scan over
 //! the live keys and no sort.
 
-use kvec_data::{Key, TangledSequence};
+use kvec_data::{Item, Key, TangledSequence};
 use kvec_tensor::Tensor;
 use std::collections::BTreeMap;
 
@@ -409,31 +409,34 @@ impl MaskBuilder {
     }
 }
 
-/// A fully built mask with its edge classification.
+/// A fully built mask (training path).
 pub struct DynamicMask {
     /// Additive `T x T` mask.
     pub mask: Tensor,
-    /// Row-major edge kinds.
-    pub kinds: Vec<EdgeKind>,
 }
 
-impl DynamicMask {
-    /// Splits one row's attention weights into (internal, external) mass:
-    /// internal = self + key-correlated, external = value-correlated (the
-    /// paper's Fig. 10 quantities).
-    pub fn split_attention_row(&self, weights: &Tensor, row: usize) -> (f32, f32) {
-        let t = weights.cols();
-        let mut internal = 0.0;
-        let mut external = 0.0;
-        for (j, &w) in weights.row(row).iter().enumerate() {
-            match self.kinds[row * t + j] {
-                EdgeKind::SelfEdge | EdgeKind::Key => internal += w,
-                EdgeKind::Value => external += w,
-                EdgeKind::None => {}
-            }
+/// Splits one row's attention weights into (internal, external) mass, the
+/// paper's Fig. 10 quantities. `visible` and `weights` are the row's
+/// visible positions and their weights. An entry of the row's own key
+/// (itself or a key edge) is internal; an entry of another key is
+/// external, and only value edges reach other keys.
+pub fn split_attention_row(
+    items: &[Item],
+    row: usize,
+    visible: &[usize],
+    weights: &[f32],
+) -> (f32, f32) {
+    let key = items[row].key;
+    let mut internal = 0.0;
+    let mut external = 0.0;
+    for (&j, &w) in visible.iter().zip(weights) {
+        if items[j].key == key {
+            internal += w;
+        } else {
+            external += w;
         }
-        (internal, external)
     }
+    (internal, external)
 }
 
 /// Builds the mask for a whole tangled sequence at once (training path).
@@ -450,14 +453,12 @@ pub fn build_mask(
     }
     DynamicMask {
         mask: builder.build_mask(),
-        kinds: builder.edge_kinds(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvec_data::Item;
 
     /// Stream: key A: dir 0, key A: dir 0, key B: dir 0, key B: dir 1,
     /// key A: dir 1.
@@ -513,13 +514,17 @@ mod tests {
 
     #[test]
     fn edge_kinds_prioritize_key_over_value() {
-        let dm = build_mask(&sample(), 0, true, true);
+        let mut builder = MaskBuilder::new(true, true);
+        for item in &sample().items {
+            builder.push(item.key, item.value[0]);
+        }
+        let kinds = builder.edge_kinds();
         let t = 5;
         // Item 1 (key A, dir 0): item 0 is both same-key and in a matching
         // trailing session of... no other key exists; it's key-correlated.
-        assert_eq!(dm.kinds[t], EdgeKind::Key);
-        assert_eq!(dm.kinds[2 * t], EdgeKind::Value, "cross-key edge");
-        assert_eq!(dm.kinds[0], EdgeKind::SelfEdge);
+        assert_eq!(kinds[t], EdgeKind::Key);
+        assert_eq!(kinds[2 * t], EdgeKind::Value, "cross-key edge");
+        assert_eq!(kinds[0], EdgeKind::SelfEdge);
     }
 
     #[test]
@@ -857,15 +862,20 @@ mod tests {
 
     #[test]
     fn split_attention_row_partitions_mass() {
-        let dm = build_mask(&sample(), 0, true, true);
-        // Fake uniform attention over visible items of row 2 (self + two
-        // value edges).
-        let mut w = Tensor::zeros(5, 5);
-        w[(2, 0)] = 0.25;
-        w[(2, 1)] = 0.25;
-        w[(2, 2)] = 0.5;
-        let (internal, external) = dm.split_attention_row(&w, 2);
+        let tangled = sample();
+        let mut builder = MaskBuilder::streaming(true, true);
+        let mut visible = Vec::new();
+        for item in &tangled.items[..3] {
+            builder.push_visible(item.key, item.value[0], &mut visible);
+        }
+        // Row 2 (key B) sees itself and two value edges into key A.
+        assert_eq!(visible, [0, 1, 2]);
+        let w = [0.25, 0.25, 0.5];
+        let (internal, external) = split_attention_row(&tangled.items, 2, &visible, &w);
         assert!((internal - 0.5).abs() < 1e-6);
         assert!((external - 0.5).abs() < 1e-6);
+        // Key A's row 1 sees only its own key: all of its mass is internal.
+        let (internal, external) = split_attention_row(&tangled.items, 1, &[0, 1], &[0.25, 0.75]);
+        assert_eq!((internal, external), (1.0, 0.0));
     }
 }

@@ -7,7 +7,7 @@ use crate::mask::{build_mask, DynamicMask};
 use crate::KvecConfig;
 use kvec_autograd::Var;
 use kvec_data::TangledSequence;
-use kvec_nn::{AttentionTrace, ParamId, ParamStore, Session};
+use kvec_nn::{ParamId, ParamStore, Session};
 use kvec_tensor::KvecRng;
 
 /// KVRL + ECTL + classifier, sharing one [`ParamStore`].
@@ -32,10 +32,8 @@ pub struct KvecModel {
 pub struct StreamForward<'s> {
     /// Refined item embeddings `E` (`T x d`).
     pub e: Var<'s>,
-    /// The dynamic mask with edge classification.
+    /// The dynamic mask.
     pub dyn_mask: DynamicMask,
-    /// Per-block attention weights.
-    pub traces: Vec<AttentionTrace>,
 }
 
 impl KvecModel {
@@ -87,11 +85,12 @@ impl KvecModel {
         self.store.load(path)
     }
 
-    /// Teacher-forced full forward over a tangled stream: builds the
-    /// dynamic mask and runs the attention stack once for all arrived
-    /// items. By causality of the mask, row `t` of `E` equals the
-    /// representation item `t` had at its arrival time, so per-step
-    /// fusion/halting can be simulated afterwards.
+    /// Teacher-forced full forward over a tangled stream (the training
+    /// forward): builds the dynamic mask and runs the taped attention
+    /// stack once for all arrived items. By causality of the mask, row
+    /// `t` of `E` equals the representation item `t` had at its arrival
+    /// time, so per-step fusion/halting can be simulated afterwards.
+    /// Inference runs the tape-free [`KvrlEncoder::encode_rows`] instead.
     pub fn encode_stream<'s>(
         &self,
         sess: &'s Session,
@@ -106,14 +105,10 @@ impl KvecModel {
             self.cfg.use_value_correlation,
         );
         let indices = self.encoder.input.indices_for(tangled);
-        let (e, traces) =
-            self.encoder
-                .encode(sess, &self.store, &indices, &dyn_mask.mask, dropout_rng);
-        StreamForward {
-            e,
-            dyn_mask,
-            traces,
-        }
+        let e = self
+            .encoder
+            .encode(sess, &self.store, &indices, &dyn_mask.mask, dropout_rng);
+        StreamForward { e, dyn_mask }
     }
 }
 
@@ -159,7 +154,12 @@ mod tests {
         let fwd = model.encode_stream(&sess, &sample(), None);
         assert_eq!(fwd.e.shape(), (3, cfg.d_model));
         assert_eq!(fwd.dyn_mask.mask.shape(), (3, 3));
-        assert_eq!(fwd.traces.len(), cfg.n_blocks);
+        // The inference forward covers the same rows and holds one weight
+        // per visible mask cell.
+        let rows = model.encoder.encode_rows(&model.store, &cfg, &sample());
+        assert_eq!(rows.e.shape(), fwd.e.shape());
+        let visible = fwd.dyn_mask.mask.data().iter().filter(|&&m| m == 0.0);
+        assert_eq!(rows.weights.len(), visible.count());
     }
 
     #[test]

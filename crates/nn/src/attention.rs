@@ -32,14 +32,6 @@ static ATTN_FFN_NS: LazyCounter = LazyCounter::new("attn.ffn.ns");
 static ATTN_ROW_CALLS: LazyCounter = LazyCounter::new("attn.attend_row.calls");
 static ATTN_ROW_NS: LazyCounter = LazyCounter::new("attn.attend_row.ns");
 
-/// The attention probabilities of one block application, kept for the
-/// paper's Fig. 10 analysis (internal vs. external attention mass).
-#[derive(Debug, Clone)]
-pub struct AttentionTrace {
-    /// Row-stochastic `T x T` attention weights (post-mask softmax).
-    pub weights: Tensor,
-}
-
 /// One attention block: masked single-head self-attention followed by a
 /// position-wise feed-forward network, with optional residual connections
 /// and dropout.
@@ -109,8 +101,9 @@ impl AttentionBlock {
     }
 
     /// Applies the block to a `T x d_model` input under the additive mask
-    /// `mask` (`T x T` of `0`/`-inf`). Returns the transformed embeddings
-    /// and the attention weights for analysis.
+    /// `mask` (`T x T` of `0`/`-inf`), returning the transformed
+    /// embeddings. This is the training forward; inference runs the row
+    /// bodies ([`Self::attend_row_into`], [`Self::finish_row_into`]).
     ///
     /// `rng = Some(..)` enables dropout (training); `None` is evaluation.
     pub fn forward<'s>(
@@ -120,7 +113,7 @@ impl AttentionBlock {
         x: Var<'s>,
         mask: &Tensor,
         rng: Option<&mut KvecRng>,
-    ) -> (Var<'s>, AttentionTrace) {
+    ) -> Var<'s> {
         let (t, d) = x.shape();
         assert_eq!(d, self.d_model, "attention input width mismatch");
         assert_eq!(mask.shape(), (t, t), "mask shape mismatch");
@@ -135,7 +128,6 @@ impl AttentionBlock {
         let dh = self.d_model / self.n_heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut head_outs = Vec::with_capacity(self.n_heads);
-        let mut mean_weights: Option<Tensor> = None;
         let t0 = kvec_obs::timer();
         for h in 0..self.n_heads {
             let (lo, hi) = (h * dh, (h + 1) * dh);
@@ -150,10 +142,6 @@ impl AttentionBlock {
             };
             let scores = qh.matmul_nt(kh).scale(scale);
             let attn = scores.masked_softmax_rows(mask);
-            match &mut mean_weights {
-                Some(acc) => acc.add_assign(&attn.value()),
-                slot => *slot = Some(attn.value()),
-            }
             head_outs.push(attn.matmul(vh));
         }
         ATTN_SCORES_NS.add_elapsed_ns(t0);
@@ -166,9 +154,6 @@ impl AttentionBlock {
             attended = wo.forward(sess, store, attended);
         }
         ATTN_OUTPUT_NS.add_elapsed_ns(t0);
-        let mut weights = mean_weights.expect("at least one head");
-        weights.scale_assign(1.0 / self.n_heads as f32);
-        let trace = AttentionTrace { weights };
 
         let t0 = kvec_obs::timer();
         let mut out = attended;
@@ -183,7 +168,7 @@ impl AttentionBlock {
             ffn_out
         };
         ATTN_FFN_NS.add_elapsed_ns(t0);
-        (out, trace)
+        out
     }
 
     /// Tape-free query projection (inference).
@@ -349,10 +334,13 @@ impl AttentionBlock {
         out
     }
 
-    /// The body of [`Self::finish_row`] in place: `x` (`d_model` wide)
-    /// holds the block's input row and is overwritten with its output.
-    /// `scratch` holds the residual sum and the FFN hidden row; it is grown
-    /// on first use and carries nothing between calls.
+    /// The body of [`Self::finish_row`] in place, over `n` rows at once:
+    /// `x` (row-major, `n x d_model`) holds the block's input rows and is
+    /// overwritten with their outputs, `attended` holds their attended
+    /// rows. Every step is row-wise and a GEMM row has the GEMV's bits, so
+    /// each output row has the bits a one-row call gives. `scratch` holds
+    /// the residual sums and the FFN hidden rows; it is grown on first use
+    /// and carries nothing between calls.
     pub fn finish_row_into(
         &self,
         store: &ParamStore,
@@ -362,11 +350,12 @@ impl AttentionBlock {
     ) {
         let d = self.d_model;
         assert!(
-            attended.len() == d && x.len() == d,
+            attended.len() == x.len() && x.len().is_multiple_of(d),
             "finish_row width mismatch"
         );
-        scratch.resize(d + self.ffn.hidden_dim(), 0.0);
-        let (mid, hidden) = scratch.split_at_mut(d);
+        let n = x.len() / d;
+        scratch.resize(n * (d + self.ffn.hidden_dim()), 0.0);
+        let (mid, hidden) = scratch.split_at_mut(n * d);
         match &self.wo {
             Some(wo) => wo.apply_into(store, attended, mid),
             None => mid.copy_from_slice(attended),
@@ -428,18 +417,45 @@ mod tests {
         AttentionBlock::new(store, "blk", 4, 8, 0.0, residual, &mut rng)
     }
 
+    /// The sink weights of row `t` attending causally over rows `0..=t`
+    /// of `x`.
+    fn causal_row_weights(
+        blk: &AttentionBlock,
+        store: &ParamStore,
+        x: &Tensor,
+        t: usize,
+    ) -> Vec<f32> {
+        let keys = blk.project_k(store, x);
+        let values = blk.project_v(store, x);
+        let q = blk.project_q(store, &x.row_tensor(t));
+        let visible: Vec<usize> = (0..=t).collect();
+        let mut out = vec![0.0; blk.d_model()];
+        let mut weights = vec![f32::NAN; visible.len()];
+        blk.attend_row_into(
+            q.data(),
+            (&keys, &values),
+            &visible,
+            0,
+            &mut Vec::new(),
+            &mut out,
+            Some(&mut weights),
+        );
+        weights
+    }
+
     #[test]
     fn output_shape_and_row_stochastic_weights() {
         let mut store = ParamStore::new();
         let blk = block(&mut store, true);
         let sess = Session::new();
         let mut rng = KvecRng::seed_from_u64(1);
-        let x = sess.input(Tensor::rand_uniform(5, 4, -1.0, 1.0, &mut rng));
-        let (y, trace) = blk.forward(&sess, &store, x, &causal_mask(5), None);
+        let x = Tensor::rand_uniform(5, 4, -1.0, 1.0, &mut rng);
+        let y = blk.forward(&sess, &store, sess.input(x.clone()), &causal_mask(5), None);
         assert_eq!(y.shape(), (5, 4));
-        assert_eq!(trace.weights.shape(), (5, 5));
         for r in 0..5 {
-            let s: f32 = trace.weights.row(r).iter().sum();
+            let weights = causal_row_weights(&blk, &store, &x, r);
+            assert_eq!(weights.len(), r + 1);
+            let s: f32 = weights.iter().sum();
             assert!((s - 1.0).abs() < 1e-5, "row {r} sums to {s}");
         }
     }
@@ -455,33 +471,45 @@ mod tests {
 
         let sess1 = Session::new();
         let x1 = sess1.input(base.clone());
-        let (y1, _) = blk.forward(&sess1, &store, x1, &causal_mask(4), None);
+        let y1 = blk.forward(&sess1, &store, x1, &causal_mask(4), None);
         let first1 = y1.value().row(0).to_vec();
 
         let mut changed = base.clone();
         changed.row_mut(3).iter_mut().for_each(|v| *v += 5.0);
         let sess2 = Session::new();
         let x2 = sess2.input(changed);
-        let (y2, _) = blk.forward(&sess2, &store, x2, &causal_mask(4), None);
+        let y2 = blk.forward(&sess2, &store, x2, &causal_mask(4), None);
         let first2 = y2.value().row(0).to_vec();
         assert_eq!(first1, first2);
     }
 
     #[test]
     fn mask_blocks_attention_edges() {
+        // Row 2 may only see itself, so its output must not move when the
+        // rows it cannot see change.
         let mut store = ParamStore::new();
         let blk = block(&mut store, false);
-        let sess = Session::new();
         let mut rng = KvecRng::seed_from_u64(3);
-        let x = sess.input(Tensor::rand_uniform(3, 4, -1.0, 1.0, &mut rng));
-        // Row 2 may only see itself.
+        let base = Tensor::rand_uniform(3, 4, -1.0, 1.0, &mut rng);
         let mut mask = causal_mask(3);
         mask[(2, 0)] = f32::NEG_INFINITY;
         mask[(2, 1)] = f32::NEG_INFINITY;
-        let (_, trace) = blk.forward(&sess, &store, x, &mask, None);
-        assert_eq!(trace.weights[(2, 0)], 0.0);
-        assert_eq!(trace.weights[(2, 1)], 0.0);
-        assert!((trace.weights[(2, 2)] - 1.0).abs() < 1e-6);
+        let out = |x: Tensor| {
+            let sess = Session::new();
+            blk.forward(&sess, &store, sess.input(x), &mask, None)
+                .value()
+        };
+        let mut changed = base.clone();
+        for r in 0..2 {
+            changed
+                .row_mut(r)
+                .iter_mut()
+                .for_each(|v| *v = -3.0 * *v + 1.0);
+        }
+        let (before, after) = (out(base), out(changed));
+        assert_eq!(before.row(2), after.row(2), "a masked input moved row 2");
+        // The rows that see the changed inputs do move.
+        assert_ne!(before.row(1), after.row(1));
     }
 
     #[test]
@@ -491,7 +519,7 @@ mod tests {
         let sess = Session::new();
         let mut rng = KvecRng::seed_from_u64(4);
         let x = sess.input(Tensor::rand_uniform(3, 4, -1.0, 1.0, &mut rng));
-        let (y, _) = blk.forward(&sess, &store, x, &causal_mask(3), None);
+        let y = blk.forward(&sess, &store, x, &causal_mask(3), None);
         sess.backward(y.square().sum_all());
         sess.accumulate_grads(&mut store);
         for id in blk.param_ids() {
@@ -513,12 +541,15 @@ mod tests {
         // Batch (training) path under a causal mask.
         let sess = Session::new();
         let xv = sess.input(x.clone());
-        let (batch_out, batch_trace) = blk.forward(&sess, &store, xv, &causal_mask(6), None);
-        let batch_out = batch_out.value();
+        let batch_out = blk
+            .forward(&sess, &store, xv, &causal_mask(6), None)
+            .value();
 
         // Incremental (inference) path.
         let keys = blk.project_k(&store, &x);
         let values = blk.project_v(&store, &x);
+        let queries = blk.project_q(&store, &x);
+        let scale = 1.0 / (blk.d_model() as f32).sqrt();
         for t in 0..6 {
             let q = blk.project_q(&store, &x.row_tensor(t));
             let visible: Vec<usize> = (0..=t).collect();
@@ -528,11 +559,24 @@ mod tests {
                 row_out.allclose(&batch_out.row_tensor(t), 1e-4),
                 "row {t} diverges"
             );
-            for (j, w) in weights {
-                assert!(
-                    (w - batch_trace.weights[(t, j)]).abs() < 1e-5,
-                    "weight ({t},{j})"
-                );
+            // The sink holds the masked softmax of the batch score row.
+            let scores: Vec<f32> = visible
+                .iter()
+                .map(|&j| {
+                    let dot: f32 = queries
+                        .row(t)
+                        .iter()
+                        .zip(keys.row(j))
+                        .map(|(a, b)| a * b)
+                        .sum();
+                    dot * scale
+                })
+                .collect();
+            let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let total: f32 = scores.iter().map(|s| (s - max).exp()).sum();
+            for ((j, w), s) in weights.into_iter().zip(&scores) {
+                let want = (s - max).exp() / total;
+                assert!((w - want).abs() < 1e-5, "weight ({t},{j})");
             }
         }
     }
@@ -638,12 +682,12 @@ mod tests {
         assert_eq!(blk.n_heads(), 4);
 
         let sess = Session::new();
-        let x = sess.input(Tensor::rand_uniform(5, 8, -1.0, 1.0, &mut rng));
-        let (y, trace) = blk.forward(&sess, &store, x, &causal_mask(5), None);
+        let x = Tensor::rand_uniform(5, 8, -1.0, 1.0, &mut rng);
+        let y = blk.forward(&sess, &store, sess.input(x.clone()), &causal_mask(5), None);
         assert_eq!(y.shape(), (5, 8));
         // Mean head weights remain row-stochastic.
         for r in 0..5 {
-            let s: f32 = trace.weights.row(r).iter().sum();
+            let s: f32 = causal_row_weights(&blk, &store, &x, r).iter().sum();
             assert!((s - 1.0).abs() < 1e-4, "row {r} sums to {s}");
         }
         sess.backward(y.square().sum_all());
@@ -666,8 +710,9 @@ mod tests {
 
         let sess = Session::new();
         let xv = sess.input(x.clone());
-        let (batch_out, _) = blk.forward(&sess, &store, xv, &causal_mask(6), None);
-        let batch_out = batch_out.value();
+        let batch_out = blk
+            .forward(&sess, &store, xv, &causal_mask(6), None)
+            .value();
 
         let keys = blk.project_k(&store, &x);
         let values = blk.project_v(&store, &x);

@@ -1,14 +1,18 @@
-//! The streaming inference engine must agree exactly with the
-//! teacher-forced evaluation path on a *trained* model — this is the
-//! contract that makes the training-time full forward a valid surrogate
-//! for deployment-time incremental inference.
+//! The streaming inference engine must agree exactly with batch
+//! evaluation on a *trained* model, and batch evaluation must agree with
+//! the taped teacher-forced forward that training runs — the contracts
+//! that make the training-time full forward a valid surrogate for
+//! deployment-time incremental inference.
 
-use kvec::eval::evaluate_scenario;
+use kvec::ectl::{Action, Ectl};
+use kvec::eval::{decide_key, evaluate_scenario};
 use kvec::train::Trainer;
 use kvec::{KvecConfig, KvecModel, StreamingEngine};
 use kvec_data::synth::{generate_traffic, TrafficConfig};
-use kvec_data::Dataset;
-use kvec_tensor::KvecRng;
+use kvec_data::{mixer, Dataset, Key, TangledSequence};
+use kvec_nn::Session;
+use kvec_tensor::{sigmoid_scalar, KvecRng};
+use std::collections::BTreeMap;
 
 fn setup(seed: u64) -> (KvecModel, Dataset) {
     let mut rng = KvecRng::seed_from_u64(seed);
@@ -38,20 +42,7 @@ fn setup(seed: u64) -> (KvecModel, Dataset) {
 fn trained_streaming_matches_batch_on_every_test_scenario() {
     let (model, ds) = setup(11);
     for scenario in ds.test.iter().chain(&ds.val) {
-        let batch = evaluate_scenario(&model, scenario);
-        let decisions = StreamingEngine::run(&model, scenario);
-        assert_eq!(decisions.len(), batch.len());
-        let stream: std::collections::BTreeMap<_, _> =
-            decisions.iter().map(|d| (d.key, d)).collect();
-        for outcome in &batch {
-            let d = stream[&outcome.key];
-            assert_eq!(
-                d.pred, outcome.pred,
-                "prediction mismatch {:?}",
-                outcome.key
-            );
-            assert_eq!(d.n_items, outcome.n_k, "halt mismatch {:?}", outcome.key);
-        }
+        assert_bit_equal_to_engine(&model, scenario);
     }
 }
 
@@ -95,5 +86,154 @@ fn engine_throughput_state_grows_linearly() {
         let _ = engine.feed(item).unwrap();
         assert_eq!(engine.items_seen(), i + 1);
         assert!(engine.halted_count() <= scenario.num_keys());
+    }
+}
+
+/// Untrained models over the block shapes and mask ablations the trained
+/// fixture does not cover: two blocks, several heads with `W_o`, layer
+/// norm, and each correlation switched off.
+fn shape_fixtures() -> Vec<(KvecModel, TangledSequence)> {
+    let mut rng = KvecRng::seed_from_u64(23);
+    let dcfg = TrafficConfig {
+        num_flows: 8,
+        num_classes: 2,
+        mean_len: 12,
+        min_len: 10,
+        max_len: 16,
+        ..TrafficConfig::traffic_app(0)
+    };
+    let variants: [(usize, bool, bool, bool); 4] = [
+        (2, true, true, true),
+        (4, true, true, false),
+        (1, false, true, true),
+        (1, true, false, false),
+    ];
+    variants
+        .into_iter()
+        .map(|(heads, key_corr, value_corr, norm)| {
+            let pool = generate_traffic(&dcfg, &mut rng);
+            let tangled = mixer::tangle_group(&pool, &mut rng);
+            let mut cfg = KvecConfig::tiny(&dcfg.schema(), 2);
+            cfg.n_blocks = 2;
+            cfg.n_heads = heads;
+            cfg.use_key_correlation = key_corr;
+            cfg.use_value_correlation = value_corr;
+            cfg.use_layer_norm = norm;
+            (KvecModel::new(&cfg, &mut rng), tangled)
+        })
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `evaluate` is bit-equal to the default engine: same prediction, halting
+/// point and halt position for every key, and the same class
+/// probabilities to the bit.
+fn assert_bit_equal_to_engine(model: &KvecModel, scenario: &TangledSequence) {
+    let outcomes = evaluate_scenario(model, scenario);
+    let decisions = StreamingEngine::run(model, scenario);
+    assert_eq!(decisions.len(), outcomes.len());
+    let engine: BTreeMap<_, _> = decisions.iter().map(|d| (d.key, d)).collect();
+    let rows = model
+        .encoder
+        .encode_rows(&model.store, &model.cfg, scenario);
+    let subsequences: BTreeMap<Key, Vec<usize>> = scenario.key_subsequences().into_iter().collect();
+    for o in &outcomes {
+        let d = engine[&o.key];
+        let item_rows = &subsequences[&o.key];
+        assert_eq!(
+            (d.pred, d.n_items),
+            (o.pred, o.n_k),
+            "decision for {:?}",
+            o.key
+        );
+        // A forced decision is stamped with the stream end, `evaluate`'s
+        // with the key's last item.
+        let engine_pos = if d.halted_by_policy {
+            d.global_pos
+        } else {
+            *item_rows.last().unwrap()
+        };
+        assert_eq!(
+            engine_pos, o.halt_global_pos,
+            "halt position for {:?}",
+            o.key
+        );
+        let batch = decide_key(model, &rows.e, item_rows);
+        assert_eq!((batch.pred, batch.n_k), (o.pred, o.n_k));
+        assert_eq!(
+            bits(&batch.probs),
+            bits(&d.probs),
+            "probabilities for {:?}",
+            o.key
+        );
+    }
+}
+
+#[test]
+fn evaluate_is_bit_equal_to_the_default_engine_across_block_shapes() {
+    for (model, scenario) in shape_fixtures() {
+        assert_bit_equal_to_engine(&model, &scenario);
+    }
+}
+
+/// The taped evaluation `evaluate_scenario` ran before it moved onto the
+/// tape-free forward: the training forward `encode_stream`, then one-row
+/// fusion and policy tapes per key. Returns `(key, pred, n_k, halt
+/// position)` in key-subsequence order.
+fn taped_decisions(
+    model: &KvecModel,
+    scenario: &TangledSequence,
+) -> Vec<(Key, usize, usize, usize)> {
+    let sess = Session::new();
+    let fwd = model.encode_stream(&sess, scenario, None);
+    let mut out = Vec::new();
+    for (key, item_rows) in scenario.key_subsequences() {
+        let mut state = model.encoder.fusion.zero_state(&sess);
+        let mut n_k = item_rows.len();
+        let mut final_state = None;
+        for (i, &g) in item_rows.iter().enumerate() {
+            state = model
+                .encoder
+                .fusion
+                .step(&sess, &model.store, fwd.e.row(g), state);
+            let z = model.ectl.policy_logit(&sess, &model.store, state.h);
+            let p_halt = sigmoid_scalar(z.value().item());
+            if Ectl::threshold_action(p_halt, model.cfg.halt_threshold) == Action::Halt {
+                n_k = i + 1;
+                final_state = Some(state.h);
+                break;
+            }
+        }
+        let final_state = final_state.unwrap_or(state.h);
+        let (pred, _) = model.classifier.predict(&model.store, &final_state.value());
+        out.push((key, pred, n_k, item_rows[n_k - 1]));
+    }
+    out
+}
+
+#[test]
+fn taped_training_forward_agrees_with_evaluate() {
+    let (model, ds) = setup(11);
+    let shapes = shape_fixtures();
+    let trained = ds.test.iter().chain(&ds.val).map(|s| (&model, s));
+    for (model, scenario) in trained.chain(shapes.iter().map(|(m, s)| (m, s))) {
+        let got: Vec<_> = evaluate_scenario(model, scenario)
+            .iter()
+            .map(|o| (o.key, o.pred, o.n_k, o.halt_global_pos))
+            .collect();
+        assert_eq!(got, taped_decisions(model, scenario));
+
+        let sess = Session::new();
+        let taped = model.encode_stream(&sess, scenario, None).e.value();
+        let rows = model
+            .encoder
+            .encode_rows(&model.store, &model.cfg, scenario);
+        assert!(
+            rows.e.allclose(&taped, 1e-5),
+            "tape-free rows drift from the training forward"
+        );
     }
 }
