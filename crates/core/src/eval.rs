@@ -131,50 +131,94 @@ pub struct KeyDecision {
     pub probs: Vec<f32>,
 }
 
-/// Runs fusion and halting over one key's rows of `e` (`item_rows`, in
-/// arrival order) with the bodies `StreamingEngine::feed` runs, so the
-/// decision has the default engine's bits.
-///
-/// Halting is deterministic: the first item whose halting probability
-/// clears `cfg.halt_threshold` stops the sequence; a sequence that never
-/// clears it is classified at its last item.
-pub fn decide_key(model: &KvecModel, e: &Tensor, item_rows: &[usize]) -> KeyDecision {
-    let (store, fusion) = (&model.store, &model.encoder.fusion);
-    let hidden = fusion.hidden();
-    let (mut h, mut c, mut scratch) = (Tensor::zeros(1, hidden), vec![0.0; hidden], Vec::new());
-    let mut n_k = item_rows.len();
-    for (i, &g) in item_rows.iter().enumerate() {
-        fusion.step_into(store, e.row(g), h.data_mut(), &mut c, &mut scratch);
-        let p_halt = model.ectl.halt_probability_row(store, h.data());
-        if Ectl::threshold_action(p_halt, model.cfg.halt_threshold) == Action::Halt {
-            n_k = i + 1;
-            break;
+/// Rows [`evaluate_scenario`] encodes between two rounds of decisions
+/// (waves of 16, 32 and 64 rows measured alike).
+const WAVE: usize = 32;
+
+/// One key's fusion and halting state. Once the key has decided, `seen`
+/// is its `n_k`.
+struct KeyFusion {
+    h: Tensor,
+    c: Vec<f32>,
+    scratch: Vec<f32>,
+    seen: usize,
+    decided: bool,
+}
+
+impl KeyFusion {
+    fn new(model: &KvecModel) -> Self {
+        let hidden = model.encoder.fusion.hidden();
+        Self {
+            h: Tensor::zeros(1, hidden),
+            c: vec![0.0; hidden],
+            scratch: Vec::new(),
+            seen: 0,
+            decided: false,
         }
     }
-    let (pred, probs) = model.classifier.predict(store, &h);
-    KeyDecision {
-        n_k,
-        pred,
-        probs: probs.into_vec(),
+
+    /// Steps the undecided key over its items (`item_rows`, in arrival
+    /// order) in the rows `< end` of `e`, with the bodies
+    /// `StreamingEngine::feed` runs. The first item whose halting
+    /// probability clears `cfg.halt_threshold` decides the key; a key that
+    /// never clears it decides at its last item.
+    fn advance(&mut self, model: &KvecModel, e: &Tensor, item_rows: &[usize], end: usize) {
+        let (store, fusion) = (&model.store, &model.encoder.fusion);
+        while !self.decided && item_rows.get(self.seen).is_some_and(|&g| g < end) {
+            let (h, g) = (self.h.data_mut(), item_rows[self.seen]);
+            fusion.step_into(store, e.row(g), h, &mut self.c, &mut self.scratch);
+            self.seen += 1;
+            let p_halt = model.ectl.halt_probability_row(store, self.h.data());
+            let halt = Ectl::threshold_action(p_halt, model.cfg.halt_threshold) == Action::Halt;
+            self.decided = halt || self.seen == item_rows.len();
+        }
     }
 }
 
-/// Evaluates one scenario, returning per-key outcomes: the tape-free
-/// [`KvrlEncoder::encode_rows`](crate::kvrl::KvrlEncoder::encode_rows),
-/// then [`decide_key`] per key. Every decision equals the default
-/// `StreamingEngine`'s, bit for bit.
+/// Runs fusion and halting over one key's rows of `e` (`item_rows`, in
+/// arrival order): [`evaluate_scenario`]'s per-key step over the whole key,
+/// so the decision has the default engine's bits.
+pub fn decide_key(model: &KvecModel, e: &Tensor, item_rows: &[usize]) -> KeyDecision {
+    let mut key = KeyFusion::new(model);
+    key.advance(model, e, item_rows, e.rows());
+    let (pred, probs) = model.classifier.predict(&model.store, &key.h);
+    let (n_k, probs) = (key.seen, probs.into_vec());
+    KeyDecision { n_k, pred, probs }
+}
+
+/// Evaluates one scenario, returning per-key outcomes. Every decision
+/// equals the default `StreamingEngine`'s, bit for bit.
 pub fn evaluate_scenario(model: &KvecModel, scenario: &TangledSequence) -> Vec<KeyOutcome> {
-    if scenario.is_empty() {
-        return Vec::new();
+    evaluate_scenario_encoded(model, scenario).0
+}
+
+/// [`evaluate_scenario`] and the number of rows it encoded. The
+/// [`PrefixEncoder`](crate::kvrl::PrefixEncoder) advances by [`WAVE`]
+/// rows; then every undecided key steps over its rows in the wave, and
+/// encoding stops once every key has decided. Row `g` reads only rows
+/// `<= g`, so the rows past the last decision would change none.
+pub fn evaluate_scenario_encoded(
+    model: &KvecModel,
+    scenario: &TangledSequence,
+) -> (Vec<KeyOutcome>, usize) {
+    let keys = scenario.key_subsequences();
+    let mut fusion: Vec<KeyFusion> = keys.iter().map(|_| KeyFusion::new(model)).collect();
+    let (store, cfg) = (&model.store, &model.cfg);
+    let mut prefix = model.encoder.prefix_encoder(store, cfg, scenario);
+    while fusion.iter().any(|f| !f.decided) {
+        let end = prefix.encoded() + WAVE;
+        prefix.advance(end);
+        for (f, (_, item_rows)) in fusion.iter_mut().zip(&keys) {
+            f.advance(model, &prefix.rows().e, item_rows, end);
+        }
     }
-    let rows = model
-        .encoder
-        .encode_rows(&model.store, &model.cfg, scenario);
+
+    let rows = prefix.rows();
     let label_map = scenario.label_map();
     let mut outcomes = Vec::new();
-    for (key, item_rows) in scenario.key_subsequences() {
-        let decision = decide_key(model, &rows.e, &item_rows);
-        let n_k = decision.n_k;
+    for ((key, item_rows), f) in keys.iter().zip(&fusion) {
+        let (pred, _) = model.classifier.predict(store, &f.h);
+        let n_k = f.seen;
 
         // Attention-mass split over the observed items.
         let mut internal = 0.0f32;
@@ -188,9 +232,9 @@ pub fn evaluate_scenario(model: &KvecModel, scenario: &TangledSequence) -> Vec<K
         let inv = 1.0 / n_k as f32;
 
         outcomes.push(KeyOutcome {
-            key,
-            label: label_map[&key],
-            pred: decision.pred,
+            key: *key,
+            label: label_map[key],
+            pred,
             n_k,
             seq_len: item_rows.len(),
             halt_global_pos: item_rows[n_k - 1],
@@ -198,7 +242,7 @@ pub fn evaluate_scenario(model: &KvecModel, scenario: &TangledSequence) -> Vec<K
             external_attention: external * inv,
         });
     }
-    outcomes
+    (outcomes, prefix.encoded())
 }
 
 /// One bucket of the per-position attention profile (paper Fig. 10).
@@ -286,10 +330,91 @@ pub fn report_from_outcomes(outcomes: Vec<KeyOutcome>, num_classes: usize) -> Ev
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KvecConfig;
+    use crate::{KvecConfig, StreamingEngine};
+    use kvec_data::mixer::tangle_group;
     use kvec_data::synth::{generate_traffic, TrafficConfig};
     use kvec_data::Dataset;
     use kvec_tensor::KvecRng;
+
+    /// A tiny untrained model and one tangled group of its traffic, long
+    /// enough that every key has arrived more than a wave before the end.
+    fn early_exit_fixture(halt_threshold: f32) -> (KvecModel, TangledSequence) {
+        let mut rng = KvecRng::seed_from_u64(5);
+        let dcfg = TrafficConfig {
+            num_flows: 6,
+            num_classes: 2,
+            mean_len: 30,
+            min_len: 24,
+            max_len: 36,
+            ..TrafficConfig::traffic_app(0)
+        };
+        let tangled = tangle_group(&generate_traffic(&dcfg, &mut rng), &mut rng);
+        let mut model = KvecModel::new(&KvecConfig::tiny(&dcfg.schema(), 2), &mut rng);
+        model.cfg.halt_threshold = halt_threshold;
+        (model, tangled)
+    }
+
+    /// Evaluates the scenario, checks every outcome bit-equal to the default
+    /// engine's decision, and returns the rows evaluation encoded.
+    fn rows_encoded_bit_equal_to_engine(model: &KvecModel, scenario: &TangledSequence) -> usize {
+        let (outcomes, encoded) = evaluate_scenario_encoded(model, scenario);
+        let decisions = StreamingEngine::run(model, scenario);
+        let rows = model
+            .encoder
+            .encode_rows(&model.store, &model.cfg, scenario);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(outcomes.len(), decisions.len());
+        for ((key, item_rows), o) in scenario.key_subsequences().iter().zip(&outcomes) {
+            let d = decisions
+                .iter()
+                .find(|d| d.key == *key)
+                .expect("engine decision");
+            assert_eq!((o.key, o.pred, o.n_k), (d.key, d.pred, d.n_items));
+            if d.halted_by_policy {
+                assert_eq!(o.halt_global_pos, d.global_pos);
+            }
+            let batch = decide_key(model, &rows.e, item_rows);
+            assert_eq!(
+                bits(&batch.probs),
+                bits(&d.probs),
+                "probabilities of {key:?}"
+            );
+        }
+        encoded
+    }
+
+    #[test]
+    fn evaluation_stops_a_wave_after_the_last_decision() {
+        // Every key halts on its first item, so the last decision is at the
+        // last key's first arrival; encoding stops at the end of its wave.
+        let (model, scenario) = early_exit_fixture(0.0);
+        let encoded = rows_encoded_bit_equal_to_engine(&model, &scenario);
+        let last_first = scenario
+            .key_subsequences()
+            .iter()
+            .map(|(_, rows)| rows[0])
+            .max();
+        let want = (last_first.unwrap() + 1).next_multiple_of(WAVE);
+        assert_eq!(encoded, want.min(scenario.len()));
+        assert!(
+            encoded < scenario.len(),
+            "{encoded} of {} rows",
+            scenario.len()
+        );
+        let outcomes = evaluate_scenario(&model, &scenario);
+        assert!(outcomes.iter().all(|o| o.n_k == 1));
+    }
+
+    #[test]
+    fn evaluation_encodes_every_row_when_no_key_halts() {
+        let (model, scenario) = early_exit_fixture(1.0);
+        assert_eq!(
+            rows_encoded_bit_equal_to_engine(&model, &scenario),
+            scenario.len()
+        );
+        let outcomes = evaluate_scenario(&model, &scenario);
+        assert!(outcomes.iter().all(|o| o.n_k == o.seq_len));
+    }
 
     #[test]
     fn harmonic_mean_properties() {

@@ -37,6 +37,87 @@ impl EncodedRows {
     }
 }
 
+/// The tape-free inference forward over one stream, resumable: each
+/// [`Self::advance`] encodes the next rows block-major with the row bodies
+/// `StreamingEngine::feed` runs. The mask is causal, so a row's visible
+/// list reaches only rows already encoded, and a GEMM row has the GEMV's
+/// bits: every row of `e` equals the default engine's, bit for bit,
+/// however the stream is cut. Nothing is `T x T`.
+pub struct PrefixEncoder<'a> {
+    encoder: &'a KvrlEncoder,
+    store: &'a ParamStore,
+    cfg: &'a KvecConfig,
+    tangled: &'a TangledSequence,
+    masks: MaskBuilder,
+    rows: EncodedRows,
+    /// One `T x d` K/V pair per block: later rows attend to earlier ones.
+    kv: Vec<[Tensor; 2]>,
+}
+
+impl PrefixEncoder<'_> {
+    /// How many rows are encoded: the rows `0..encoded()` of [`Self::rows`].
+    pub fn encoded(&self) -> usize {
+        self.rows.offsets.len() - 1
+    }
+
+    /// The rows encoded so far.
+    pub fn rows(&self) -> &EncodedRows {
+        &self.rows
+    }
+
+    /// Encodes rows `encoded()..end` (`end` clamped to the stream): the
+    /// mask writes their visible lists into the CSR; per block, the K, V and
+    /// Q projections run over them as one GEMM each, each row attends over
+    /// its list with the weight sink on, and the rows are finished at once.
+    pub fn advance(&mut self, end: usize) {
+        let (start, d) = (self.encoded(), self.cfg.d_model);
+        let end = end.clamp(start, self.tangled.len());
+        let (input, rows) = (&self.encoder.input, &mut self.rows);
+        let (mut visible, mut idx) = (Vec::new(), ItemIndices::default());
+        for (g, item) in self.tangled.items.iter().enumerate().take(end).skip(start) {
+            let code = item.value[self.cfg.session_field];
+            let pos_in_key = self.masks.push_visible(item.key, code, &mut visible);
+            rows.positions.extend_from_slice(&visible);
+            rows.offsets.push(rows.positions.len());
+            input.indices_for_item_into(item.key, &item.value, pos_in_key, g, &mut idx);
+            input.lookup_one_into(self.store, &idx, rows.e.row_mut(g));
+        }
+
+        let first = rows.offsets[start];
+        rows.weights.resize(rows.positions.len(), 0.0);
+        let mut sink = vec![0.0; rows.positions.len() - first];
+        let [mut q, mut attended] = [(); 2].map(|_| Tensor::zeros(end - start, d));
+        let (mut logits, mut scratch) = (Vec::new(), Vec::new());
+        let x = &mut rows.e.data_mut()[start * d..end * d];
+        for (l, (block, [k, v])) in self.encoder.blocks.iter().zip(&mut self.kv).enumerate() {
+            block.project_k_into(self.store, x, &mut k.data_mut()[start * d..end * d]);
+            block.project_v_into(self.store, x, &mut v.data_mut()[start * d..end * d]);
+            block.project_q_into(self.store, x, q.data_mut());
+            for g in start..end {
+                let span = rows.offsets[g]..rows.offsets[g + 1];
+                block.attend_row_into(
+                    q.row(g - start),
+                    (k, v),
+                    &rows.positions[span.clone()],
+                    0,
+                    &mut logits,
+                    attended.row_mut(g - start),
+                    Some(&mut sink[span.start - first..span.end - first]),
+                );
+            }
+            for (w, &s) in rows.weights[first..].iter_mut().zip(&sink) {
+                *w += s;
+            }
+            block.finish_row_into(self.store, attended.data(), x, &mut scratch);
+            if let Some(norms) = &self.encoder.norms {
+                norms[l].apply_in_place(self.store, x);
+            }
+        }
+        let inv = 1.0 / self.encoder.blocks.len() as f32;
+        rows.weights[first..].iter_mut().for_each(|w| *w *= inv);
+    }
+}
+
 /// The KVRL encoder: `E_0 -> attention blocks -> E`.
 #[derive(Clone)]
 pub struct KvrlEncoder {
@@ -82,7 +163,7 @@ impl KvrlEncoder {
 
     /// Runs the embedding + attention stack over a whole tangled prefix,
     /// producing the refined item embedding matrix `E` (`T x d`). This is
-    /// the taped training forward; inference runs [`Self::encode_rows`].
+    /// the taped training forward; inference runs [`Self::prefix_encoder`].
     ///
     /// `rng = Some(..)` enables dropout (training).
     pub fn encode<'s>(
@@ -104,70 +185,40 @@ impl KvrlEncoder {
         e
     }
 
-    /// The tape-free inference forward over a whole stream, in block-major
-    /// order and built only from the row bodies `StreamingEngine::feed`
-    /// runs. The mask writes every row's visible list into one CSR. Each
-    /// block then projects all `T` rows with one GEMM per projection,
-    /// attends each row over its own list with the weight sink on, and
-    /// finishes all rows at once. A GEMM row has the GEMV's bits, so every
-    /// row of `e` equals the default engine's, bit for bit. Nothing is
-    /// `T x T`: the work is linear in the visible entries.
+    /// The tape-free inference forward over a whole stream:
+    /// [`Self::prefix_encoder`] advanced to the end.
     pub fn encode_rows(
         &self,
         store: &ParamStore,
         cfg: &KvecConfig,
         tangled: &TangledSequence,
     ) -> EncodedRows {
-        let (t, d) = (tangled.len(), cfg.d_model);
-        let mut masks = MaskBuilder::streaming(cfg.use_key_correlation, cfg.use_value_correlation);
-        let (mut offsets, mut positions, mut visible) = (vec![0], Vec::new(), Vec::new());
-        let mut idx = ItemIndices::default();
-        let mut x = Tensor::zeros(t, d);
-        for (g, item) in tangled.items.iter().enumerate() {
-            let code = item.value[cfg.session_field];
-            let pos_in_key = masks.push_visible(item.key, code, &mut visible);
-            positions.extend_from_slice(&visible);
-            offsets.push(positions.len());
-            self.input
-                .indices_for_item_into(item.key, &item.value, pos_in_key, g, &mut idx);
-            self.input.lookup_one_into(store, &idx, x.row_mut(g));
-        }
+        let mut prefix = self.prefix_encoder(store, cfg, tangled);
+        prefix.advance(tangled.len());
+        prefix.rows
+    }
 
-        let mut weights = vec![0.0; positions.len()];
-        let mut sink = vec![0.0; positions.len()];
-        let [mut q, mut k, mut v, mut attended] = [(); 4].map(|_| Tensor::zeros(t, d));
-        let (mut logits, mut scratch) = (Vec::new(), Vec::new());
-        for (l, block) in self.blocks.iter().enumerate() {
-            block.project_k_into(store, x.data(), k.data_mut());
-            block.project_v_into(store, x.data(), v.data_mut());
-            block.project_q_into(store, x.data(), q.data_mut());
-            for (g, span) in offsets.windows(2).enumerate() {
-                let span = span[0]..span[1];
-                block.attend_row_into(
-                    q.row(g),
-                    (&k, &v),
-                    &positions[span.clone()],
-                    0,
-                    &mut logits,
-                    attended.row_mut(g),
-                    Some(&mut sink[span]),
-                );
-            }
-            for (w, &s) in weights.iter_mut().zip(&sink) {
-                *w += s;
-            }
-            block.finish_row_into(store, attended.data(), x.data_mut(), &mut scratch);
-            if let Some(norms) = &self.norms {
-                norms[l].apply_in_place(store, x.data_mut());
-            }
-        }
-        let inv = 1.0 / self.blocks.len() as f32;
-        weights.iter_mut().for_each(|w| *w *= inv);
-        EncodedRows {
-            e: x,
-            offsets,
-            positions,
-            weights,
+    /// A [`PrefixEncoder`] over `tangled` with no row encoded yet.
+    pub fn prefix_encoder<'a>(
+        &'a self,
+        store: &'a ParamStore,
+        cfg: &'a KvecConfig,
+        tangled: &'a TangledSequence,
+    ) -> PrefixEncoder<'a> {
+        let zeros = || Tensor::zeros(tangled.len(), cfg.d_model);
+        PrefixEncoder {
+            encoder: self,
+            store,
+            cfg,
+            tangled,
+            masks: MaskBuilder::streaming(cfg.use_key_correlation, cfg.use_value_correlation),
+            rows: EncodedRows {
+                e: zeros(),
+                offsets: vec![0],
+                positions: Vec::new(),
+                weights: Vec::new(),
+            },
+            kv: self.blocks.iter().map(|_| [zeros(), zeros()]).collect(),
         }
     }
 

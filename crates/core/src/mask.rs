@@ -163,13 +163,11 @@ pub struct MaskBuilder {
     /// keys. A list that empties keeps its entry, so the index holds at
     /// most one list per code the session field takes.
     sessions: BTreeMap<u32, Vec<usize>>,
-    rows: Vec<RowEdges>,
-    /// Whether per-row edge lists are retained for [`Self::build_mask`] /
-    /// [`Self::edge_kinds`]. The streaming engine disables this: retaining
-    /// every row's edges is an O(stream length) leak in a one-pass setting.
-    record_rows: bool,
-    /// Items pushed so far (`rows.len()` when recording; kept separately
-    /// so the streaming builder still numbers arrivals).
+    /// Every row's edges, kept by the row-recording test builder for the
+    /// [`Self::build_mask`] / [`Self::edge_kinds`] oracles.
+    #[cfg(test)]
+    rows: Option<Vec<RowEdges>>,
+    /// Items pushed so far.
     len: usize,
     /// Multiset of the registered keys' anchors (position -> key count).
     /// Its minimum is [`Self::live_horizon`].
@@ -192,27 +190,28 @@ fn remove_anchor(anchors: &mut BTreeMap<usize, usize>, pos: usize) {
 
 impl MaskBuilder {
     /// Creates a builder; the flags implement the paper's Fig. 9 ablations.
-    pub fn new(use_key: bool, use_value: bool) -> Self {
+    /// No row's edges are retained, so builder memory is O(live keys ·
+    /// window), not O(stream length).
+    pub fn streaming(use_key: bool, use_value: bool) -> Self {
         Self {
             use_key,
             use_value,
             keys: BTreeMap::new(),
             sessions: BTreeMap::new(),
-            rows: Vec::new(),
-            record_rows: true,
+            #[cfg(test)]
+            rows: None,
             len: 0,
             anchors: BTreeMap::new(),
         }
     }
 
-    /// Creates a builder for one-pass streaming: identical edge semantics,
-    /// but per-row edge lists are not retained ([`Self::build_mask`] and
-    /// [`Self::edge_kinds`] panic), so builder memory is O(live keys ·
-    /// window) instead of O(stream length).
-    pub fn streaming(use_key: bool, use_value: bool) -> Self {
+    /// A builder with identical edges that also records every row's edges,
+    /// for the [`Self::build_mask`] / [`Self::edge_kinds`] oracles.
+    #[cfg(test)]
+    pub fn new(use_key: bool, use_value: bool) -> Self {
         Self {
-            record_rows: false,
-            ..Self::new(use_key, use_value)
+            rows: Some(Vec::new()),
+            ..Self::streaming(use_key, use_value)
         }
     }
 
@@ -235,11 +234,7 @@ impl MaskBuilder {
     /// by correlation type: the same runs [`Self::push_visible`] merges,
     /// copied into two fresh lists.
     pub fn push(&mut self, key: Key, session_code: u32) -> RowEdges {
-        let edges = self.arrive(key, session_code, |runs, _| runs.row_edges());
-        if self.record_rows {
-            self.rows.push(edges.clone());
-        }
-        edges
+        self.arrive(key, session_code, |runs, _| runs.row_edges())
     }
 
     /// Registers the arrival of an item and writes its whole visible list
@@ -252,15 +247,10 @@ impl MaskBuilder {
     /// grown to size.
     pub fn push_visible(&mut self, key: Key, session_code: u32, visible: &mut Vec<usize>) -> usize {
         let t = self.len;
-        let record = self.record_rows;
-        let (prior, edges) = self.arrive(key, session_code, |runs, prior| {
+        self.arrive(key, session_code, |runs, prior| {
             runs.merge_into(t, visible);
-            (prior, record.then(|| runs.row_edges()))
-        });
-        if let Some(edges) = edges {
-            self.rows.push(edges);
-        }
-        prior
+            prior
+        })
     }
 
     /// The one body of [`Self::push`] and [`Self::push_visible`]: hands
@@ -294,6 +284,10 @@ impl MaskBuilder {
             },
         };
         let out = read(&runs, state.items.len());
+        #[cfg(test)]
+        if let Some(rows) = &mut self.rows {
+            rows.push(runs.row_edges());
+        }
 
         // A new code starts a new trailing session; the old one leaves the
         // index. (A fresh key starts with its own code, so it continues.)
@@ -367,16 +361,21 @@ impl MaskBuilder {
         self.anchors.keys().next().copied().unwrap_or(self.len)
     }
 
-    /// Materializes the `T x T` additive mask (0 visible, `-inf` hidden).
-    /// Panics on a [`Self::streaming`] builder (row log disabled).
+    /// The recorded rows; panics on a [`Self::streaming`] builder.
+    #[cfg(test)]
+    fn recorded_rows(&self) -> &[RowEdges] {
+        self.rows
+            .as_deref()
+            .expect("the oracles need a row-recording builder (MaskBuilder::new)")
+    }
+
+    /// Materializes the `T x T` additive mask (0 visible, `-inf` hidden)
+    /// from the recorded rows: the oracle of [`build_mask`].
+    #[cfg(test)]
     pub fn build_mask(&self) -> Tensor {
-        assert!(
-            self.record_rows,
-            "build_mask requires a row-recording builder (MaskBuilder::new)"
-        );
-        let t = self.rows.len();
+        let t = self.recorded_rows().len();
         let mut m = Tensor::full(t, t, f32::NEG_INFINITY);
-        for (i, row) in self.rows.iter().enumerate() {
+        for (i, row) in self.recorded_rows().iter().enumerate() {
             m[(i, i)] = 0.0;
             for &j in row.key_edges.iter().chain(&row.value_edges) {
                 m[(i, j)] = 0.0;
@@ -385,18 +384,14 @@ impl MaskBuilder {
         m
     }
 
-    /// Materializes the edge-kind matrix (row-major `T*T`). When a pair is
-    /// both key- and value-correlated, `Key` wins: it is intra-sequence and
-    /// therefore *internal* attention. Panics on a [`Self::streaming`]
-    /// builder (row log disabled).
+    /// Materializes the edge-kind matrix (row-major `T*T`) from the
+    /// recorded rows. When a pair is both key- and value-correlated, `Key`
+    /// wins: it is intra-sequence and therefore *internal* attention.
+    #[cfg(test)]
     pub fn edge_kinds(&self) -> Vec<EdgeKind> {
-        assert!(
-            self.record_rows,
-            "edge_kinds requires a row-recording builder (MaskBuilder::new)"
-        );
-        let t = self.rows.len();
+        let t = self.recorded_rows().len();
         let mut kinds = vec![EdgeKind::None; t * t];
-        for (i, row) in self.rows.iter().enumerate() {
+        for (i, row) in self.recorded_rows().iter().enumerate() {
             kinds[i * t + i] = EdgeKind::SelfEdge;
             for &j in &row.value_edges {
                 kinds[i * t + j] = EdgeKind::Value;
@@ -439,21 +434,26 @@ pub fn split_attention_row(
     (internal, external)
 }
 
-/// Builds the mask for a whole tangled sequence at once (training path).
-/// `session_field` selects the value dimension defining sessions.
+/// Builds the mask for a whole tangled sequence at once (training path):
+/// every row's visible list, written by [`MaskBuilder::push_visible`] into
+/// one reused list, opens its cells. `session_field` selects the value
+/// dimension defining sessions.
 pub fn build_mask(
     tangled: &TangledSequence,
     session_field: usize,
     use_key: bool,
     use_value: bool,
 ) -> DynamicMask {
-    let mut builder = MaskBuilder::new(use_key, use_value);
-    for item in &tangled.items {
-        builder.push(item.key, item.value[session_field]);
+    let t = tangled.len();
+    let mut builder = MaskBuilder::streaming(use_key, use_value);
+    let (mut mask, mut visible) = (Tensor::full(t, t, f32::NEG_INFINITY), Vec::new());
+    for (i, item) in tangled.items.iter().enumerate() {
+        builder.push_visible(item.key, item.value[session_field], &mut visible);
+        for &j in &visible {
+            mask[(i, j)] = 0.0;
+        }
     }
-    DynamicMask {
-        mask: builder.build_mask(),
-    }
+    DynamicMask { mask }
 }
 
 #[cfg(test)]
@@ -734,6 +734,35 @@ mod tests {
                     }
                 });
             }
+        }
+    }
+
+    #[test]
+    fn build_mask_matches_the_row_recording_builder() {
+        for (use_key, use_value) in [(true, true), (true, false), (false, true), (false, false)] {
+            let name = format!("build_mask (key={use_key}, value={use_value})");
+            kvec_check::check_n(&name, 48, |g| {
+                let n_keys = g.usize_in(1, 10) as u64;
+                let cardinality = g.usize_in(1, 6) as u32;
+                let items: Vec<Item> = (0..g.usize_in(1, 120))
+                    .map(|t| {
+                        Item::new(
+                            Key(g.u64() % n_keys),
+                            vec![g.u32_below(cardinality)],
+                            t as u64,
+                        )
+                    })
+                    .collect();
+                let labels = (0..n_keys).map(|k| (Key(k), 0)).collect();
+                let tangled = TangledSequence::new(items, labels);
+                let mut rec = MaskBuilder::new(use_key, use_value);
+                for item in &tangled.items {
+                    rec.push(item.key, item.value[0]);
+                }
+                let got = build_mask(&tangled, 0, use_key, use_value).mask;
+                let bits = |m: &Tensor| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&rec.build_mask()));
+            });
         }
     }
 

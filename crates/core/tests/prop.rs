@@ -7,13 +7,22 @@ use kvec_check::{check, Gen};
 use kvec_data::{Item, Key, TangledSequence};
 
 /// The edge-kind matrix of a whole stream (row-major `T*T`), from the
-/// row-recording builder.
+/// edges `push` returns. A pair both key- and value-correlated is `Key`.
 fn edge_kinds(t: &TangledSequence) -> Vec<EdgeKind> {
-    let mut builder = MaskBuilder::new(true, true);
-    for item in &t.items {
-        builder.push(item.key, item.value[0]);
+    let n = t.len();
+    let mut builder = MaskBuilder::streaming(true, true);
+    let mut kinds = vec![EdgeKind::None; n * n];
+    for (i, item) in t.items.iter().enumerate() {
+        let edges = builder.push(item.key, item.value[0]);
+        kinds[i * n + i] = EdgeKind::SelfEdge;
+        for j in edges.value_edges {
+            kinds[i * n + j] = EdgeKind::Value;
+        }
+        for j in edges.key_edges {
+            kinds[i * n + j] = EdgeKind::Key;
+        }
     }
-    builder.edge_kinds()
+    kinds
 }
 
 /// Random tangled streams: up to 5 keys, binary session codes, 1..30 items.

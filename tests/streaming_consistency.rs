@@ -6,6 +6,7 @@
 
 use kvec::ectl::{Action, Ectl};
 use kvec::eval::{decide_key, evaluate_scenario};
+use kvec::kvrl::EncodedRows;
 use kvec::train::Trainer;
 use kvec::{KvecConfig, KvecModel, StreamingEngine};
 use kvec_data::synth::{generate_traffic, TrafficConfig};
@@ -176,6 +177,59 @@ fn assert_bit_equal_to_engine(model: &KvecModel, scenario: &TangledSequence) {
 fn evaluate_is_bit_equal_to_the_default_engine_across_block_shapes() {
     for (model, scenario) in shape_fixtures() {
         assert_bit_equal_to_engine(&model, &scenario);
+    }
+}
+
+/// Rows `0..end` of `want` — `e`, the CSR and its weights — are `got`'s,
+/// bit for bit, and `got` holds no more.
+fn assert_prefix_bit_equal(got: &EncodedRows, want: &EncodedRows, end: usize) {
+    let (n, d) = (want.offsets[end], want.e.cols());
+    assert_eq!(got.offsets, want.offsets[..=end], "offsets up to row {end}");
+    assert_eq!(
+        got.positions,
+        want.positions[..n],
+        "positions up to row {end}"
+    );
+    assert_eq!(
+        bits(&got.weights),
+        bits(&want.weights[..n]),
+        "weights up to row {end}"
+    );
+    assert_eq!(
+        bits(&got.e.data()[..end * d]),
+        bits(&want.e.data()[..end * d]),
+        "encoded rows up to row {end}"
+    );
+}
+
+#[test]
+fn piecewise_encoding_is_bit_equal_to_one_shot() {
+    for (model, scenario) in &shape_fixtures() {
+        let (store, cfg, t) = (&model.store, &model.cfg, scenario.len());
+        let whole = model.encoder.encode_rows(store, cfg, scenario);
+        // `advance` to each cut in turn; a cut at or below the rows
+        // already encoded is a no-op, one past the stream is clamped.
+        let encode_by = |cuts: &[usize]| {
+            let mut prefix = model.encoder.prefix_encoder(store, cfg, scenario);
+            for &end in cuts {
+                let want = end.min(t).max(prefix.encoded());
+                prefix.advance(end);
+                assert_eq!(prefix.encoded(), want, "cuts {cuts:?}");
+                assert_prefix_bit_equal(prefix.rows(), &whole, want);
+            }
+            assert_eq!(prefix.encoded(), t, "cuts {cuts:?}");
+        };
+        for wave in [1, 2, 7, 32, 64, t] {
+            let cuts: Vec<usize> = (1..=t.div_ceil(wave)).map(|i| i * wave).collect();
+            encode_by(&cuts);
+        }
+        kvec_check::check_n("random cuts", 32, |g| {
+            let mut cuts: Vec<usize> = (0..g.usize_in(0, 9))
+                .map(|_| g.usize_in(0, t + 2))
+                .collect();
+            cuts.push(t);
+            encode_by(&cuts);
+        });
     }
 }
 
