@@ -4,15 +4,13 @@
 //! baseline — and, per its experiments, a poor fit for key-value data,
 //! which this reproduction's Figs. 3-6 harness confirms.
 
-use crate::policy::{sample_episode, threshold_halt, RlHeads};
-use crate::seq::{sequences_of, SeqSample};
+use crate::rl::RlHalting;
+use crate::seq::{evaluate_sequences, train_sequences, SeqSample};
 use crate::{BaselineConfig, EarlyClassifier};
-use kvec::eval::{report_from_outcomes, EvalReport, KeyOutcome};
+use kvec::eval::EvalReport;
 use kvec_autograd::Var;
 use kvec_data::TangledSequence;
-use kvec_nn::{
-    clip_global_norm, Adam, Embedding, LstmCell, Optimizer, ParamId, ParamStore, Session,
-};
+use kvec_nn::{Embedding, LstmCell, ParamId, ParamStore, Session};
 use kvec_tensor::{KvecRng, Tensor};
 
 /// The EARLIEST baseline.
@@ -21,12 +19,7 @@ pub struct Earliest {
     store: ParamStore,
     field_tables: Vec<Embedding>,
     lstm: LstmCell,
-    heads: RlHeads,
-    opt_model: Adam,
-    opt_baseline: Adam,
-    model_ids: Vec<ParamId>,
-    baseline_ids: Vec<ParamId>,
-    epochs_done: usize,
+    rl: RlHalting,
 }
 
 impl Earliest {
@@ -48,26 +41,16 @@ impl Earliest {
             })
             .collect();
         let lstm = LstmCell::new(&mut store, "earliest.lstm", cfg.d_model, cfg.d_model, rng);
-        let heads = RlHeads::new(&mut store, "earliest", cfg, rng);
-
-        let mut model_ids: Vec<ParamId> =
+        let mut encoder_ids: Vec<ParamId> =
             field_tables.iter().flat_map(Embedding::param_ids).collect();
-        model_ids.extend(lstm.param_ids());
-        model_ids.extend(heads.model_param_ids());
-        let baseline_ids = heads.baseline_param_ids();
-        let opt_model = Adam::new(&store, model_ids.clone(), cfg.lr);
-        let opt_baseline = Adam::new(&store, baseline_ids.clone(), cfg.lr_baseline);
+        encoder_ids.extend(lstm.param_ids());
+        let rl = RlHalting::new(&mut store, "earliest", encoder_ids, cfg, rng);
         Self {
             cfg: cfg.clone(),
             store,
             field_tables,
             lstm,
-            heads,
-            opt_model,
-            opt_baseline,
-            model_ids,
-            baseline_ids,
-            epochs_done: 0,
+            rl,
         }
     }
 
@@ -116,31 +99,8 @@ impl Earliest {
     fn train_sequence(&mut self, seq: &SeqSample, rng: &mut KvecRng) -> f32 {
         let sess = Session::new();
         let states = self.states(&sess, seq);
-        let forced_n =
-            (self.epochs_done < self.cfg.warmup_epochs).then(|| rng.range(1, states.len() + 1));
-        let ep = sample_episode(
-            &sess,
-            &self.store,
-            &self.heads,
-            &states,
-            seq.label,
-            forced_n,
-            rng,
-        );
-        let total = ep
-            .l1
-            .add(ep.l2.scale(self.cfg.alpha))
-            .add(ep.l3.scale(self.cfg.lambda))
-            .add(ep.lb);
-        let loss = total.value().item();
-        sess.backward(total);
-        sess.accumulate_grads(&mut self.store);
-        clip_global_norm(&mut self.store, &self.model_ids, self.cfg.grad_clip);
-        clip_global_norm(&mut self.store, &self.baseline_ids, self.cfg.grad_clip);
-        self.opt_model.step(&mut self.store);
-        self.opt_baseline.step(&mut self.store);
-        self.store.zero_grads();
-        loss
+        self.rl
+            .train_sequence(&sess, &mut self.store, &self.cfg, &states, seq.label, rng)
     }
 }
 
@@ -150,39 +110,24 @@ impl EarlyClassifier for Earliest {
     }
 
     fn train_epoch(&mut self, scenarios: &[TangledSequence], rng: &mut KvecRng) -> f32 {
-        let seqs = sequences_of(scenarios);
-        let mut total = 0.0;
-        for seq in &seqs {
-            total += self.train_sequence(seq, rng);
-        }
-        self.epochs_done += 1;
-        total / seqs.len().max(1) as f32
+        let loss = train_sequences(scenarios, |seq| self.train_sequence(seq, rng));
+        self.rl.end_epoch();
+        loss
     }
 
     fn evaluate(&self, scenarios: &[TangledSequence]) -> EvalReport {
-        let mut outcomes = Vec::new();
-        for seq in sequences_of(scenarios) {
-            let states = self.states_tensor(&seq);
-            let (n_k, pred) =
-                threshold_halt(&self.store, &self.heads, &states, self.cfg.halt_threshold);
-            outcomes.push(KeyOutcome {
-                key: seq.key,
-                label: seq.label,
-                pred,
-                n_k,
-                seq_len: seq.len(),
-                halt_global_pos: n_k - 1,
-                internal_attention: 1.0,
-                external_attention: 0.0,
-            });
-        }
-        report_from_outcomes(outcomes, self.cfg.num_classes)
+        evaluate_sequences(scenarios, self.cfg.num_classes, |seq| {
+            let states = self.states_tensor(seq);
+            self.rl
+                .decide(&self.store, &states, self.cfg.halt_threshold)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::sequences_of;
     use kvec_data::synth::{generate_traffic, TrafficConfig};
     use kvec_data::Dataset;
 
@@ -213,6 +158,31 @@ mod tests {
         assert_eq!(report.outcomes.len(), n_test);
         assert!((0.0..=1.0).contains(&report.accuracy));
         assert!(report.earliness > 0.0 && report.earliness <= 1.0);
+    }
+
+    #[test]
+    fn halt_position_is_the_scenario_position_of_the_last_observed_item() {
+        let ds = dataset(7);
+        let cfg = BaselineConfig::tiny(&ds.schema, 2);
+        let mut rng = KvecRng::seed_from_u64(8);
+        let mut model = Earliest::new(&cfg, &mut rng);
+        model.train_epoch(&ds.train, &mut rng);
+        let report = model.evaluate(&ds.test);
+        let rows: Vec<Vec<usize>> = ds
+            .test
+            .iter()
+            .flat_map(|t| t.key_subsequences().into_iter().map(|(_, rows)| rows))
+            .collect();
+        assert_eq!(report.outcomes.len(), rows.len());
+        for (o, rows) in report.outcomes.iter().zip(&rows) {
+            assert_eq!(o.halt_global_pos, rows[o.n_k - 1]);
+        }
+        // Tangled keys interleave, so a key's n_k-th item is rarely the
+        // scenario's n_k-th.
+        assert!(report
+            .outcomes
+            .iter()
+            .any(|o| o.halt_global_pos != o.n_k - 1));
     }
 
     #[test]

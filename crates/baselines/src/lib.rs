@@ -17,11 +17,20 @@
 //!
 //! All baselines share the [`EarlyClassifier`] trait so the experiment
 //! harness can sweep their earliness knobs uniformly, and they report
-//! through the same [`kvec::eval::EvalReport`] as KVEC.
+//! through the same [`kvec::eval::EvalReport`] as KVEC. Each trains and
+//! decides one untangled sequence at a time through the same drivers
+//! ([`sequences_of`]).
+//!
+//! The two RL baselines have no halting code of their own: they build
+//! KVEC's [`kvec::ectl::Ectl`] and [`kvec::classifier::Classifier`] over
+//! their per-step states and train them with the same REINFORCE episode
+//! as KVEC's trainer ([`kvec::ectl::Ectl::sample_halt`],
+//! [`kvec::ectl::Ectl::add_halt_losses`]), so a change to the halting rule
+//! reaches all three methods at once.
 
 mod config;
 mod earliest;
-pub mod policy;
+mod rl;
 mod seq;
 mod srn;
 mod srn_confidence;

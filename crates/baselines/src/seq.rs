@@ -1,8 +1,11 @@
-//! Extraction of independent per-key sequences from tangled scenarios.
+//! Extraction of independent per-key sequences from tangled scenarios,
+//! and the per-sequence training and evaluation drivers every baseline
+//! runs on them.
 //!
 //! Every baseline ignores the tangled structure: it sees each key's items
 //! in order, alone. This module performs that untangling.
 
+use kvec::eval::{report_from_outcomes, EvalReport, KeyOutcome};
 use kvec_data::{Key, TangledSequence};
 
 /// One independent sequence sample.
@@ -14,6 +17,9 @@ pub struct SeqSample {
     pub label: usize,
     /// Value vectors in arrival order.
     pub values: Vec<Vec<u32>>,
+    /// The scenario position of each item (`values[i]` arrived at
+    /// `rows[i]`).
+    pub rows: Vec<usize>,
 }
 
 impl SeqSample {
@@ -42,10 +48,53 @@ pub fn sequences_of(scenarios: &[TangledSequence]) -> Vec<SeqSample> {
                     .iter()
                     .map(|&i| scenario.items[i].value.clone())
                     .collect(),
+                rows,
             });
         }
     }
     out
+}
+
+/// One training pass over the untangled sequences of `scenarios`:
+/// `train` takes one step per sequence and returns its loss. Returns the
+/// mean loss.
+pub(crate) fn train_sequences(
+    scenarios: &[TangledSequence],
+    mut train: impl FnMut(&SeqSample) -> f32,
+) -> f32 {
+    let seqs = sequences_of(scenarios);
+    let mut total = 0.0;
+    for seq in &seqs {
+        total += train(seq);
+    }
+    total / seqs.len().max(1) as f32
+}
+
+/// Evaluates the untangled sequences of `scenarios`: `decide` returns a
+/// sequence's `(n_k, prediction)`. Independent sequences have no
+/// cross-sequence attention, so all of it counts as internal.
+pub(crate) fn evaluate_sequences(
+    scenarios: &[TangledSequence],
+    num_classes: usize,
+    decide: impl Fn(&SeqSample) -> (usize, usize),
+) -> EvalReport {
+    let outcomes = sequences_of(scenarios)
+        .into_iter()
+        .map(|seq| {
+            let (n_k, pred) = decide(&seq);
+            KeyOutcome {
+                key: seq.key,
+                label: seq.label,
+                pred,
+                n_k,
+                seq_len: seq.len(),
+                halt_global_pos: seq.rows[n_k - 1],
+                internal_attention: 1.0,
+                external_attention: 0.0,
+            }
+        })
+        .collect();
+    report_from_outcomes(outcomes, num_classes)
 }
 
 #[cfg(test)]
@@ -65,9 +114,11 @@ mod tests {
         assert_eq!(seqs.len(), 2);
         let k1 = seqs.iter().find(|s| s.key == Key(1)).unwrap();
         assert_eq!(k1.values, vec![vec![0], vec![1]]);
+        assert_eq!(k1.rows, vec![0, 2]);
         assert_eq!(k1.label, 0);
         let k2 = seqs.iter().find(|s| s.key == Key(2)).unwrap();
         assert_eq!(k2.values, vec![vec![9]]);
+        assert_eq!(k2.rows, vec![1]);
     }
 
     #[test]

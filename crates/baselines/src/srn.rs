@@ -96,12 +96,11 @@ impl SrnEncoder {
         e
     }
 
-    /// Tape-free encoding of a prefix, returning only the last row (the
-    /// current sequence representation) — used at evaluation time.
-    pub fn encode_last_tensor(&self, store: &ParamStore, values: &[Vec<u32>]) -> Tensor {
+    /// [`Self::encode`] without dropout, as a plain tensor — used at
+    /// evaluation time.
+    pub fn encode_tensor(&self, store: &ParamStore, values: &[Vec<u32>]) -> Tensor {
         let sess = Session::new();
-        let e = self.encode(&sess, store, values, None);
-        e.value().row_tensor(values.len() - 1)
+        self.encode(&sess, store, values, None).value()
     }
 
     /// All trainable parameter ids.
@@ -158,7 +157,7 @@ mod tests {
         let sess = Session::new();
         let full = enc.encode(&sess, &store, &vals, None).value();
         for i in 0..6 {
-            let prefix = enc.encode_last_tensor(&store, &vals[..=i]);
+            let prefix = enc.encode_tensor(&store, &vals[..=i]).row_tensor(i);
             assert!(
                 prefix.allclose(&full.row_tensor(i), 1e-4),
                 "prefix {i} diverges"

@@ -5,10 +5,10 @@
 //! confidence is calibrated for any halting point; evaluation walks the
 //! sequence until the confidence clears `mu`.
 
-use crate::seq::{sequences_of, SeqSample};
+use crate::seq::{evaluate_sequences, train_sequences, SeqSample};
 use crate::srn::SrnEncoder;
 use crate::{BaselineConfig, EarlyClassifier};
-use kvec::eval::{report_from_outcomes, EvalReport, KeyOutcome};
+use kvec::eval::EvalReport;
 use kvec_autograd::Var;
 use kvec_data::TangledSequence;
 use kvec_nn::loss::cross_entropy_logits;
@@ -83,49 +83,23 @@ impl EarlyClassifier for SrnConfidence {
     }
 
     fn train_epoch(&mut self, scenarios: &[TangledSequence], rng: &mut KvecRng) -> f32 {
-        let seqs = sequences_of(scenarios);
-        let mut total = 0.0;
-        for seq in &seqs {
-            total += self.train_sequence(seq, rng);
-        }
-        total / seqs.len().max(1) as f32
+        train_sequences(scenarios, |seq| self.train_sequence(seq, rng))
     }
 
     fn evaluate(&self, scenarios: &[TangledSequence]) -> EvalReport {
-        let mut outcomes = Vec::new();
-        for seq in sequences_of(scenarios) {
+        evaluate_sequences(scenarios, self.cfg.num_classes, |seq| {
             // One causal encode; confidence checked at every prefix row.
-            let sess = Session::new();
-            let e = self
-                .encoder
-                .encode(&sess, &self.store, &seq.values, None)
-                .value();
-            let mut n_k = seq.len();
-            let mut pred = 0usize;
-            for i in 0..seq.len() {
-                let probs = self
-                    .classifier
-                    .apply(&self.store, &e.row_tensor(i))
-                    .softmax_rows();
-                let best = probs.argmax_row(0);
-                if probs[(0, best)] > self.cfg.mu || i + 1 == seq.len() {
-                    n_k = i + 1;
-                    pred = best;
-                    break;
-                }
-            }
-            outcomes.push(KeyOutcome {
-                key: seq.key,
-                label: seq.label,
-                pred,
-                n_k,
-                seq_len: seq.len(),
-                halt_global_pos: n_k - 1,
-                internal_attention: 1.0,
-                external_attention: 0.0,
-            });
-        }
-        report_from_outcomes(outcomes, self.cfg.num_classes)
+            let e = self.encoder.encode_tensor(&self.store, &seq.values);
+            (0..seq.len())
+                .find_map(|i| {
+                    let logits = self.classifier.apply(&self.store, &e.row_tensor(i));
+                    let probs = logits.softmax_rows();
+                    let best = probs.argmax_row(0);
+                    let last = i + 1 == seq.len();
+                    (probs[(0, best)] > self.cfg.mu || last).then_some((i + 1, best))
+                })
+                .expect("sequences are non-empty")
+        })
     }
 }
 

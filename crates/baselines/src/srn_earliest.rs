@@ -1,13 +1,13 @@
 //! SRN-EARLIEST: the EARLIEST halting scheme on top of the per-sequence
 //! transformer encoder — the paper's most competitive baseline.
 
-use crate::policy::{sample_episode, threshold_halt, RlHeads};
-use crate::seq::{sequences_of, SeqSample};
+use crate::rl::RlHalting;
+use crate::seq::{evaluate_sequences, train_sequences, SeqSample};
 use crate::srn::SrnEncoder;
 use crate::{BaselineConfig, EarlyClassifier};
-use kvec::eval::{report_from_outcomes, EvalReport, KeyOutcome};
+use kvec::eval::EvalReport;
 use kvec_data::TangledSequence;
-use kvec_nn::{clip_global_norm, Adam, Optimizer, ParamId, ParamStore, Session};
+use kvec_nn::{ParamStore, Session};
 use kvec_tensor::{KvecRng, Tensor};
 
 /// The SRN-EARLIEST baseline.
@@ -15,12 +15,7 @@ pub struct SrnEarliest {
     cfg: BaselineConfig,
     store: ParamStore,
     encoder: SrnEncoder,
-    heads: RlHeads,
-    opt_model: Adam,
-    opt_baseline: Adam,
-    model_ids: Vec<ParamId>,
-    baseline_ids: Vec<ParamId>,
-    epochs_done: usize,
+    rl: RlHalting,
 }
 
 impl SrnEarliest {
@@ -28,22 +23,12 @@ impl SrnEarliest {
     pub fn new(cfg: &BaselineConfig, rng: &mut KvecRng) -> Self {
         let mut store = ParamStore::new();
         let encoder = SrnEncoder::new(&mut store, "srn_e", cfg, rng);
-        let heads = RlHeads::new(&mut store, "srn_e", cfg, rng);
-        let mut model_ids = encoder.param_ids();
-        model_ids.extend(heads.model_param_ids());
-        let baseline_ids = heads.baseline_param_ids();
-        let opt_model = Adam::new(&store, model_ids.clone(), cfg.lr);
-        let opt_baseline = Adam::new(&store, baseline_ids.clone(), cfg.lr_baseline);
+        let rl = RlHalting::new(&mut store, "srn_e", encoder.param_ids(), cfg, rng);
         Self {
             cfg: cfg.clone(),
             store,
             encoder,
-            heads,
-            opt_model,
-            opt_baseline,
-            model_ids,
-            baseline_ids,
-            epochs_done: 0,
+            rl,
         }
     }
 
@@ -54,40 +39,13 @@ impl SrnEarliest {
             .encode(&sess, &self.store, &seq.values, Some(rng));
         // State after observing i+1 items = causally refined row i.
         let states: Vec<_> = (0..seq.len()).map(|i| e.row(i)).collect();
-        let forced_n =
-            (self.epochs_done < self.cfg.warmup_epochs).then(|| rng.range(1, states.len() + 1));
-        let ep = sample_episode(
-            &sess,
-            &self.store,
-            &self.heads,
-            &states,
-            seq.label,
-            forced_n,
-            rng,
-        );
-        let total = ep
-            .l1
-            .add(ep.l2.scale(self.cfg.alpha))
-            .add(ep.l3.scale(self.cfg.lambda))
-            .add(ep.lb);
-        let loss = total.value().item();
-        sess.backward(total);
-        sess.accumulate_grads(&mut self.store);
-        clip_global_norm(&mut self.store, &self.model_ids, self.cfg.grad_clip);
-        clip_global_norm(&mut self.store, &self.baseline_ids, self.cfg.grad_clip);
-        self.opt_model.step(&mut self.store);
-        self.opt_baseline.step(&mut self.store);
-        self.store.zero_grads();
-        loss
+        self.rl
+            .train_sequence(&sess, &mut self.store, &self.cfg, &states, seq.label, rng)
     }
 
     fn states_tensor(&self, seq: &SeqSample) -> Vec<Tensor> {
         // One causal encode; row i is the state after i+1 items.
-        let sess = Session::new();
-        let e = self
-            .encoder
-            .encode(&sess, &self.store, &seq.values, None)
-            .value();
+        let e = self.encoder.encode_tensor(&self.store, &seq.values);
         (0..seq.len()).map(|i| e.row_tensor(i)).collect()
     }
 }
@@ -98,33 +56,17 @@ impl EarlyClassifier for SrnEarliest {
     }
 
     fn train_epoch(&mut self, scenarios: &[TangledSequence], rng: &mut KvecRng) -> f32 {
-        let seqs = sequences_of(scenarios);
-        let mut total = 0.0;
-        for seq in &seqs {
-            total += self.train_sequence(seq, rng);
-        }
-        self.epochs_done += 1;
-        total / seqs.len().max(1) as f32
+        let loss = train_sequences(scenarios, |seq| self.train_sequence(seq, rng));
+        self.rl.end_epoch();
+        loss
     }
 
     fn evaluate(&self, scenarios: &[TangledSequence]) -> EvalReport {
-        let mut outcomes = Vec::new();
-        for seq in sequences_of(scenarios) {
-            let states = self.states_tensor(&seq);
-            let (n_k, pred) =
-                threshold_halt(&self.store, &self.heads, &states, self.cfg.halt_threshold);
-            outcomes.push(KeyOutcome {
-                key: seq.key,
-                label: seq.label,
-                pred,
-                n_k,
-                seq_len: seq.len(),
-                halt_global_pos: n_k - 1,
-                internal_attention: 1.0,
-                external_attention: 0.0,
-            });
-        }
-        report_from_outcomes(outcomes, self.cfg.num_classes)
+        evaluate_sequences(scenarios, self.cfg.num_classes, |seq| {
+            let states = self.states_tensor(seq);
+            self.rl
+                .decide(&self.store, &states, self.cfg.halt_threshold)
+        })
     }
 }
 

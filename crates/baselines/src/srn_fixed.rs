@@ -2,14 +2,14 @@
 //! (inspired by Ma et al., CVPR 2016). The simplest halting policy; its
 //! earliness knob is `tau` itself.
 
-use crate::seq::{sequences_of, SeqSample};
+use crate::seq::{evaluate_sequences, train_sequences, SeqSample};
 use crate::srn::SrnEncoder;
 use crate::{BaselineConfig, EarlyClassifier};
-use kvec::eval::{report_from_outcomes, EvalReport, KeyOutcome};
+use kvec::eval::EvalReport;
 use kvec_data::TangledSequence;
 use kvec_nn::loss::cross_entropy_logits;
 use kvec_nn::{clip_global_norm, Adam, Linear, Optimizer, ParamId, ParamStore, Session};
-use kvec_tensor::{KvecRng, Tensor};
+use kvec_tensor::KvecRng;
 
 /// The SRN-Fixed baseline.
 pub struct SrnFixed {
@@ -75,34 +75,16 @@ impl EarlyClassifier for SrnFixed {
     }
 
     fn train_epoch(&mut self, scenarios: &[TangledSequence], rng: &mut KvecRng) -> f32 {
-        let seqs = sequences_of(scenarios);
-        let mut total = 0.0;
-        for seq in &seqs {
-            total += self.train_sequence(seq, rng);
-        }
-        total / seqs.len().max(1) as f32
+        train_sequences(scenarios, |seq| self.train_sequence(seq, rng))
     }
 
     fn evaluate(&self, scenarios: &[TangledSequence]) -> EvalReport {
-        let mut outcomes = Vec::new();
-        for seq in sequences_of(scenarios) {
+        evaluate_sequences(scenarios, self.cfg.num_classes, |seq| {
             let n = self.halt_step(seq.len());
-            let state: Tensor = self
-                .encoder
-                .encode_last_tensor(&self.store, &seq.values[..n]);
-            let pred = self.classifier.apply(&self.store, &state).argmax_row(0);
-            outcomes.push(KeyOutcome {
-                key: seq.key,
-                label: seq.label,
-                pred,
-                n_k: n,
-                seq_len: seq.len(),
-                halt_global_pos: n - 1,
-                internal_attention: 1.0,
-                external_attention: 0.0,
-            });
-        }
-        report_from_outcomes(outcomes, self.cfg.num_classes)
+            let e = self.encoder.encode_tensor(&self.store, &seq.values[..n]);
+            let logits = self.classifier.apply(&self.store, &e.row_tensor(n - 1));
+            (n, logits.argmax_row(0))
+        })
     }
 }
 

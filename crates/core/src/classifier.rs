@@ -1,7 +1,6 @@
 //! The classification network (paper Section IV-D): one fully-connected
 //! layer followed by softmax over the `C` classes.
 
-use crate::KvecConfig;
 use kvec_autograd::Var;
 use kvec_nn::{Linear, ParamId, ParamStore, Session};
 use kvec_tensor::{KvecRng, Tensor};
@@ -10,15 +9,20 @@ use kvec_tensor::{KvecRng, Tensor};
 #[derive(Clone)]
 pub struct Classifier {
     head: Linear,
-    num_classes: usize,
 }
 
 impl Classifier {
-    /// Creates the classifier.
-    pub fn new(store: &mut ParamStore, cfg: &KvecConfig, rng: &mut KvecRng) -> Self {
+    /// Creates the classifier over `d_model`-wide states, its head's
+    /// parameters named `name`.
+    pub fn new(
+        store: &mut ParamStore,
+        name: &str,
+        d_model: usize,
+        num_classes: usize,
+        rng: &mut KvecRng,
+    ) -> Self {
         Self {
-            head: Linear::new(store, "classifier", cfg.d_model, cfg.num_classes, rng),
-            num_classes: cfg.num_classes,
+            head: Linear::new(store, name, d_model, num_classes, rng),
         }
     }
 
@@ -35,11 +39,6 @@ impl Classifier {
         (probs.argmax_row(0), probs)
     }
 
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
     /// Parameter ids of the head.
     pub fn param_ids(&self) -> Vec<ParamId> {
         self.head.param_ids()
@@ -49,45 +48,48 @@ impl Classifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvec_data::ValueSchema;
 
-    fn make() -> (Classifier, ParamStore, KvecConfig) {
-        let schema = ValueSchema::new(vec!["a".into()], vec![4], 0);
-        let cfg = KvecConfig::tiny(&schema, 3);
+    const D: usize = 16;
+
+    fn make() -> (Classifier, ParamStore) {
         let mut store = ParamStore::new();
         let mut rng = KvecRng::seed_from_u64(1);
-        let clf = Classifier::new(&mut store, &cfg, &mut rng);
-        (clf, store, cfg)
+        let clf = Classifier::new(&mut store, "classifier", D, 3, &mut rng);
+        (clf, store)
     }
 
     #[test]
     fn logits_shape() {
-        let (clf, store, cfg) = make();
+        let (clf, store) = make();
         let sess = Session::new();
-        let s = sess.input(Tensor::ones(1, cfg.d_model));
+        let s = sess.input(Tensor::ones(1, D));
         assert_eq!(clf.logits(&sess, &store, s).shape(), (1, 3));
     }
 
     #[test]
     fn predict_probabilities_sum_to_one() {
-        let (clf, store, cfg) = make();
+        let (clf, store) = make();
         let mut rng = KvecRng::seed_from_u64(2);
-        let s = Tensor::rand_uniform(1, cfg.d_model, -1.0, 1.0, &mut rng);
+        let s = Tensor::rand_uniform(1, D, -1.0, 1.0, &mut rng);
         let (pred, probs) = clf.predict(&store, &s);
         assert!(pred < 3);
         assert!((probs.sum() - 1.0).abs() < 1e-5);
         assert_eq!(probs.argmax_row(0), pred);
     }
 
+    /// The taped logits' softmax is `predict`'s probabilities, bit for
+    /// bit: training and evaluation classify the same state alike.
     #[test]
     fn tape_and_tensor_paths_agree() {
-        let (clf, store, cfg) = make();
+        let (clf, store) = make();
         let mut rng = KvecRng::seed_from_u64(3);
-        let s = Tensor::rand_uniform(1, cfg.d_model, -1.0, 1.0, &mut rng);
+        let s = Tensor::rand_uniform(1, D, -1.0, 1.0, &mut rng);
         let sess = Session::new();
         let sv = sess.input(s.clone());
-        let tape_logits = clf.logits(&sess, &store, sv).value();
-        let (_, probs) = clf.predict(&store, &s);
-        assert!(tape_logits.softmax_rows().allclose(&probs, 1e-6));
+        let tape_probs = clf.logits(&sess, &store, sv).value().softmax_rows();
+        let (pred, probs) = clf.predict(&store, &s);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tape_probs), bits(&probs));
+        assert_eq!(tape_probs.argmax_row(0), pred);
     }
 }

@@ -42,8 +42,9 @@ impl KvecModel {
         cfg.validate();
         let mut store = ParamStore::new();
         let encoder = KvrlEncoder::new(&mut store, cfg, rng);
-        let ectl = Ectl::new(&mut store, cfg, rng);
-        let classifier = Classifier::new(&mut store, cfg, rng);
+        let ectl = Ectl::new(&mut store, "ectl", cfg.d_model, cfg.baseline_hidden, rng);
+        let classifier =
+            Classifier::new(&mut store, "classifier", cfg.d_model, cfg.num_classes, rng);
         Self {
             cfg: cfg.clone(),
             store,

@@ -46,7 +46,7 @@
 //! interrupted (enforced by `tests/fault_tolerance.rs`).
 
 use crate::checkpoint::{self, TrainerState};
-use crate::ectl::{Action, Ectl};
+use crate::ectl::{accumulate, HaltLosses};
 use crate::faults::FaultInjector;
 use crate::model::KvecModel;
 use crate::KvecConfig;
@@ -54,10 +54,10 @@ use kvec_autograd::Var;
 use kvec_data::{Key, TangledSequence};
 use kvec_json::Json;
 use kvec_nn::checkpoint::{read_verified, write_atomic, CheckpointError};
-use kvec_nn::loss::{cross_entropy_logits, log_one_minus_sigmoid, log_sigmoid, squared_error};
+use kvec_nn::loss::cross_entropy_logits;
 use kvec_nn::{clip_global_norm, Adam, AdamState, LstmState, Optimizer, ParamId, Session};
 use kvec_obs::{self as obs, LazyHistogram, Level};
-use kvec_tensor::{sigmoid_scalar, KvecRng, Tensor};
+use kvec_tensor::{KvecRng, Tensor};
 use std::fmt;
 use std::path::Path;
 
@@ -439,12 +439,11 @@ impl Trainer {
         let _span = obs::span_at(Level::Debug, "train.scenario");
         let sess = Session::new();
         let fwd = model.encode_stream(&sess, scenario, Some(rng));
+        let (store, ectl) = (&model.store, &model.ectl);
         let label_map = scenario.label_map();
 
         let mut l1: Option<Var<'_>> = None;
-        let mut l2: Option<Var<'_>> = None;
-        let mut l3: Option<Var<'_>> = None;
-        let mut lb: Option<Var<'_>> = None;
+        let mut halting = HaltLosses::default();
         let mut correct = 0usize;
         let mut halt_fraction_sum = 0.0f32;
         let subsequences = scenario.key_subsequences();
@@ -471,33 +470,18 @@ impl Trainer {
                     .with_value(fused.steps[i], |h| h.row_tensor(fused.slot[k]));
                 sess.input(row)
             };
-            // --- generate the episode ---
             // During warmup the halting position is drawn uniformly (the
             // policy is neither consulted nor trained) so the classifier
             // and the baseline learn at every prefix length first.
-            let forced_n = warmup.then(|| rng.range(1, item_rows.len() + 1));
-            let mut logits_z = Vec::new();
-            let mut n_k = forced_n.unwrap_or(item_rows.len());
-            let mut halted_by_policy = false;
-            if !warmup {
-                for i in 0..item_rows.len() {
-                    let z = model.ectl.policy_logit(&sess, &model.store, detached_at(i));
-                    logits_z.push(z);
-                    let p_halt = sigmoid_scalar(z.value().item());
-                    if Ectl::sample_action(p_halt, rng) == Action::Halt {
-                        n_k = i + 1;
-                        halted_by_policy = true;
-                        break;
-                    }
-                }
-            }
-            halt_fraction_sum += n_k as f32 / item_rows.len() as f32;
+            let len = item_rows.len();
+            let forced_n = warmup.then(|| rng.range(1, len + 1));
+            let episode = ectl.sample_halt(&sess, store, len, forced_n, detached_at, rng);
+            let n_k = episode.n_k;
+            halt_fraction_sum += n_k as f32 / len as f32;
             HALT_STEP_HIST.record(n_k as f64);
 
             // --- classify at the halting position ---
-            let class_logits = model
-                .classifier
-                .logits(&sess, &model.store, state_at(n_k - 1));
+            let class_logits = model.classifier.logits(&sess, store, state_at(n_k - 1));
             let pred = class_logits.value().argmax_row(0);
             let reward = if pred == label {
                 correct += 1;
@@ -513,50 +497,16 @@ impl Trainer {
             // anywhere in the sequence.
             let ce = cross_entropy_logits(class_logits, label);
             l1 = Some(accumulate(l1, ce.scale(0.5)));
-            let extra = rng.below(item_rows.len());
-            let extra_logits = model
-                .classifier
-                .logits(&sess, &model.store, state_at(extra));
+            let extra = rng.below(len);
+            let extra_logits = model.classifier.logits(&sess, store, state_at(extra));
             let extra_ce = cross_entropy_logits(extra_logits, label);
             l1 = Some(accumulate(l1, extra_ce.scale(0.5)));
-
-            for i in 1..=n_k {
-                let ret = (n_k - i) as f32 * reward;
-                let b_var = model.ectl.baseline(&sess, &model.store, detached_at(i - 1));
-                if warmup {
-                    // Keep the baseline calibrated; no policy losses yet.
-                    lb = Some(accumulate(lb, squared_error(b_var, ret)));
-                    continue;
-                }
-                let z = logits_z[i - 1];
-                let advantage = ret - b_var.value().item();
-                // The surrogate covers *sampled* actions only: Wait for
-                // i < n_k, Halt at i == n_k when the policy chose it. A
-                // halt forced by the end of the sequence was never sampled,
-                // so it contributes no policy-gradient term.
-                let log_p = if i == n_k {
-                    if halted_by_policy {
-                        Some(log_sigmoid(z))
-                    } else {
-                        None
-                    }
-                } else {
-                    Some(log_one_minus_sigmoid(z))
-                };
-                if let Some(log_p) = log_p {
-                    l2 = Some(accumulate(l2, log_p.scale(-advantage)));
-                }
-                l3 = Some(accumulate(l3, log_sigmoid(z).neg()));
-                lb = Some(accumulate(lb, squared_error(b_var, ret)));
-            }
+            ectl.add_halt_losses(&sess, store, &episode, reward, detached_at, &mut halting);
         }
 
         let inv_k = 1.0 / num_keys as f32;
-        let zero = || sess.scalar(0.0);
         let l1 = l1.expect("at least one key").scale(inv_k);
-        let l2 = l2.unwrap_or_else(zero).scale(inv_k);
-        let l3 = l3.unwrap_or_else(zero).scale(inv_k);
-        let lb = lb.unwrap_or_else(zero).scale(inv_k);
+        let [l2, l3, lb] = halting.totals(&sess).map(|l| l.scale(inv_k));
         let stats = StepStats {
             loss_ce: l1.value().item(),
             loss_policy: l2.value().item(),
@@ -913,13 +863,6 @@ fn fuse_keys<'s>(
         steps.push(state.h);
     }
     FusedKeys { steps, slot }
-}
-
-fn accumulate<'s>(acc: Option<Var<'s>>, term: Var<'s>) -> Var<'s> {
-    match acc {
-        Some(a) => a.add(term),
-        None => term,
-    }
 }
 
 #[cfg(test)]
