@@ -17,9 +17,9 @@
 //!
 //! All baselines share the [`EarlyClassifier`] trait so the experiment
 //! harness can sweep their earliness knobs uniformly, and they report
-//! through the same [`kvec::eval::EvalReport`] as KVEC. Each trains and
-//! decides one untangled sequence at a time through the same drivers
-//! ([`sequences_of`]).
+//! through the same [`kvec::eval::EvalReport`] as KVEC. Each untangles
+//! the scenarios into independent sequences ([`sequences_of`]) and trains
+//! and decides them one at a time through the same two drivers.
 //!
 //! The two RL baselines have no halting code of their own: they build
 //! KVEC's [`kvec::ectl::Ectl`] and [`kvec::classifier::Classifier`] over

@@ -19,6 +19,9 @@
 //!    and one reverse sweep feeds two Adam optimizers (model vs baseline,
 //!    their own learning rates, Algorithm 1 lines 18-19).
 //!
+//! Step 2's episode and step 4's halting losses are `crate::ectl`'s
+//! `Ectl::{sample_halt, add_halt_losses}`, shared with the RL baselines.
+//!
 //! Deviation noted for reviewers: losses are averaged over the keys of a
 //! scenario (the paper sums) so the learning rate is insensitive to the
 //! number of concurrent sequences `K`.
