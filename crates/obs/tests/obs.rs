@@ -316,6 +316,102 @@ fn windowed_histogram_percentiles_match_a_sorted_vec_oracle() {
 }
 
 #[test]
+fn one_window_reads_bit_equal_to_the_whole_run_histogram() {
+    let _g = lock();
+    memory_subscriber(Level::Info);
+    let whole = obs::metrics::histogram("t.pin.whole");
+    let windowed = obs::window::windowed_histogram("t.pin.windowed", 1000);
+
+    // Every bucket class: NaN (ignored), zero and negatives (underflow
+    // bucket), magnitudes below 2^-30 (underflow) and above 2^34
+    // (overflow), and a seeded log-uniform body across the whole range.
+    let mut sample = vec![
+        f64::NAN,
+        0.0,
+        -3.5,
+        -1e-40,
+        2f64.powi(-31),
+        1e-12,
+        2f64.powi(35),
+        1e12,
+    ];
+    let mut x = 0x243f6a8885a308d3u64;
+    for i in 0..4000 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+        let v = (u * 80.0 - 40.0).exp2(); // 2^-40 .. 2^40
+        sample.push(match i % 97 {
+            0 => f64::NAN,
+            1 => 0.0,
+            2 => -v,
+            _ => v,
+        });
+    }
+    for &v in &sample {
+        whole.record(v);
+        windowed.record(v);
+    }
+
+    let w = windowed.current_window();
+    let (n, p) = windowed.merged_percentiles(&[w]);
+    let full = whole.percentiles();
+    assert_eq!(n, whole.count());
+    for (got, want) in [(p.p50, full.p50), (p.p95, full.p95), (p.p99, full.p99)] {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "window {got} vs whole run {want}"
+        );
+    }
+
+    // The whole-run view against the estimator written out over the
+    // sorted sample: exact extremes, else the geometric midpoint of the
+    // order statistic's bucket clamped to [min, max].
+    let mut sorted: Vec<f64> = sample.iter().copied().filter(|v| !v.is_nan()).collect();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    let (min, max) = (sorted[0], *sorted.last().unwrap());
+    assert_eq!(whole.count(), sorted.len() as u64);
+    assert_eq!(whole.min().to_bits(), min.to_bits());
+    assert_eq!(whole.max().to_bits(), max.to_bits());
+    let sub = obs::metrics::SUB_BUCKETS as f64;
+    let range = 64 * obs::metrics::SUB_BUCKETS; // octaves 2^-30 .. 2^34
+    let bucket = |v: f64| {
+        let pos = (v.log2() + 30.0) * sub;
+        if v <= 0.0 || pos < 0.0 {
+            0
+        } else if pos >= range as f64 {
+            range + 1
+        } else {
+            pos as usize + 1
+        }
+    };
+    let n = sorted.len();
+    for q in [
+        0.0, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0,
+    ] {
+        let rank = (q * (n - 1) as f64).floor() as usize;
+        let want = if rank == 0 {
+            min
+        } else if rank == n - 1 {
+            max
+        } else {
+            match bucket(sorted[rank]) {
+                0 => min,
+                i if i == range + 1 => max,
+                i => (-30.0 + (i - 1) as f64 / sub + 0.5 / sub)
+                    .exp2()
+                    .clamp(min, max),
+            }
+        };
+        let got = whole.quantile(q);
+        assert_eq!(got.to_bits(), want.to_bits(), "q={q}: {got} vs {want}");
+    }
+    disable();
+}
+
+#[test]
 fn windowed_counter_rotation_boundaries() {
     let _g = lock();
     memory_subscriber(Level::Info);
