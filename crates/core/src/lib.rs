@@ -57,7 +57,6 @@ pub mod eval;
 pub mod faults;
 pub mod kvrl;
 pub mod mask;
-pub mod metrics;
 pub mod model;
 pub mod streaming;
 pub mod train;

@@ -26,7 +26,8 @@ fn finite(v: f64) -> Json {
 /// A point-in-time summary of every registered metric:
 /// `{"counters": {..}, "gauges": {..}, "histograms": {..}}`, each keyed
 /// by metric name in sorted order. Histogram entries carry exact
-/// count/sum/mean/min/max plus estimated p50/p90/p95/p99.
+/// count/sum/mean/min/max plus estimated p50/p90/p95/p99. Windowed
+/// instruments report their whole-run view here.
 pub fn metrics_summary() -> Json {
     let (counters, gauges, hists) = metrics::snapshot();
     let counters = Json::Obj(

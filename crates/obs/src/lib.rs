@@ -14,7 +14,10 @@
 //! - **Metrics** — lock-free [`metrics::Counter`]s, [`metrics::Gauge`]s
 //!   and log-bucketed [`metrics::Histogram`]s built on relaxed atomics, so
 //!   concurrent recorders (the `kvec-serve` shard workers) never contend
-//!   on a lock.
+//!   on a lock. One instrument per quantity: a counter or histogram
+//!   declared with a window width ([`Lazy::windowed`]) keeps its
+//!   whole-run total plus the last few [`window`]s of a logical tick
+//!   clock, through the same bucket body and quantile estimator.
 //!
 //! ## Environment control
 //!
@@ -48,13 +51,12 @@ pub mod window;
 
 mod sink;
 
-pub use metrics::{Counter, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, Percentiles};
+pub use metrics::{
+    Counter, Gauge, Histogram, Lazy, LazyCounter, LazyGauge, LazyHistogram, Percentiles,
+};
 pub use span::{span, span_at, Span};
 pub use trace_ctx::{FlowCtx, FlowStamps};
-pub use window::{
-    LazyWindowedCounter, LazyWindowedHistogram, SloBurn, SloInput, SloSpec, WindowedCounter,
-    WindowedHistogram,
-};
+pub use window::{SloBurn, SloInput, SloSpec};
 
 use kvec_json::Json;
 use sink::Sink;
@@ -298,13 +300,13 @@ pub fn finish() {
 /// Resets the subscriber's accumulated state for a fresh in-process run:
 /// zeroes and *retires* every registered metric (see
 /// [`metrics::clear_registrations`] — a later run's summary no longer
-/// carries an earlier run's instruments), clears the windowed metrics
-/// and their tick clock, clears retained spans, gauge samples, and
+/// carries an earlier run's instruments) with their windows, rewinds the
+/// window tick clock, clears retained spans, gauge samples, and
 /// memory-sink lines, and re-arms [`finish`]. For tests and repeated
 /// in-process runs.
 pub fn reset() {
     metrics::clear_registrations();
-    window::reset_all();
+    window::rewind();
     span::reset_retained();
     FINISHED.store(false, Ordering::SeqCst);
     let _ = take_lines();

@@ -4,15 +4,22 @@
 //! `kvec-serve` shard workers, say) never takes a lock and never blocks
 //! another recorder. The only mutex in this module
 //! guards *registration* — a once-per-callsite cold path that
-//! [`LazyCounter`]-style handles cache through a `OnceLock`.
+//! [`Lazy`] handles cache through a `OnceLock`.
 //!
 //! Histograms bucket positive values on a base-2 log scale with
 //! [`SUB_BUCKETS`] sub-buckets per octave, so a quantile estimate is off
 //! by at most a factor of `2^(1/SUB_BUCKETS)` (~9%) from the exact order
 //! statistic — tight enough for latency tuning, cheap enough for hot
 //! paths. Exact `min`/`max`/`sum`/`count` are kept alongside.
+//!
+//! Each quantity is one instrument. A counter or histogram declared with
+//! a window width ([`Lazy::windowed`]) also keeps the last
+//! [`crate::window::SLOTS`] tick windows of the same quantity; the
+//! whole-run view and every window share one bucket body and one
+//! quantile estimator.
 
 use crate::span;
+use crate::window::{Ring, SlotBody};
 use crate::Level;
 use kvec_json::Json;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -33,11 +40,6 @@ const RANGE: usize = ((MAX_EXP - MIN_EXP) as usize) * SUB_BUCKETS;
 /// Bucket count: underflow + log range + overflow.
 const NUM_BUCKETS: usize = RANGE + 2;
 
-// The windowed types in `crate::window` reuse the bucket scheme so their
-// quantiles carry the same error bound as the cumulative histogram.
-pub(crate) const HIST_BUCKETS: usize = NUM_BUCKETS;
-pub(crate) const HIST_RANGE: usize = RANGE;
-
 /// Process-wide metric generation: bumped by [`clear_registrations`], so
 /// the exported [`snapshot`] only carries metrics touched since the last
 /// clear. Registered `&'static` handles stay valid forever (they are
@@ -49,7 +51,7 @@ fn current_gen() -> u64 {
     GENERATION.load(Relaxed)
 }
 
-pub(crate) fn atomic_f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
+fn atomic_f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
     let mut cur = cell.load(Relaxed);
     loop {
         let next = f(f64::from_bits(cur)).to_bits();
@@ -63,20 +65,34 @@ pub(crate) fn atomic_f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
     }
 }
 
-/// A monotonically increasing `u64` (calls, items, FLOPs, nanoseconds).
+/// A monotonically increasing `u64` (calls, items, FLOPs, nanoseconds),
+/// optionally also bucketed into tick windows.
 #[derive(Debug)]
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
     gen: AtomicU64,
+    windows: Ring<AtomicU64>,
 }
 
 impl Counter {
-    /// Adds `n`.
+    fn new(name: &'static str, width: u64) -> Counter {
+        Counter {
+            name,
+            value: AtomicU64::new(0),
+            gen: AtomicU64::new(current_gen()),
+            windows: Ring::new(width, || AtomicU64::new(0)),
+        }
+    }
+
+    /// Adds `n` to the total and to the current window.
     #[inline]
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Relaxed);
         self.gen.store(current_gen(), Relaxed);
+        if let Some(slot) = self.windows.claim() {
+            slot.fetch_add(n, Relaxed);
+        }
     }
 
     /// Current total.
@@ -89,8 +105,19 @@ impl Counter {
         self.name
     }
 
+    /// The window id the clock is currently in (0 without windows).
+    pub fn current_window(&self) -> u64 {
+        self.windows.current()
+    }
+
+    /// Total recorded in window `wid` (0 if empty, recycled or unwindowed).
+    pub fn window_total(&self, wid: u64) -> u64 {
+        self.windows.get(wid).map_or(0, |v| v.load(Relaxed))
+    }
+
     fn reset(&self) {
         self.value.store(0, Relaxed);
+        self.windows.reset();
     }
 }
 
@@ -107,6 +134,16 @@ pub struct Gauge {
 }
 
 impl Gauge {
+    fn new(name: &'static str) -> Gauge {
+        Gauge {
+            name,
+            bits: AtomicU64::new(f64::NAN.to_bits()),
+            high_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            set_count: AtomicU64::new(0),
+            gen: AtomicU64::new(current_gen()),
+        }
+    }
+
     /// Sets the gauge, updates the high-water mark, and (at `debug` level)
     /// emits a JSONL `gauge` record plus a retained chrome-trace counter
     /// sample.
@@ -155,28 +192,7 @@ impl Gauge {
     }
 }
 
-/// A lock-free histogram over positive `f64` values (log-scale buckets)
-/// with exact count/sum/min/max.
-pub struct Histogram {
-    name: &'static str,
-    buckets: Box<[AtomicU64; NUM_BUCKETS]>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-    gen: AtomicU64,
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("name", &self.name)
-            .field("count", &self.count())
-            .finish_non_exhaustive()
-    }
-}
-
-pub(crate) fn bucket_index(v: f64) -> usize {
+fn bucket_index(v: f64) -> usize {
     if v.is_nan() || v <= 0.0 {
         // Non-positive and NaN values share the underflow bucket; the
         // quantile resolves them through the exact minimum.
@@ -193,47 +209,142 @@ pub(crate) fn bucket_index(v: f64) -> usize {
 }
 
 /// Geometric midpoint of bucket `i`'s bounds (`1 <= i <= RANGE`).
-pub(crate) fn bucket_mid(i: usize) -> f64 {
+fn bucket_mid(i: usize) -> f64 {
     let lo = MIN_EXP as f64 + (i - 1) as f64 / SUB_BUCKETS as f64;
     (lo + 0.5 / SUB_BUCKETS as f64).exp2()
 }
 
-impl Histogram {
-    fn new(name: &'static str) -> Histogram {
-        let h = Histogram {
-            name,
-            // `AtomicU64` is not Copy; build through a zeroed Vec.
-            buckets: (0..NUM_BUCKETS)
-                .map(|_| AtomicU64::new(0))
-                .collect::<Vec<_>>()
-                .try_into()
-                .expect("bucket count is fixed"),
+/// The `q`-quantile (`0 <= q <= 1`) of `count` observations with bucket
+/// counts `buckets` and exact extremes `min`/`max`: the geometric midpoint
+/// of the bucket holding the order statistic at rank
+/// `floor(q * (count - 1))`, clamped to `[min, max]`. The extreme ranks
+/// are tracked exactly and skip bucket estimation. NaN when empty.
+fn quantile(buckets: impl IntoIterator<Item = u64>, count: u64, min: f64, max: f64, q: f64) -> f64 {
+    if count == 0 {
+        return f64::NAN;
+    }
+    let rank = (q.clamp(0.0, 1.0) * (count - 1) as f64).floor() as u64;
+    if rank == 0 {
+        return min;
+    }
+    if rank == count - 1 {
+        return max;
+    }
+    let mut cum = 0u64;
+    for (i, c) in buckets.into_iter().enumerate() {
+        cum += c;
+        if cum > rank {
+            let raw = match i {
+                0 => min,
+                i if i == RANGE + 1 => max,
+                i => bucket_mid(i),
+            };
+            return raw.clamp(min, max);
+        }
+    }
+    max
+}
+
+/// Bucket counts with exact count, min and max: the body of a histogram's
+/// whole-run view and of each of its window slots.
+struct Buckets {
+    counts: Box<[AtomicU64]>,
+    count: AtomicU64,
+    min_bits: AtomicU64,
+    max_bits: AtomicU64,
+}
+
+impl Buckets {
+    fn new() -> Buckets {
+        let b = Buckets {
+            counts: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            gen: AtomicU64::new(current_gen()),
+            min_bits: AtomicU64::new(0),
+            max_bits: AtomicU64::new(0),
         };
-        h.reset();
-        h
+        b.clear();
+        b
     }
 
-    /// Records one observation. NaN is ignored.
+    fn record(&self, v: f64) {
+        self.counts[bucket_index(v)].fetch_add(1, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+        atomic_f64_update(&self.min_bits, |m| m.min(v));
+        atomic_f64_update(&self.max_bits, |m| m.max(v));
+    }
+
+    fn count(&self) -> u64 {
+        self.count.load(Relaxed)
+    }
+
+    fn min(&self) -> f64 {
+        f64::from_bits(self.min_bits.load(Relaxed))
+    }
+
+    fn max(&self) -> f64 {
+        f64::from_bits(self.max_bits.load(Relaxed))
+    }
+}
+
+impl SlotBody for Buckets {
+    fn clear(&self) {
+        for c in self.counts.iter() {
+            c.store(0, Relaxed);
+        }
+        self.count.store(0, Relaxed);
+        self.min_bits.store(f64::INFINITY.to_bits(), Relaxed);
+        self.max_bits.store(f64::NEG_INFINITY.to_bits(), Relaxed);
+    }
+}
+
+/// A lock-free histogram over positive `f64` values (log-scale buckets)
+/// with exact count/sum/min/max, optionally also bucketed into tick
+/// windows.
+pub struct Histogram {
+    name: &'static str,
+    total: Buckets,
+    sum_bits: AtomicU64,
+    gen: AtomicU64,
+    windows: Ring<Buckets>,
+}
+
+impl std::fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Histogram")
+            .field("name", &self.name)
+            .field("count", &self.count())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Histogram {
+    fn new(name: &'static str, width: u64) -> Histogram {
+        Histogram {
+            name,
+            total: Buckets::new(),
+            sum_bits: AtomicU64::new(0f64.to_bits()),
+            gen: AtomicU64::new(current_gen()),
+            windows: Ring::new(width, Buckets::new),
+        }
+    }
+
+    /// Records one observation into the whole run and the current window.
+    /// NaN is ignored.
     pub fn record(&self, v: f64) {
         if v.is_nan() {
             return;
         }
         self.gen.store(current_gen(), Relaxed);
-        self.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
+        self.total.record(v);
         atomic_f64_update(&self.sum_bits, |s| s + v);
-        atomic_f64_update(&self.min_bits, |m| m.min(v));
-        atomic_f64_update(&self.max_bits, |m| m.max(v));
+        if let Some(slot) = self.windows.claim() {
+            slot.record(v);
+        }
     }
 
     /// Observations so far.
     pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
+        self.total.count()
     }
 
     /// Exact sum of observations.
@@ -253,49 +364,23 @@ impl Histogram {
 
     /// Exact minimum (+inf when empty).
     pub fn min(&self) -> f64 {
-        f64::from_bits(self.min_bits.load(Relaxed))
+        self.total.min()
     }
 
     /// Exact maximum (-inf when empty).
     pub fn max(&self) -> f64 {
-        f64::from_bits(self.max_bits.load(Relaxed))
+        self.total.max()
     }
 
-    /// Estimates the `q`-quantile (`0 <= q <= 1`) as the geometric
-    /// midpoint of the bucket holding the order statistic at rank
-    /// `floor(q * (count - 1))`, clamped to the exact observed range.
+    /// Estimates the `q`-quantile (`0 <= q <= 1`) of the whole run as the
+    /// geometric midpoint of the bucket holding the order statistic at
+    /// rank `floor(q * (count - 1))`, clamped to the exact observed range.
     /// Relative error is bounded by one bucket width (`2^(1/SUB_BUCKETS)`).
     /// NaN when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return f64::NAN;
-        }
-        let rank = (q.clamp(0.0, 1.0) * (n - 1) as f64).floor() as u64;
-        // The extreme ranks are tracked exactly; skip bucket estimation.
-        if rank == 0 {
-            return self.min();
-        }
-        if rank == n - 1 {
-            return self.max();
-        }
-        let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Relaxed);
-            if c == 0 {
-                continue;
-            }
-            cum += c;
-            if cum > rank {
-                let raw = match i {
-                    0 => self.min(),
-                    i if i == RANGE + 1 => self.max(),
-                    i => bucket_mid(i),
-                };
-                return raw.clamp(self.min(), self.max());
-            }
-        }
-        self.max()
+        let t = &self.total;
+        let counts = t.counts.iter().map(|c| c.load(Relaxed));
+        quantile(counts, t.count(), t.min(), t.max(), q)
     }
 
     /// The p50/p95/p99 triple every latency report wants, in one
@@ -304,11 +389,7 @@ impl Histogram {
     /// file. Each value carries [`quantile`](Histogram::quantile)'s
     /// one-bucket-width error bound; all NaN when empty.
     pub fn percentiles(&self) -> Percentiles {
-        Percentiles {
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-        }
+        Percentiles::of(|q| self.quantile(q))
     }
 
     /// The registered name.
@@ -316,14 +397,33 @@ impl Histogram {
         self.name
     }
 
-    fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Relaxed);
+    /// The window id the clock is currently in (0 without windows).
+    pub fn current_window(&self) -> u64 {
+        self.windows.current()
+    }
+
+    /// Count and p50/p95/p99 over the windows `wids`, merged (empty,
+    /// recycled and unwindowed reads contribute nothing). All-NaN
+    /// percentiles when those windows are empty.
+    pub fn merged_percentiles(&self, wids: &[u64]) -> (u64, Percentiles) {
+        let mut counts = vec![0u64; NUM_BUCKETS];
+        let (mut count, mut min, mut max) = (0u64, f64::INFINITY, f64::NEG_INFINITY);
+        for b in wids.iter().filter_map(|&w| self.windows.get(w)) {
+            for (acc, c) in counts.iter_mut().zip(b.counts.iter()) {
+                *acc += c.load(Relaxed);
+            }
+            count += b.count();
+            min = min.min(b.min());
+            max = max.max(b.max());
         }
-        self.count.store(0, Relaxed);
+        let p = Percentiles::of(|q| quantile(counts.iter().copied(), count, min, max, q));
+        (count, p)
+    }
+
+    fn reset(&self) {
+        self.total.clear();
         self.sum_bits.store(0f64.to_bits(), Relaxed);
-        self.min_bits.store(f64::INFINITY.to_bits(), Relaxed);
-        self.max_bits.store(f64::NEG_INFINITY.to_bits(), Relaxed);
+        self.windows.reset();
     }
 }
 
@@ -339,14 +439,78 @@ pub struct Percentiles {
     pub p99: f64,
 }
 
+impl Percentiles {
+    fn of(quantile: impl Fn(f64) -> f64) -> Percentiles {
+        Percentiles {
+            p50: quantile(0.50),
+            p95: quantile(0.95),
+            p99: quantile(0.99),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
-enum Metric {
+pub(crate) enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
     Histogram(&'static Histogram),
+}
+
+impl Metric {
+    fn width(&self) -> u64 {
+        match self {
+            Metric::Counter(c) => c.windows.width(),
+            Metric::Gauge(_) => 0,
+            Metric::Histogram(h) => h.windows.width(),
+        }
+    }
+}
+
+/// A registrable instrument type: how to leak a new one into a registry
+/// entry, and how to find one in an entry.
+pub(crate) trait Instrument: Sized + 'static {
+    fn create(name: &'static str, width: u64) -> Metric;
+    fn of(m: &Metric) -> Option<&'static Self>;
+}
+
+impl Instrument for Counter {
+    fn create(name: &'static str, width: u64) -> Metric {
+        Metric::Counter(Box::leak(Box::new(Counter::new(name, width))))
+    }
+    fn of(m: &Metric) -> Option<&'static Self> {
+        match m {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        }
+    }
+}
+
+impl Instrument for Gauge {
+    fn create(name: &'static str, width: u64) -> Metric {
+        assert_eq!(width, 0, "gauges keep no windows");
+        Metric::Gauge(Box::leak(Box::new(Gauge::new(name))))
+    }
+    fn of(m: &Metric) -> Option<&'static Self> {
+        match m {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        }
+    }
+}
+
+impl Instrument for Histogram {
+    fn create(name: &'static str, width: u64) -> Metric {
+        Metric::Histogram(Box::leak(Box::new(Histogram::new(name, width))))
+    }
+    fn of(m: &Metric) -> Option<&'static Self> {
+        match m {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        }
+    }
 }
 
 fn registry() -> &'static Mutex<Vec<(&'static str, Metric)>> {
@@ -361,69 +525,45 @@ fn lock_registry() -> std::sync::MutexGuard<'static, Vec<(&'static str, Metric)>
     registry().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Finds or creates the counter `name`. Panics if the name is already
-/// registered as a different metric type.
-pub fn counter(name: &'static str) -> &'static Counter {
+/// Finds or creates the instrument `name`. With `Some(width)` an existing
+/// registration must have that window width; with `None` any width is
+/// found and a new instrument keeps the whole run only. Panics if the
+/// name is registered as another type or with another width.
+pub(crate) fn register<M: Instrument>(name: &'static str, width: Option<u64>) -> &'static M {
     let mut reg = lock_registry();
-    for (n, m) in reg.iter() {
-        if *n == name {
-            match m {
-                Metric::Counter(c) => return c,
-                _ => panic!("metric `{name}` already registered with a different type"),
-            }
+    let found = match reg.iter().position(|(n, _)| *n == name) {
+        Some(i) => &reg[i].1,
+        None => {
+            reg.push((name, M::create(name, width.unwrap_or(0))));
+            &reg[reg.len() - 1].1
         }
+    };
+    match M::of(found) {
+        Some(m) if width.is_none_or(|w| w == found.width()) => m,
+        _ => panic!("metric `{name}` already registered with a different type or width"),
     }
-    let c: &'static Counter = Box::leak(Box::new(Counter {
-        name,
-        value: AtomicU64::new(0),
-        gen: AtomicU64::new(current_gen()),
-    }));
-    reg.push((name, Metric::Counter(c)));
-    c
+}
+
+/// Finds or creates the counter `name`, whatever its window width.
+/// Panics if the name is already registered as a different metric type.
+pub fn counter(name: &'static str) -> &'static Counter {
+    register(name, None)
 }
 
 /// Finds or creates the gauge `name` (see [`counter`] for the contract).
 pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut reg = lock_registry();
-    for (n, m) in reg.iter() {
-        if *n == name {
-            match m {
-                Metric::Gauge(g) => return g,
-                _ => panic!("metric `{name}` already registered with a different type"),
-            }
-        }
-    }
-    let g: &'static Gauge = Box::leak(Box::new(Gauge {
-        name,
-        bits: AtomicU64::new(f64::NAN.to_bits()),
-        high_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        set_count: AtomicU64::new(0),
-        gen: AtomicU64::new(current_gen()),
-    }));
-    reg.push((name, Metric::Gauge(g)));
-    g
+    register(name, None)
 }
 
 /// Finds or creates the histogram `name` (see [`counter`] for the
 /// contract).
 pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut reg = lock_registry();
-    for (n, m) in reg.iter() {
-        if *n == name {
-            match m {
-                Metric::Histogram(h) => return h,
-                _ => panic!("metric `{name}` already registered with a different type"),
-            }
-        }
-    }
-    let h: &'static Histogram = Box::leak(Box::new(Histogram::new(name)));
-    reg.push((name, Metric::Histogram(h)));
-    h
+    register(name, None)
 }
 
-/// Zeroes every registered metric (registrations persist — handles cached
-/// in `OnceLock`s stay valid and the metrics stay visible in the exported
-/// snapshot).
+/// Zeroes every registered metric and its windows (registrations persist
+/// — handles cached in `OnceLock`s stay valid and the metrics stay
+/// visible in the exported snapshot).
 pub fn reset_all() {
     for (_, m) in lock_registry().iter() {
         match m {
@@ -481,25 +621,44 @@ pub(crate) fn snapshot() -> (CounterRows, GaugeRows, Vec<&'static Histogram>) {
 // Lazy handles — the form instrumentation sites declare.
 // ---------------------------------------------------------------------------
 
-/// A `static`-declarable counter handle: registration happens on the
+/// A `static`-declarable instrument handle: registration happens on the
 /// first *enabled* use; disabled use is one relaxed load and a branch.
-pub struct LazyCounter {
+pub struct Lazy<M: 'static> {
     name: &'static str,
-    cell: OnceLock<&'static Counter>,
+    width: u64,
+    cell: OnceLock<&'static M>,
 }
 
-impl LazyCounter {
-    /// Declares a handle (usually in a `static`).
-    pub const fn new(name: &'static str) -> LazyCounter {
-        LazyCounter {
+/// A [`Lazy`] [`Counter`].
+pub type LazyCounter = Lazy<Counter>;
+/// A [`Lazy`] [`Gauge`].
+pub type LazyGauge = Lazy<Gauge>;
+/// A [`Lazy`] [`Histogram`].
+pub type LazyHistogram = Lazy<Histogram>;
+
+impl<M> Lazy<M> {
+    /// Declares a handle that keeps the whole run only (usually in a
+    /// `static`).
+    pub const fn new(name: &'static str) -> Lazy<M> {
+        Lazy::windowed(name, 0)
+    }
+
+    /// Declares a handle that also keeps `width`-tick windows (0 = whole
+    /// run only; gauges take no windows).
+    pub const fn windowed(name: &'static str, width: u64) -> Lazy<M> {
+        Lazy {
             name,
+            width,
             cell: OnceLock::new(),
         }
     }
+}
 
+impl LazyCounter {
     /// The registered counter (registering it if needed).
     pub fn force(&self) -> &'static Counter {
-        self.cell.get_or_init(|| counter(self.name))
+        self.cell
+            .get_or_init(|| register(self.name, Some(self.width)))
     }
 
     /// Adds `n` when the subscriber is enabled.
@@ -526,24 +685,11 @@ impl LazyCounter {
     }
 }
 
-/// A `static`-declarable gauge handle (see [`LazyCounter`]).
-pub struct LazyGauge {
-    name: &'static str,
-    cell: OnceLock<&'static Gauge>,
-}
-
 impl LazyGauge {
-    /// Declares a handle (usually in a `static`).
-    pub const fn new(name: &'static str) -> LazyGauge {
-        LazyGauge {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
     /// The registered gauge (registering it if needed).
     pub fn force(&self) -> &'static Gauge {
-        self.cell.get_or_init(|| gauge(self.name))
+        self.cell
+            .get_or_init(|| register(self.name, Some(self.width)))
     }
 
     /// Sets the gauge when the subscriber is enabled.
@@ -555,24 +701,11 @@ impl LazyGauge {
     }
 }
 
-/// A `static`-declarable histogram handle (see [`LazyCounter`]).
-pub struct LazyHistogram {
-    name: &'static str,
-    cell: OnceLock<&'static Histogram>,
-}
-
 impl LazyHistogram {
-    /// Declares a handle (usually in a `static`).
-    pub const fn new(name: &'static str) -> LazyHistogram {
-        LazyHistogram {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
     /// The registered histogram (registering it if needed).
     pub fn force(&self) -> &'static Histogram {
-        self.cell.get_or_init(|| histogram(self.name))
+        self.cell
+            .get_or_init(|| register(self.name, Some(self.width)))
     }
 
     /// Records one observation when the subscriber is enabled.
@@ -614,7 +747,7 @@ mod tests {
 
     #[test]
     fn histogram_exact_stats() {
-        let h = Histogram::new("t.exact");
+        let h = Histogram::new("t.exact", 0);
         for v in [1.0, 2.0, 3.0, 10.0] {
             h.record(v);
         }
@@ -633,7 +766,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_well_defined() {
-        let h = Histogram::new("t.empty");
+        let h = Histogram::new("t.empty", 0);
         assert_eq!(h.count(), 0);
         assert!(h.mean().is_nan());
         assert!(h.quantile(0.5).is_nan());
@@ -644,7 +777,7 @@ mod tests {
         // Seeded LCG stream spanning several octaves, checked against the
         // exact order statistics of the sorted sample. The contract is the
         // documented one-bucket-width relative error (2^(1/SUB_BUCKETS)).
-        let h = Histogram::new("t.pctl.oracle");
+        let h = Histogram::new("t.pctl.oracle", 0);
         let mut x = 0x9e3779b97f4a7c15u64;
         let mut vals = Vec::new();
         for _ in 0..5000 {
@@ -674,7 +807,7 @@ mod tests {
         assert_eq!(p.p95, h.quantile(0.95));
         assert_eq!(p.p99, h.quantile(0.99));
         // Empty histograms stay well-defined.
-        let e = Histogram::new("t.pctl.empty");
+        let e = Histogram::new("t.pctl.empty", 0);
         let pe = e.percentiles();
         assert!(pe.p50.is_nan() && pe.p95.is_nan() && pe.p99.is_nan());
     }

@@ -1,15 +1,17 @@
-//! Sliding-window metrics over a logical tick clock, plus declarative
-//! SLO evaluation.
+//! The sliding windows of the instruments in [`crate::metrics`], over a
+//! logical tick clock, plus declarative SLO evaluation.
 //!
-//! The cumulative types in [`crate::metrics`] answer "what happened over
-//! the whole run"; a live telemetry plane needs "what is happening *now*"
-//! — shed rate over the last window, windowed latency percentiles — so a
-//! drifting run is visible while it is still in flight. Each windowed
-//! metric is a ring of [`SLOTS`] fixed-width windows keyed by a global
-//! logical tick clock ([`tick`]/[`advance`], advanced by the serving
-//! workers once per processed message): recording hits the slot of the
-//! current window with plain relaxed atomics, and a slot is recycled
-//! in place when its window id comes around again.
+//! A counter or histogram declared with a window width keeps two views of
+//! one quantity: the whole-run total every instrument has ("what happened
+//! over the run") and a ring of [`SLOTS`] fixed-width windows ("what is
+//! happening *now*" — shed rate over the last window, windowed latency
+//! percentiles), so a drifting run is visible while it is still in
+//! flight. The windows are keyed by a global logical tick clock
+//! ([`tick`]/[`advance`], advanced by the serving workers once per
+//! processed message): recording hits the slot of the current window with
+//! plain relaxed atomics, and a slot is recycled in place when its window
+//! id comes around again. An instrument declared without a width is the
+//! one-window case: its whole run is the only window it keeps.
 //!
 //! # Concurrency contract
 //!
@@ -24,17 +26,14 @@
 //! sampled telemetry system has, and why exact accounting lives in
 //! `ServeStats`, not here.
 
-use crate::metrics::{
-    atomic_f64_update, bucket_index, bucket_mid, Percentiles, HIST_BUCKETS, HIST_RANGE,
-};
+use crate::metrics::{self, Counter, Histogram};
 use std::sync::atomic::{
     AtomicU64,
     Ordering::{Acquire, Relaxed, Release},
 };
-use std::sync::{Mutex, OnceLock};
 
-/// Windows retained per metric: the ring recycles a slot after `SLOTS`
-/// windows, so reads older than that return empty.
+/// Windows retained per instrument: the ring recycles a slot after
+/// `SLOTS` windows, so reads older than that return empty.
 pub const SLOTS: usize = 8;
 
 /// Slot id holding this value is mid-rotation; recorders spin.
@@ -46,7 +45,7 @@ const LOCKED: u64 = u64::MAX;
 
 static TICKS: AtomicU64 = AtomicU64::new(0);
 
-/// Current logical tick (monotone except across [`reset_all`]).
+/// Current logical tick (monotone except across [`crate::reset`]).
 #[inline]
 pub fn tick() -> u64 {
     TICKS.load(Relaxed)
@@ -61,454 +60,122 @@ pub fn advance(n: u64) -> u64 {
     TICKS.fetch_add(n, Relaxed) + n
 }
 
+/// Rewinds the tick clock to zero (called by [`crate::reset`]).
+pub(crate) fn rewind() {
+    TICKS.store(0, Relaxed);
+}
+
 // ---------------------------------------------------------------------------
-// Windowed counter
+// The window ring
 // ---------------------------------------------------------------------------
 
-struct CounterSlot {
+/// What a window slot holds: zeroed in place when the slot rotates.
+pub(crate) trait SlotBody {
+    fn clear(&self);
+}
+
+impl SlotBody for AtomicU64 {
+    fn clear(&self) {
+        self.store(0, Relaxed);
+    }
+}
+
+#[derive(Debug)]
+struct Slot<T> {
     /// Window id + 1 (0 = empty, [`LOCKED`] = mid-rotation).
     id: AtomicU64,
-    value: AtomicU64,
+    body: T,
 }
 
-/// A counter bucketed into fixed-width tick windows: `add` lands in the
-/// window of the current [`tick`], and the last [`SLOTS`] windows stay
-/// readable.
-pub struct WindowedCounter {
-    name: &'static str,
+/// [`SLOTS`] fixed-width tick windows of one instrument; none at width 0
+/// (the instrument keeps its whole run only).
+#[derive(Debug)]
+pub(crate) struct Ring<T> {
     width: u64,
-    slots: Box<[CounterSlot]>,
+    slots: Box<[Slot<T>]>,
 }
 
-/// Claims the slot for window `wid`, rotating it if it still holds an
-/// older window. Returns `None` when the slot has already advanced past
-/// `wid` (a straggling recorder from ≥ SLOTS windows ago).
-fn claim(slots: &[CounterSlot], wid: u64, clear: impl Fn(usize)) -> Option<usize> {
-    let idx = (wid % slots.len() as u64) as usize;
-    let tag = wid + 1;
-    loop {
-        let cur = slots[idx].id.load(Acquire);
-        if cur == tag {
-            return Some(idx);
+impl<T: SlotBody> Ring<T> {
+    pub(crate) fn new(width: u64, body: impl Fn() -> T) -> Ring<T> {
+        let n = if width == 0 { 0 } else { SLOTS };
+        Ring {
+            width,
+            slots: (0..n)
+                .map(|_| Slot {
+                    id: AtomicU64::new(0),
+                    body: body(),
+                })
+                .collect(),
         }
-        if cur == LOCKED {
-            std::hint::spin_loop();
-            continue;
-        }
-        if cur != 0 && cur - 1 > wid {
+    }
+
+    pub(crate) fn width(&self) -> u64 {
+        self.width
+    }
+
+    /// The window id the clock is currently in (0 at width 0).
+    pub(crate) fn current(&self) -> u64 {
+        tick().checked_div(self.width).unwrap_or(0)
+    }
+
+    /// The current window's body, rotating its slot in if the slot still
+    /// holds an older window. `None` when the slot has already advanced
+    /// past this window (a straggling recorder from ≥ SLOTS windows ago).
+    pub(crate) fn claim(&self) -> Option<&T> {
+        if self.slots.is_empty() {
             return None;
         }
-        if slots[idx]
-            .id
-            .compare_exchange(cur, LOCKED, Acquire, Relaxed)
-            .is_ok()
-        {
-            clear(idx);
-            slots[idx].id.store(tag, Release);
-            return Some(idx);
-        }
-    }
-}
-
-impl WindowedCounter {
-    /// Creates a counter with `width`-tick windows.
-    pub fn new(name: &'static str, width: u64) -> WindowedCounter {
-        assert!(width > 0, "window width must be positive");
-        WindowedCounter {
-            name,
-            width,
-            slots: (0..SLOTS)
-                .map(|_| CounterSlot {
-                    id: AtomicU64::new(0),
-                    value: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// The registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Window width in ticks.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// The window id the clock is currently in.
-    pub fn current_window(&self) -> u64 {
-        tick() / self.width
-    }
-
-    /// Adds `n` to the current window.
-    pub fn add(&self, n: u64) {
-        let wid = self.current_window();
-        if let Some(idx) = claim(&self.slots, wid, |i| self.slots[i].value.store(0, Relaxed)) {
-            self.slots[idx].value.fetch_add(n, Relaxed);
-        }
-    }
-
-    /// Total recorded in window `wid` (0 if empty or recycled).
-    pub fn window_total(&self, wid: u64) -> u64 {
-        let s = &self.slots[(wid % SLOTS as u64) as usize];
-        if s.id.load(Acquire) == wid + 1 {
-            s.value.load(Relaxed)
-        } else {
-            0
-        }
-    }
-
-    /// Sum over the `k` most recent *complete* windows (the current,
-    /// still-filling window is excluded).
-    pub fn sum_recent(&self, k: usize) -> u64 {
-        let cur = self.current_window();
-        (0..k.min(SLOTS) as u64)
-            .filter_map(|back| cur.checked_sub(back + 1))
-            .map(|w| self.window_total(w))
-            .sum()
-    }
-
-    fn reset(&self) {
-        for s in self.slots.iter() {
-            s.value.store(0, Relaxed);
-            s.id.store(0, Relaxed);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Windowed histogram
-// ---------------------------------------------------------------------------
-
-struct HistSlot {
-    id: AtomicU64,
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl HistSlot {
-    fn clear(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Relaxed);
-        }
-        self.count.store(0, Relaxed);
-        self.sum_bits.store(0f64.to_bits(), Relaxed);
-        self.min_bits.store(f64::INFINITY.to_bits(), Relaxed);
-        self.max_bits.store(f64::NEG_INFINITY.to_bits(), Relaxed);
-    }
-}
-
-/// A log-bucketed histogram ([`crate::metrics::Histogram`]'s bucket
-/// scheme, same ~9% quantile error bound) bucketed into fixed-width tick
-/// windows, so percentiles can be read over the last window(s) instead
-/// of the whole run.
-pub struct WindowedHistogram {
-    name: &'static str,
-    width: u64,
-    slots: Box<[HistSlot]>,
-}
-
-impl WindowedHistogram {
-    /// Creates a histogram with `width`-tick windows.
-    pub fn new(name: &'static str, width: u64) -> WindowedHistogram {
-        assert!(width > 0, "window width must be positive");
-        WindowedHistogram {
-            name,
-            width,
-            slots: (0..SLOTS)
-                .map(|_| {
-                    let s = HistSlot {
-                        id: AtomicU64::new(0),
-                        buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-                        count: AtomicU64::new(0),
-                        sum_bits: AtomicU64::new(0),
-                        min_bits: AtomicU64::new(0),
-                        max_bits: AtomicU64::new(0),
-                    };
-                    s.clear();
-                    s
-                })
-                .collect(),
-        }
-    }
-
-    /// The registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Window width in ticks.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// The window id the clock is currently in.
-    pub fn current_window(&self) -> u64 {
-        tick() / self.width
-    }
-
-    /// Records one observation into the current window. NaN is ignored.
-    pub fn record(&self, v: f64) {
-        if v.is_nan() {
-            return;
-        }
-        let wid = self.current_window();
-        let idx = (wid % SLOTS as u64) as usize;
+        let wid = self.current();
+        let slot = &self.slots[(wid % SLOTS as u64) as usize];
         let tag = wid + 1;
         loop {
-            let cur = self.slots[idx].id.load(Acquire);
+            let cur = slot.id.load(Acquire);
             if cur == tag {
-                break;
+                return Some(&slot.body);
             }
             if cur == LOCKED {
                 std::hint::spin_loop();
                 continue;
             }
             if cur != 0 && cur - 1 > wid {
-                return; // straggler from a recycled window: drop
+                return None;
             }
-            if self.slots[idx]
+            if slot
                 .id
                 .compare_exchange(cur, LOCKED, Acquire, Relaxed)
                 .is_ok()
             {
-                self.slots[idx].clear();
-                self.slots[idx].id.store(tag, Release);
-                break;
+                slot.body.clear();
+                slot.id.store(tag, Release);
+                return Some(&slot.body);
             }
         }
-        let s = &self.slots[idx];
-        s.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-        s.count.fetch_add(1, Relaxed);
-        atomic_f64_update(&s.sum_bits, |x| x + v);
-        atomic_f64_update(&s.min_bits, |m| m.min(v));
-        atomic_f64_update(&s.max_bits, |m| m.max(v));
     }
 
-    /// Observation count in window `wid` (0 if empty or recycled).
-    pub fn window_count(&self, wid: u64) -> u64 {
-        let s = &self.slots[(wid % SLOTS as u64) as usize];
-        if s.id.load(Acquire) == wid + 1 {
-            s.count.load(Relaxed)
-        } else {
-            0
-        }
+    /// Window `wid`'s body (`None` if empty, recycled or unwindowed).
+    pub(crate) fn get(&self, wid: u64) -> Option<&T> {
+        let slot = self.slots.get((wid % SLOTS as u64) as usize)?;
+        (slot.id.load(Acquire) == wid + 1).then_some(&slot.body)
     }
 
-    /// Count and p50/p95/p99 over the `k` most recent complete windows,
-    /// merged (the current, still-filling window is excluded). All-NaN
-    /// percentiles when those windows are empty.
-    pub fn recent_percentiles(&self, k: usize) -> (u64, Percentiles) {
-        let cur = self.current_window();
-        let wids: Vec<u64> = (0..k.min(SLOTS) as u64)
-            .filter_map(|back| cur.checked_sub(back + 1))
-            .collect();
-        self.merged_percentiles(&wids)
-    }
-
-    /// Count and p50/p95/p99 over an explicit set of window ids, merged.
-    pub fn merged_percentiles(&self, wids: &[u64]) -> (u64, Percentiles) {
-        let mut buckets = vec![0u64; HIST_BUCKETS];
-        let mut count = 0u64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &wid in wids {
-            let s = &self.slots[(wid % SLOTS as u64) as usize];
-            if s.id.load(Acquire) != wid + 1 {
-                continue;
-            }
-            for (acc, b) in buckets.iter_mut().zip(s.buckets.iter()) {
-                *acc += b.load(Relaxed);
-            }
-            count += s.count.load(Relaxed);
-            min = min.min(f64::from_bits(s.min_bits.load(Relaxed)));
-            max = max.max(f64::from_bits(s.max_bits.load(Relaxed)));
-        }
-        let q = |q: f64| quantile_of(&buckets, count, min, max, q);
-        (
-            count,
-            Percentiles {
-                p50: q(0.50),
-                p95: q(0.95),
-                p99: q(0.99),
-            },
-        )
-    }
-
-    fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for s in self.slots.iter() {
-            s.clear();
+            s.body.clear();
             s.id.store(0, Relaxed);
         }
     }
 }
 
-/// Quantile over merged bucket counts — the same estimator as
-/// [`crate::metrics::Histogram::quantile`]: geometric bucket midpoint at
-/// the order-statistic rank, exact at the extreme ranks, clamped to the
-/// observed range. NaN when empty.
-fn quantile_of(buckets: &[u64], count: u64, min: f64, max: f64, q: f64) -> f64 {
-    if count == 0 {
-        return f64::NAN;
-    }
-    let rank = (q.clamp(0.0, 1.0) * (count - 1) as f64).floor() as u64;
-    if rank == 0 {
-        return min;
-    }
-    if rank == count - 1 {
-        return max;
-    }
-    let mut cum = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        cum += c;
-        if cum > rank {
-            let raw = match i {
-                0 => min,
-                i if i == HIST_RANGE + 1 => max,
-                i => bucket_mid(i),
-            };
-            return raw.clamp(min, max);
-        }
-    }
-    max
+/// Finds or creates the counter `name` with `width`-tick windows. Panics
+/// if `name` is registered as another type or with another width.
+pub fn windowed_counter(name: &'static str, width: u64) -> &'static Counter {
+    metrics::register(name, Some(width))
 }
 
-// ---------------------------------------------------------------------------
-// Registry + lazy handles
-// ---------------------------------------------------------------------------
-
-enum WMetric {
-    Counter(&'static WindowedCounter),
-    Histogram(&'static WindowedHistogram),
-}
-
-fn registry() -> &'static Mutex<Vec<(&'static str, WMetric)>> {
-    static REGISTRY: OnceLock<Mutex<Vec<(&'static str, WMetric)>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn lock_registry() -> std::sync::MutexGuard<'static, Vec<(&'static str, WMetric)>> {
-    registry().lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Finds or creates the windowed counter `name`. Panics on a type or
-/// width mismatch with an existing registration.
-pub fn windowed_counter(name: &'static str, width: u64) -> &'static WindowedCounter {
-    let mut reg = lock_registry();
-    for (n, m) in reg.iter() {
-        if *n == name {
-            match m {
-                WMetric::Counter(c) if c.width() == width => return c,
-                _ => panic!("windowed metric `{name}` already registered differently"),
-            }
-        }
-    }
-    let c: &'static WindowedCounter = Box::leak(Box::new(WindowedCounter::new(name, width)));
-    reg.push((name, WMetric::Counter(c)));
-    c
-}
-
-/// Finds or creates the windowed histogram `name` (see
+/// Finds or creates the histogram `name` with `width`-tick windows (see
 /// [`windowed_counter`] for the contract).
-pub fn windowed_histogram(name: &'static str, width: u64) -> &'static WindowedHistogram {
-    let mut reg = lock_registry();
-    for (n, m) in reg.iter() {
-        if *n == name {
-            match m {
-                WMetric::Histogram(h) if h.width() == width => return h,
-                _ => panic!("windowed metric `{name}` already registered differently"),
-            }
-        }
-    }
-    let h: &'static WindowedHistogram = Box::leak(Box::new(WindowedHistogram::new(name, width)));
-    reg.push((name, WMetric::Histogram(h)));
-    h
-}
-
-/// Clears every windowed metric and rewinds the tick clock to zero (for
-/// tests and repeated in-process runs; called by [`crate::reset`]).
-pub fn reset_all() {
-    for (_, m) in lock_registry().iter() {
-        match m {
-            WMetric::Counter(c) => c.reset(),
-            WMetric::Histogram(h) => h.reset(),
-        }
-    }
-    TICKS.store(0, Relaxed);
-}
-
-/// A `static`-declarable windowed-counter handle (the
-/// [`crate::LazyCounter`] pattern: disabled use is one relaxed load and
-/// a branch).
-pub struct LazyWindowedCounter {
-    name: &'static str,
-    width: u64,
-    cell: OnceLock<&'static WindowedCounter>,
-}
-
-impl LazyWindowedCounter {
-    /// Declares a handle (usually in a `static`).
-    pub const fn new(name: &'static str, width: u64) -> LazyWindowedCounter {
-        LazyWindowedCounter {
-            name,
-            width,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The registered counter (registering it if needed).
-    pub fn force(&self) -> &'static WindowedCounter {
-        self.cell
-            .get_or_init(|| windowed_counter(self.name, self.width))
-    }
-
-    /// Adds `n` to the current window when the subscriber is enabled.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.force().add(n);
-        }
-    }
-}
-
-/// A `static`-declarable windowed-histogram handle (see
-/// [`LazyWindowedCounter`]).
-pub struct LazyWindowedHistogram {
-    name: &'static str,
-    width: u64,
-    cell: OnceLock<&'static WindowedHistogram>,
-}
-
-impl LazyWindowedHistogram {
-    /// Declares a handle (usually in a `static`).
-    pub const fn new(name: &'static str, width: u64) -> LazyWindowedHistogram {
-        LazyWindowedHistogram {
-            name,
-            width,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The registered histogram (registering it if needed).
-    pub fn force(&self) -> &'static WindowedHistogram {
-        self.cell
-            .get_or_init(|| windowed_histogram(self.name, self.width))
-    }
-
-    /// Records into the current window when the subscriber is enabled.
-    #[inline]
-    pub fn record(&self, v: f64) {
-        if crate::enabled() {
-            self.force().record(v);
-        }
-    }
+pub fn windowed_histogram(name: &'static str, width: u64) -> &'static Histogram {
+    metrics::register(name, Some(width))
 }
 
 // ---------------------------------------------------------------------------
@@ -673,7 +340,10 @@ mod tests {
 
     #[test]
     fn quantile_of_empty_is_nan() {
-        let buckets = vec![0u64; HIST_BUCKETS];
-        assert!(quantile_of(&buckets, 0, f64::INFINITY, f64::NEG_INFINITY, 0.5).is_nan());
+        let h = windowed_histogram("t.w.empty", 10);
+        let (n, p) = h.merged_percentiles(&[h.current_window()]);
+        assert_eq!(n, 0);
+        assert!(p.p50.is_nan() && p.p95.is_nan() && p.p99.is_nan());
+        assert!(h.quantile(0.5).is_nan());
     }
 }

@@ -289,7 +289,7 @@ fn windowed_histogram_percentiles_match_a_sorted_vec_oracle() {
     h.record(f64::NAN); // ignored, not counted
     obs::window::advance(100); // completes window 0
 
-    let (count, p) = h.recent_percentiles(1);
+    let (count, p) = h.merged_percentiles(&[0]);
     assert_eq!(count, 5000);
     let mut sorted = values.clone();
     sorted.sort_by(|a, b| a.total_cmp(b));
@@ -308,7 +308,7 @@ fn windowed_histogram_percentiles_match_a_sorted_vec_oracle() {
         h.record(v);
     }
     obs::window::advance(100);
-    let (count2, p2) = h.recent_percentiles(2);
+    let (count2, p2) = h.merged_percentiles(&[0, 1]);
     assert_eq!(count2, 10_000);
     let oracle50 = sorted[(0.5 * (sorted.len() - 1) as f64) as usize];
     assert!(p2.p50 >= oracle50 / tol && p2.p50 <= oracle50 * tol);
@@ -427,9 +427,15 @@ fn windowed_counter_rotation_boundaries() {
     c.add(2);
     assert_eq!(c.window_total(0), 6);
     assert_eq!(c.window_total(1), 2);
-    // The still-filling current window is excluded from recent sums.
-    assert_eq!(c.sum_recent(1), 6);
-    assert_eq!(c.sum_recent(obs::window::SLOTS), 6);
+    // Reads over the complete windows see neither the still-filling
+    // current window nor windows that never recorded.
+    let complete = |c: &obs::Counter| {
+        (0..c.current_window())
+            .map(|w| c.window_total(w))
+            .sum::<u64>()
+    };
+    assert_eq!(complete(c), 6);
+    assert_eq!(c.get(), 8, "the whole-run total spans every window");
 
     // Window SLOTS reuses window 0's slot: the old total stays readable
     // until the first record of the new window rotates it out.
@@ -448,7 +454,7 @@ fn windowed_counter_rotation_boundaries() {
     );
     assert_eq!(c.window_total(obs::window::SLOTS as u64), 7);
     // Of windows 1..SLOTS-1 only window 1 ever recorded.
-    assert_eq!(c.sum_recent(obs::window::SLOTS), 2);
+    assert_eq!(complete(c), 2);
     disable();
 }
 
@@ -474,8 +480,10 @@ fn windowed_concurrent_recording_loses_nothing() {
     });
     obs::window::advance(1000);
     let total = threads as u64 * PER_THREAD;
-    assert_eq!(c.sum_recent(1), total);
-    let (count, p) = h.recent_percentiles(1);
+    assert_eq!(c.window_total(0), total);
+    assert_eq!(c.get(), total);
+    let (count, p) = h.merged_percentiles(&[0]);
+    assert_eq!(h.count(), total);
     assert_eq!(count, total);
     assert!(p.p50 >= 1.0 && p.p50 <= 100.0);
     disable();

@@ -7,8 +7,13 @@
 //! accounted for. Counters here mirror (but never replace) the exact
 //! per-service [`crate::ServeStats`]: obs metrics are process-global and
 //! may be disabled, so tests assert on stats, operators read metrics.
+//!
+//! The instruments declared with [`WINDOW_TICKS`] also keep their last
+//! windows; each `telemetry.snapshot` heartbeat reads one window of them
+//! (`window_total` / `merged_percentiles`), while the metrics summary
+//! carries their whole-run totals.
 
-use kvec_obs::{LazyCounter, LazyGauge, LazyHistogram, LazyWindowedCounter, LazyWindowedHistogram};
+use kvec_obs::{LazyCounter, LazyGauge, LazyHistogram};
 
 /// Width, in logical ticks, of one telemetry window. Workers advance the
 /// tick clock by one per processed message, so a window covers ~256
@@ -19,21 +24,27 @@ pub const WINDOW_TICKS: u64 = 256;
 /// every supervisor poll with the total across shards; the high-water
 /// mark is the backlog a deployment must provision for).
 pub static QUEUE_DEPTH: LazyGauge = LazyGauge::new("serve.queue_depth");
-/// Arrivals submitted to the router, admitted or not.
-pub static SUBMITTED: LazyCounter = LazyCounter::new("serve.submitted");
+/// Arrivals submitted to the router, admitted or not (windowed: the
+/// denominator of each snapshot's shed rate).
+pub static SUBMITTED: LazyCounter = LazyCounter::windowed("serve.submitted", WINDOW_TICKS);
 /// Arrivals that entered a shard queue (includes delayed ones).
 pub static ADMITTED: LazyCounter = LazyCounter::new("serve.admitted");
 /// Admitted arrivals flagged `Delayed` (the backpressure signal).
 pub static DELAYED: LazyCounter = LazyCounter::new("serve.delayed");
-/// Arrivals shed for any reason (queue full or confident key).
+/// Arrivals and flow ends shed for any reason (queue full or confident
+/// key).
 pub static SHED_TOTAL: LazyCounter = LazyCounter::new("serve.shed_total");
+/// Arrivals shed for any reason: [`SHED_TOTAL`] without flow-end sheds,
+/// so that over [`SUBMITTED`] it is a shed rate (windowed: each
+/// snapshot's shed count).
+pub static SHED_ITEMS: LazyCounter = LazyCounter::windowed("serve.shed_items", WINDOW_TICKS);
 /// Sheds at queue capacity.
 pub static SHED_QUEUE_FULL: LazyCounter = LazyCounter::new("serve.shed_queue_full");
 /// Sheds of already-confident keys past the shed watermark.
 pub static SHED_CONFIDENT: LazyCounter = LazyCounter::new("serve.shed_confident");
 /// Keys force-classified by the deadline enforcer (graceful degradation:
-/// overload becomes earlier decisions, not unbounded latency).
-pub static FORCED_HALTS: LazyCounter = LazyCounter::new("serve.forced_halts");
+/// overload becomes earlier decisions, not unbounded latency). Windowed.
+pub static FORCED_HALTS: LazyCounter = LazyCounter::windowed("serve.forced_halts", WINDOW_TICKS);
 /// Shard workers respawned after a crash.
 pub static WORKER_RESTARTS: LazyCounter = LazyCounter::new("serve.worker_restarts");
 /// Arrivals quarantined because processing them killed a worker.
@@ -44,8 +55,8 @@ pub static PROCESSED: LazyCounter = LazyCounter::new("serve.processed");
 pub static LATE_DROPS: LazyCounter = LazyCounter::new("serve.late_drops");
 /// Admitted arrivals the engine refused (e.g. the active-key bound).
 pub static ENGINE_REJECTS: LazyCounter = LazyCounter::new("serve.engine_rejects");
-/// Decisions emitted (each key decides exactly once).
-pub static DECISIONS: LazyCounter = LazyCounter::new("serve.decisions");
+/// Decisions emitted (each key decides exactly once). Windowed.
+pub static DECISIONS: LazyCounter = LazyCounter::windowed("serve.decisions", WINDOW_TICKS);
 /// Shards observed wedged (heartbeat stalled with a non-empty queue).
 pub static WEDGE_EVENTS: LazyCounter = LazyCounter::new("serve.wedge_events");
 /// Sum of worker heartbeats (processed messages), sampled by the
@@ -53,33 +64,19 @@ pub static WEDGE_EVENTS: LazyCounter = LazyCounter::new("serve.wedge_events");
 pub static WORKER_HEARTBEAT: LazyGauge = LazyGauge::new("serve.worker_heartbeat");
 /// Microseconds from the deciding message's enqueue (or, for
 /// deadline-forced halts, from the key's first pending arrival) to the
-/// decision. Percentiles exported via `Histogram::percentiles`.
-pub static DECISION_LATENCY_US: LazyHistogram = LazyHistogram::new("serve.decision_latency_us");
+/// decision. Percentiles exported via `Histogram::percentiles`; windowed,
+/// so the p50/p95/p99 in each `telemetry.snapshot` heartbeat cover one
+/// recent window and latency drift is visible while a run is in flight.
+pub static DECISION_LATENCY_US: LazyHistogram =
+    LazyHistogram::windowed("serve.decision_latency_us", WINDOW_TICKS);
 /// Microseconds a deciding arrival waited in its shard queue
-/// (dequeue − enqueue). Cumulative twin of the per-flow `flow.queue`
+/// (dequeue − enqueue). Whole-run aggregate of the per-flow `flow.queue`
 /// trace records; exported so `serve_load` can report the queue-wait
 /// share of end-to-end latency without a trace file.
 pub static QUEUE_WAIT_US: LazyHistogram = LazyHistogram::new("serve.queue_wait_us");
 /// Microseconds of worker service time per processed arrival
 /// (engine feed + bookkeeping, including chaos-injected stalls).
 pub static SERVICE_US: LazyHistogram = LazyHistogram::new("serve.service_us");
-
-/// Windowed twin of [`SUBMITTED`] (per [`WINDOW_TICKS`]-tick window).
-pub static W_SUBMITTED: LazyWindowedCounter =
-    LazyWindowedCounter::new("serve.w.submitted", WINDOW_TICKS);
-/// Windowed twin of [`SHED_TOTAL`].
-pub static W_SHED: LazyWindowedCounter = LazyWindowedCounter::new("serve.w.shed", WINDOW_TICKS);
-/// Windowed twin of [`FORCED_HALTS`].
-pub static W_FORCED_HALTS: LazyWindowedCounter =
-    LazyWindowedCounter::new("serve.w.forced_halts", WINDOW_TICKS);
-/// Windowed twin of [`DECISIONS`].
-pub static W_DECISIONS: LazyWindowedCounter =
-    LazyWindowedCounter::new("serve.w.decisions", WINDOW_TICKS);
-/// Windowed decision latency — the p50/p95/p99 published in each
-/// `telemetry.snapshot` heartbeat cover only recent windows, so latency
-/// drift is visible while a run is still in flight.
-pub static W_DECISION_LATENCY_US: LazyWindowedHistogram =
-    LazyWindowedHistogram::new("serve.w.decision_latency_us", WINDOW_TICKS);
 
 /// Forces registration of every serve instrument. Called at service
 /// start so traced runs export them even at zero — a healthy run has no
@@ -92,6 +89,7 @@ pub fn register_all() {
         &ADMITTED,
         &DELAYED,
         &SHED_TOTAL,
+        &SHED_ITEMS,
         &SHED_QUEUE_FULL,
         &SHED_CONFIDENT,
         &FORCED_HALTS,
@@ -107,7 +105,8 @@ pub fn register_all() {
     }
     QUEUE_DEPTH.set(0.0);
     WORKER_HEARTBEAT.set(0.0);
-    // DECISION_LATENCY_US is *not* pre-registered: a zero sample would
-    // skew percentiles, and a serving run that decided nothing should
-    // fail validation rather than masquerade as healthy.
+    // DECISION_LATENCY_US gets no zero sample: it would skew
+    // percentiles, and a serving run that decided nothing should fail
+    // validation (an empty or absent histogram) rather than masquerade
+    // as healthy.
 }

@@ -456,7 +456,6 @@ impl ShardedService {
         let key = item.key.0;
         sh.submitted.fetch_add(1, Ordering::Relaxed);
         ins::SUBMITTED.add(1);
-        ins::W_SUBMITTED.add(1);
 
         let depth = shard.queue.depth();
         ins::QUEUE_DEPTH.set(depth as f64);
@@ -568,7 +567,7 @@ impl ShardedService {
 
     fn count_shed(&self, reason: ShedReason) {
         ins::SHED_TOTAL.add(1);
-        ins::W_SHED.add(1);
+        ins::SHED_ITEMS.add(1);
         match reason {
             ShedReason::QueueFull { .. } => {
                 self.shared.shed_queue_full.fetch_add(1, Ordering::Relaxed);
@@ -778,11 +777,11 @@ fn supervisor_loop(shared: &Arc<Shared>) {
 /// configured [`SloSpec`] for complete windows and emits one warn-level
 /// `slo.burn` event per violated budget.
 fn emit_snapshot(shared: &Shared, w: u64, partial: bool) {
-    let submitted = ins::W_SUBMITTED.force().window_total(w);
-    let shed = ins::W_SHED.force().window_total(w);
-    let forced = ins::W_FORCED_HALTS.force().window_total(w);
-    let decisions = ins::W_DECISIONS.force().window_total(w);
-    let (lat_n, lat) = ins::W_DECISION_LATENCY_US.force().merged_percentiles(&[w]);
+    let submitted = ins::SUBMITTED.force().window_total(w);
+    let shed = ins::SHED_ITEMS.force().window_total(w);
+    let forced = ins::FORCED_HALTS.force().window_total(w);
+    let decisions = ins::DECISIONS.force().window_total(w);
+    let (lat_n, lat) = ins::DECISION_LATENCY_US.force().merged_percentiles(&[w]);
     let depths: Vec<Json> = shared
         .shards
         .iter()

@@ -457,16 +457,12 @@ fn conclude(
     if forced {
         shard.forced_halts.fetch_add(1, Ordering::Relaxed);
         ins::FORCED_HALTS.add(1);
-        ins::W_FORCED_HALTS.add(1);
     }
     if let Some(t0) = since {
-        let us = t0.elapsed().as_secs_f64() * 1e6;
-        ins::DECISION_LATENCY_US.record(us);
-        ins::W_DECISION_LATENCY_US.record(us);
+        ins::DECISION_LATENCY_US.record(t0.elapsed().as_secs_f64() * 1e6);
     }
     shard.decisions.fetch_add(1, Ordering::Relaxed);
     ins::DECISIONS.add(1);
-    ins::W_DECISIONS.add(1);
     if stamps.is_active() {
         trace_ctx::emit_decision(
             &stamps,

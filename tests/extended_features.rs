@@ -1,5 +1,5 @@
-//! Integration tests of the extension surface: cross-validation, extended
-//! metrics, checkpointing, multi-head + layer-norm variants, and clustered
+//! Integration tests of the extension surface: cross-validation,
+//! checkpointing, multi-head + layer-norm variants, and clustered
 //! tangling — the features beyond the paper's minimal scope.
 
 use kvec::cv::cross_validate;
@@ -33,31 +33,6 @@ fn cross_validation_covers_every_key_once() {
     assert_eq!(tested, 30);
     assert!(report.accuracy.std >= 0.0);
     assert!((0.0..=1.0).contains(&report.hm.mean));
-}
-
-#[test]
-fn confusion_matrix_agrees_with_report_accuracy() {
-    let mut rng = KvecRng::seed_from_u64(2);
-    let dcfg = data_cfg(40);
-    let pool = generate_traffic(&dcfg, &mut rng);
-    let ds = Dataset::from_pool("m", dcfg.schema(), 3, pool, 4, &mut rng);
-    let cfg = KvecConfig::tiny(&ds.schema, 3);
-    let mut rng2 = KvecRng::seed_from_u64(3);
-    let mut model = KvecModel::new(&cfg, &mut rng2);
-    let mut trainer = Trainer::new(&cfg, &model);
-    for _ in 0..4 {
-        trainer
-            .train_epoch(&mut model, &ds.train, &mut rng2)
-            .unwrap();
-    }
-    let report = evaluate(&model, &ds.test);
-    let cm = report.confusion_matrix(3);
-    assert_eq!(cm.total(), report.outcomes.len());
-    assert!((cm.accuracy() - report.accuracy).abs() < 1e-6);
-    let per_class = cm.per_class();
-    assert_eq!(per_class.len(), 3);
-    let support: usize = per_class.iter().map(|c| c.support).sum();
-    assert_eq!(support, report.outcomes.len());
 }
 
 #[test]
