@@ -546,6 +546,9 @@ pub(crate) fn register<M: Instrument>(name: &'static str, width: Option<u64>) ->
 
 /// Finds or creates the counter `name`, whatever its window width.
 /// Panics if the name is already registered as a different metric type.
+/// A name this creates keeps no windows, so a windowed instrument must be
+/// registered by its declaring handle ([`Lazy::force`]) before it is
+/// read by name.
 pub fn counter(name: &'static str) -> &'static Counter {
     register(name, None)
 }
@@ -832,5 +835,11 @@ mod tests {
         assert!(r.is_err(), "type mismatch must panic");
         // The registry lock recovers from the panic above.
         assert!(std::ptr::eq(counter("t.reg.c"), a));
+        // A by-name read finds a windowed instrument; a declaration with
+        // another width does not.
+        let w = crate::window::windowed_histogram("t.reg.w", 16);
+        assert!(std::ptr::eq(histogram("t.reg.w"), w));
+        let r = std::panic::catch_unwind(|| crate::window::windowed_histogram("t.reg.w", 8));
+        assert!(r.is_err(), "width mismatch must panic");
     }
 }

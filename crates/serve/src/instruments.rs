@@ -105,8 +105,13 @@ pub fn register_all() {
     }
     QUEUE_DEPTH.set(0.0);
     WORKER_HEARTBEAT.set(0.0);
-    // DECISION_LATENCY_US gets no zero sample: it would skew
-    // percentiles, and a serving run that decided nothing should fail
-    // validation (an empty or absent histogram) rather than masquerade
-    // as healthy.
+    // DECISION_LATENCY_US is registered without a sample: a zero sample
+    // would skew percentiles, and a serving run that decided nothing
+    // should fail validation (an empty histogram) rather than masquerade
+    // as healthy. Registering it here fixes its window width before any
+    // by-name read (`obs::metrics::histogram`) could create it without
+    // windows.
+    if kvec_obs::enabled() {
+        DECISION_LATENCY_US.force();
+    }
 }
