@@ -18,8 +18,9 @@
 //!   would double-count.
 
 use crate::Var;
-use kvec_tensor::{simd, Axis, Tensor};
+use kvec_tensor::{simd, Axis, Tensor, VisibleLists};
 use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// Identifier of a node inside a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,6 +57,16 @@ pub(crate) enum Op {
     /// Row-wise softmax (the additive mask, if any, was applied during
     /// forward construction and is constant).
     SoftmaxRows(usize),
+    /// Single-head attention over each row's visible list; `weights` holds
+    /// the forward's softmax weight of every list entry.
+    SparseAttention {
+        q: usize,
+        k: usize,
+        v: usize,
+        lists: Rc<VisibleLists>,
+        weights: Vec<f32>,
+        scale: f32,
+    },
     LogSoftmaxRows(usize),
     /// Gather rows of the parent by constant indices (embedding lookup).
     GatherRows(usize, Vec<usize>),
@@ -333,6 +344,25 @@ impl Graph {
                 }
                 Self::accum(nodes, *a, out);
             }
+            Op::SparseAttention {
+                q,
+                k,
+                v,
+                lists,
+                weights,
+                scale,
+            } => {
+                let [dq, dk, dv] = sparse_attention_grads(
+                    &grad,
+                    [&nodes[*q].value, &nodes[*k].value, &nodes[*v].value],
+                    lists,
+                    weights,
+                    *scale,
+                );
+                Self::accum(nodes, *q, dq);
+                Self::accum(nodes, *k, dk);
+                Self::accum(nodes, *v, dv);
+            }
             Op::LogSoftmaxRows(a) => {
                 // dx = g - softmax(x) * rowsum(g); softmax = exp(output).
                 let row_sum = grad.sum_axis(Axis::Cols);
@@ -424,6 +454,48 @@ impl Graph {
             Op::Pick(a, r, c) => Self::accum_into(nodes, *a, |ga, _| ga[(*r, *c)] += grad.item()),
         }
     }
+}
+
+/// The backward of [`Var::sparse_attention`], for output gradient `g` and
+/// list weights `p`. Rows ascend and entries go in list order; for row `i`
+/// with list `V_i`:
+///
+/// - `dv_j += p_j · g_i` and `dp_j = g_i · v_j`, then `d_i = Σ_j p_j · dp_j`;
+/// - `dz_j = p_j · (dp_j − d_i) · scale`;
+/// - `dq_i += Σ_j dz_j · k_j` and `dk_j += dz_j · q_i`.
+fn sparse_attention_grads(
+    g: &Tensor,
+    [q, k, v]: [&Tensor; 3],
+    lists: &VisibleLists,
+    weights: &[f32],
+    scale: f32,
+) -> [Tensor; 3] {
+    let path = simd::active_path();
+    let (mut dq, mut dk, mut dv) = (
+        Tensor::zeros(q.rows(), q.cols()),
+        Tensor::zeros(k.rows(), k.cols()),
+        Tensor::zeros(v.rows(), v.cols()),
+    );
+    let mut dp = Vec::new();
+    for i in 0..lists.len() {
+        let (visible, p) = (lists.row(i), &weights[lists.span(i)]);
+        let g_i = g.row(i);
+        dp.clear();
+        let mut d_i = 0.0;
+        for (&j, &p_j) in visible.iter().zip(p) {
+            simd::axpy_on(path, dv.row_mut(j), p_j, g_i);
+            let dp_j = simd::dot_on(path, g_i, v.row(j));
+            d_i += p_j * dp_j;
+            dp.push(dp_j);
+        }
+        let dq_i = dq.row_mut(i);
+        for ((&j, &p_j), &dp_j) in visible.iter().zip(p).zip(&dp) {
+            let dz_j = p_j * (dp_j - d_i) * scale;
+            simd::axpy_on(path, dq_i, dz_j, k.row(j));
+            simd::axpy_on(path, dk.row_mut(j), dz_j, q.row(i));
+        }
+    }
+    [dq, dk, dv]
 }
 
 /// The owned gradient rewritten in place: `g[i] = f(g[i], other[i])`.

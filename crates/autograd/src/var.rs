@@ -1,7 +1,8 @@
 //! Ergonomic, `Copy` handles to tape nodes with method-call op builders.
 
 use crate::graph::{Graph, Op, VarId};
-use kvec_tensor::Tensor;
+use kvec_tensor::{attend_head_row, simd, HeadKv, Tensor, VisibleLists};
+use std::rc::Rc;
 
 /// A handle to a node in a [`Graph`].
 ///
@@ -178,6 +179,77 @@ impl<'g> Var<'g> {
             .graph
             .with_value(*self, |a| a.masked_softmax_rows(mask));
         self.unary(v, Op::SoftmaxRows(self.id.0))
+    }
+
+    /// Single-head attention over each row's visible list: row `i` of the
+    /// result is `softmax_j(q_i · k_j · scale) · v_j` over `j` in
+    /// `lists.row(i)`, computed by [`attend_head_row`] — the engine's row
+    /// body, so each row has the engine's bits. Nothing is `T x T`: the
+    /// forward costs what the lists hold, and so does the backward, which
+    /// scatters `dQ`, `dK` and `dV` through the same lists (see
+    /// `Graph::backward`). `self` is `T x dh` with `lists.len() == T`;
+    /// `k` and `v` are `N x dh` and every listed position is below `N`.
+    /// Every list must be non-empty.
+    pub fn sparse_attention(
+        &self,
+        k: Var<'g>,
+        v: Var<'g>,
+        lists: &Rc<VisibleLists>,
+        scale: f32,
+    ) -> Var<'g> {
+        self.same_graph(k);
+        self.same_graph(v);
+        let nodes = self.graph.nodes.borrow();
+        let (q_t, k_t, v_t) = (
+            &nodes[self.id.0].value,
+            &nodes[k.id.0].value,
+            &nodes[v.id.0].value,
+        );
+        let (t, dh) = q_t.shape();
+        assert_eq!(lists.len(), t, "one visible list per query row");
+        assert!(
+            k_t.cols() == dh && v_t.shape() == k_t.shape(),
+            "sparse_attention q/k/v shape mismatch"
+        );
+        let path = simd::active_path();
+        let kv = HeadKv {
+            keys: k_t.data(),
+            values: v_t.data(),
+            stride: dh,
+            base: 0,
+        };
+        let mut out = Tensor::zeros(t, dh);
+        let mut weights = vec![0.0; lists.nnz()];
+        let mut logits = Vec::new();
+        for i in 0..t {
+            let visible = lists.row(i);
+            assert!(
+                !visible.is_empty() && visible.iter().all(|&j| j < k_t.rows()),
+                "row {i}: visible list empty or out of range"
+            );
+            attend_head_row(
+                path,
+                q_t.row(i),
+                kv,
+                visible,
+                scale,
+                &mut logits,
+                out.row_mut(i),
+                Some((&mut weights[lists.span(i)], 1.0)),
+            );
+        }
+        drop(nodes);
+        self.unary(
+            out,
+            Op::SparseAttention {
+                q: self.id.0,
+                k: k.id.0,
+                v: v.id.0,
+                lists: Rc::clone(lists),
+                weights,
+                scale,
+            },
+        )
     }
 
     /// Row-wise log-softmax.

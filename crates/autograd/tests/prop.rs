@@ -318,3 +318,133 @@ fn one_row_matmul_rule_accumulates_the_outer_product_within_ulp() {
         }
     });
 }
+
+// --- Edge-list attention ---------------------------------------------------
+//
+// `sparse_attention` attends each row over its visible list. Its reference
+// is the dense path the SRN baselines keep: `T x T` scores under an
+// additive `0`/`-inf` mask, a masked softmax and a dense weighted sum.
+
+use kvec_tensor::VisibleLists;
+use std::rc::Rc;
+
+/// Random causal visible lists, each ending at its own row: a row sees only
+/// itself, a few scattered earlier rows (most skipped), or every earlier
+/// row.
+fn gen_lists(g: &mut Gen, t: usize) -> Vec<Vec<usize>> {
+    (0..t)
+        .map(|i| {
+            let mut row: Vec<usize> = match g.usize_in(0, 3) {
+                0 => Vec::new(),
+                1 => (0..i).filter(|_| g.usize_in(0, 5) == 0).collect(),
+                _ => (0..i).collect(),
+            };
+            row.push(i);
+            row
+        })
+        .collect()
+}
+
+/// The additive mask that opens exactly the listed cells.
+fn mask_of(lists: &[Vec<usize>]) -> Tensor {
+    let t = lists.len();
+    let mut mask = Tensor::full(t, t, f32::NEG_INFINITY);
+    for (i, row) in lists.iter().enumerate() {
+        for &j in row {
+            mask[(i, j)] = 0.0;
+        }
+    }
+    mask
+}
+
+/// Multi-head attention of `x` through `w = [wq, wk, wv]`, one op call per
+/// head on the sliced projections: over the lists, or dense under `mask`.
+fn heads<'g>(
+    graph: &'g Graph,
+    x: Var<'g>,
+    w: &[Tensor; 3],
+    n_heads: usize,
+    visible: Result<&Rc<VisibleLists>, &Tensor>,
+) -> Var<'g> {
+    let [q, k, v] = [0, 1, 2].map(|i| x.matmul(graph.leaf(w[i].clone())));
+    let dh = q.shape().1 / n_heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let mut out: Option<Var<'g>> = None;
+    for h in 0..n_heads {
+        let [qh, kh, vh] = [q, k, v].map(|m| m.slice_cols(h * dh, (h + 1) * dh));
+        let head = match visible {
+            Ok(lists) => qh.sparse_attention(kh, vh, lists, scale),
+            Err(mask) => qh
+                .matmul_nt(kh)
+                .scale(scale)
+                .masked_softmax_rows(mask)
+                .matmul(vh),
+        };
+        out = Some(out.map_or(head, |acc| acc.concat_cols(head)));
+    }
+    out.expect("at least one head")
+}
+
+#[test]
+fn sparse_attention_matches_the_dense_masked_path() {
+    check_n("sparse_attention_vs_dense", CASES, |g| {
+        for n_heads in [1usize, 2] {
+            let (t, d) = (g.usize_in(1, 12), 3 * n_heads);
+            let rows = gen_lists(g, t);
+            let lists = Rc::new(VisibleLists::from_rows(&rows));
+            let mask = mask_of(&rows);
+            let x = gen_input(g, t, d);
+            let w = [0, 1, 2].map(|_| gen_input(g, d, d));
+            let k_out = gen_input(g, t, d);
+            let run = |visible: Result<&Rc<VisibleLists>, &Tensor>| {
+                let graph = Graph::new();
+                let leaf = graph.leaf(x.clone());
+                let out = heads(&graph, leaf, &w, n_heads, visible);
+                let value = out.value();
+                graph.backward(weighted(out, &k_out));
+                (value, graph.grad(leaf).expect("x gets a gradient"))
+            };
+            let (sparse, sparse_grad) = run(Ok(&lists));
+            let (dense, dense_grad) = run(Err(&mask));
+            assert!(
+                sparse.allclose(&dense, 1e-5),
+                "{n_heads} heads: forward {sparse:?} vs {dense:?}"
+            );
+            assert!(
+                sparse_grad.allclose(&dense_grad, 1e-4),
+                "{n_heads} heads: dx {sparse_grad:?} vs {dense_grad:?}"
+            );
+        }
+    });
+}
+
+#[test]
+fn grad_sparse_attention() {
+    check_n("grad_sparse_attention", CASES, |g| {
+        let (t, dh) = (g.usize_in(1, 7), 3);
+        let lists = Rc::new(VisibleLists::from_rows(&gen_lists(g, t)));
+        let others = [0, 1, 2].map(|_| gen_input(g, t, dh));
+        let k_out = gen_input(g, t, dh);
+        // The input plays the query, the keys and the values in turn, and
+        // all three at once.
+        for role in 0..4 {
+            let x = gen_input(g, t, dh);
+            let r = check_scalar_fn(&x, EPS, |graph, x| {
+                let pick = |i: usize| {
+                    if role == i || role == 3 {
+                        x
+                    } else {
+                        graph.leaf(others[i].clone())
+                    }
+                };
+                let out = pick(0).sparse_attention(pick(1), pick(2), &lists, 0.7);
+                weighted(out, &k_out).value().item()
+            });
+            assert!(
+                r.max_rel_err < TOL,
+                "role {role}: rel err {}",
+                r.max_rel_err
+            );
+        }
+    });
+}

@@ -5,7 +5,7 @@
 
 use crate::BaselineConfig;
 use kvec_autograd::Var;
-use kvec_nn::{causal_mask, AttentionBlock, Embedding, ParamId, ParamStore, Session};
+use kvec_nn::{causal_mask, AttentionBlock, Embedding, ParamId, ParamStore, Session, Visible};
 use kvec_tensor::{KvecRng, Tensor};
 
 /// Per-sequence transformer encoder: value embeddings + positional
@@ -91,7 +91,7 @@ impl SrnEncoder {
 
         let mask = causal_mask(values.len());
         for block in &self.blocks {
-            e = block.forward(sess, store, e, &mask, rng.as_deref_mut());
+            e = block.forward(sess, store, e, Visible::Mask(&mask), rng.as_deref_mut());
         }
         e
     }

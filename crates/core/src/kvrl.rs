@@ -7,8 +7,9 @@ use crate::mask::MaskBuilder;
 use crate::KvecConfig;
 use kvec_autograd::Var;
 use kvec_data::TangledSequence;
-use kvec_nn::{AttentionBlock, LayerNorm, LstmCell, ParamId, ParamStore, Session};
-use kvec_tensor::{KvecRng, Tensor};
+use kvec_nn::{AttentionBlock, LayerNorm, LstmCell, ParamId, ParamStore, Session, Visible};
+use kvec_tensor::{KvecRng, Tensor, VisibleLists};
+use std::rc::Rc;
 
 /// What the tape-free batch forward ([`KvrlEncoder::encode_rows`]) gives
 /// for one stream: the refined item embeddings, every row's visible list
@@ -19,11 +20,9 @@ pub struct EncodedRows {
     /// `StreamingEngine::feed` computes for item `g` on the default
     /// engine.
     pub e: Tensor,
-    /// Row `g`'s visible list is `positions[offsets[g]..offsets[g + 1]]`.
-    pub offsets: Vec<usize>,
     /// Every row's visible positions, ascending within a row and ending
     /// at the row itself.
-    pub positions: Vec<usize>,
+    pub lists: VisibleLists,
     /// The attention weight of each CSR entry, averaged over heads and
     /// blocks.
     pub weights: Vec<f32>,
@@ -32,8 +31,7 @@ pub struct EncodedRows {
 impl EncodedRows {
     /// Row `g`'s visible positions and their attention weights.
     pub fn row(&self, g: usize) -> (&[usize], &[f32]) {
-        let span = self.offsets[g]..self.offsets[g + 1];
-        (&self.positions[span.clone()], &self.weights[span])
+        (self.lists.row(g), &self.weights[self.lists.span(g)])
     }
 }
 
@@ -57,7 +55,7 @@ pub struct PrefixEncoder<'a> {
 impl PrefixEncoder<'_> {
     /// How many rows are encoded: the rows `0..encoded()` of [`Self::rows`].
     pub fn encoded(&self) -> usize {
-        self.rows.offsets.len() - 1
+        self.rows.lists.len()
     }
 
     /// The rows encoded so far.
@@ -73,19 +71,21 @@ impl PrefixEncoder<'_> {
         let (start, d) = (self.encoded(), self.cfg.d_model);
         let end = end.clamp(start, self.tangled.len());
         let (input, rows) = (&self.encoder.input, &mut self.rows);
-        let (mut visible, mut idx) = (Vec::new(), ItemIndices::default());
-        for (g, item) in self.tangled.items.iter().enumerate().take(end).skip(start) {
-            let code = item.value[self.cfg.session_field];
-            let pos_in_key = self.masks.push_visible(item.key, code, &mut visible);
-            rows.positions.extend_from_slice(&visible);
-            rows.offsets.push(rows.positions.len());
-            input.indices_for_item_into(item.key, &item.value, pos_in_key, g, &mut idx);
-            input.lookup_one_into(self.store, &idx, rows.e.row_mut(g));
-        }
+        let mut idx = ItemIndices::default();
+        let e = &mut rows.e;
+        self.masks.push_rows(
+            &self.tangled.items[start..end],
+            self.cfg.session_field,
+            &mut rows.lists,
+            |g, item, pos_in_key| {
+                input.indices_for_item_into(item.key, &item.value, pos_in_key, g, &mut idx);
+                input.lookup_one_into(self.store, &idx, e.row_mut(g));
+            },
+        );
 
-        let first = rows.offsets[start];
-        rows.weights.resize(rows.positions.len(), 0.0);
-        let mut sink = vec![0.0; rows.positions.len() - first];
+        let first = rows.lists.span(start).start;
+        rows.weights.resize(rows.lists.nnz(), 0.0);
+        let mut sink = vec![0.0; rows.lists.nnz() - first];
         let [mut q, mut attended] = [(); 2].map(|_| Tensor::zeros(end - start, d));
         let (mut logits, mut scratch) = (Vec::new(), Vec::new());
         let x = &mut rows.e.data_mut()[start * d..end * d];
@@ -94,11 +94,11 @@ impl PrefixEncoder<'_> {
             block.project_v_into(self.store, x, &mut v.data_mut()[start * d..end * d]);
             block.project_q_into(self.store, x, q.data_mut());
             for g in start..end {
-                let span = rows.offsets[g]..rows.offsets[g + 1];
+                let span = rows.lists.span(g);
                 block.attend_row_into(
                     q.row(g - start),
                     (k, v),
-                    &rows.positions[span.clone()],
+                    rows.lists.row(g),
                     0,
                     &mut logits,
                     attended.row_mut(g - start),
@@ -162,8 +162,11 @@ impl KvrlEncoder {
     }
 
     /// Runs the embedding + attention stack over a whole tangled prefix,
-    /// producing the refined item embedding matrix `E` (`T x d`). This is
-    /// the taped training forward; inference runs [`Self::prefix_encoder`].
+    /// producing the refined item embedding matrix `E` (`T x d`), where row
+    /// `g` attends over `lists.row(g)` (see [`crate::mask::visible_lists`]).
+    /// This is the taped training forward; inference runs
+    /// [`Self::prefix_encoder`]. Nothing on the tape is `T x T`, and with
+    /// dropout off every row has the bits the inference forward gives it.
     ///
     /// `rng = Some(..)` enables dropout (training).
     pub fn encode<'s>(
@@ -171,12 +174,12 @@ impl KvrlEncoder {
         sess: &'s Session,
         store: &ParamStore,
         items: &[ItemIndices],
-        mask: &Tensor,
+        lists: &Rc<VisibleLists>,
         mut rng: Option<&mut KvecRng>,
     ) -> Var<'s> {
         let mut e = self.input.forward(sess, store, items);
         for (l, block) in self.blocks.iter().enumerate() {
-            let next = block.forward(sess, store, e, mask, rng.as_deref_mut());
+            let next = block.forward(sess, store, e, Visible::Lists(lists), rng.as_deref_mut());
             e = match &self.norms {
                 Some(norms) => norms[l].forward(sess, store, next),
                 None => next,
@@ -214,8 +217,7 @@ impl KvrlEncoder {
             masks: MaskBuilder::streaming(cfg.use_key_correlation, cfg.use_value_correlation),
             rows: EncodedRows {
                 e: zeros(),
-                offsets: vec![0],
-                positions: Vec::new(),
+                lists: VisibleLists::new(),
                 weights: Vec::new(),
             },
             kv: self.blocks.iter().map(|_| [zeros(), zeros()]).collect(),
@@ -253,7 +255,7 @@ impl KvrlEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mask::build_mask;
+    use crate::mask::visible_lists;
     use kvec_data::{Item, Key, TangledSequence, ValueSchema};
 
     fn schema() -> ValueSchema {
@@ -277,24 +279,24 @@ mod tests {
         let mut rng = KvecRng::seed_from_u64(1);
         let enc = KvrlEncoder::new(&mut store, &cfg, &mut rng);
         let t = sample();
-        let dm = build_mask(&t, 0, true, true);
+        let lists = Rc::new(visible_lists(&t, 0, true, true));
         let sess = Session::new();
         let idx = enc.input.indices_for(&t);
-        let e = enc.encode(&sess, &store, &idx, &dm.mask, None);
+        let e = enc.encode(&sess, &store, &idx, &lists, None);
         assert_eq!(e.shape(), (4, cfg.d_model));
 
-        // The batch inference forward: one CSR entry per visible mask
-        // cell, one weight per entry, each row's weights a distribution,
-        // and the taped rows reproduced.
+        // The batch inference forward: the training forward's lists, one
+        // weight per entry, each row's weights a distribution, and the
+        // taped rows reproduced bit for bit.
         let rows = enc.encode_rows(&store, &cfg, &t);
         assert_eq!(rows.e.shape(), (4, cfg.d_model));
-        assert!(rows.e.allclose(&e.value(), 1e-5));
-        assert_eq!(rows.offsets.len(), 5);
-        assert_eq!(rows.weights.len(), rows.positions.len());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rows.e), bits(&e.value()), "taped rows differ");
+        assert_eq!(rows.lists, *lists);
+        assert_eq!(rows.weights.len(), rows.lists.nnz());
         for g in 0..4 {
             let (visible, weights) = rows.row(g);
-            let want: Vec<usize> = (0..4).filter(|&j| dm.mask[(g, j)] == 0.0).collect();
-            assert_eq!(visible, &want[..], "row {g}");
+            assert_eq!(visible, lists.row(g), "row {g}");
             let sum: f32 = weights.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "row {g} sums to {sum}");
         }
@@ -319,10 +321,10 @@ mod tests {
             Item::new(Key(2), vec![0, 1], 1),
         ];
         let t = TangledSequence::new(items, vec![(Key(1), 0), (Key(2), 1)]);
-        let dm = build_mask(&t, 0, false, false);
+        let lists = Rc::new(visible_lists(&t, 0, false, false));
         let sess = Session::new();
         let idx = enc.input.indices_for(&t);
-        let e = enc.encode(&sess, &store, &idx, &dm.mask, None);
+        let e = enc.encode(&sess, &store, &idx, &lists, None);
         let v = e.value();
         assert_eq!(v.row(0), v.row(1));
     }
@@ -334,10 +336,10 @@ mod tests {
         let mut rng = KvecRng::seed_from_u64(3);
         let enc = KvrlEncoder::new(&mut store, &cfg, &mut rng);
         let t = sample();
-        let dm = build_mask(&t, 0, true, true);
+        let lists = Rc::new(visible_lists(&t, 0, true, true));
         let sess = Session::new();
         let idx = enc.input.indices_for(&t);
-        let e = enc.encode(&sess, &store, &idx, &dm.mask, None);
+        let e = enc.encode(&sess, &store, &idx, &lists, None);
 
         // Fuse key 1's two items and backprop through fusion + encoder.
         let mut state = enc.fusion.zero_state(&sess);
@@ -367,19 +369,19 @@ mod tests {
         let mut rng = KvecRng::seed_from_u64(4);
         let enc = KvrlEncoder::new(&mut store, &cfg, &mut rng);
         let t = sample();
-        let dm = build_mask(&t, 0, true, true);
+        let lists = Rc::new(visible_lists(&t, 0, true, true));
         let idx = enc.input.indices_for(&t);
 
         let eval = |_unused: ()| {
             let sess = Session::new();
-            let e = enc.encode(&sess, &store, &idx, &dm.mask, None);
+            let e = enc.encode(&sess, &store, &idx, &lists, None);
             e.value()
         };
         assert!(eval(()).allclose(&eval(()), 1e-6), "eval is deterministic");
 
         let sess = Session::new();
         let mut drng = KvecRng::seed_from_u64(5);
-        let e_train = enc.encode(&sess, &store, &idx, &dm.mask, Some(&mut drng));
+        let e_train = enc.encode(&sess, &store, &idx, &lists, Some(&mut drng));
         assert!(!e_train.value().allclose(&eval(()), 1e-6));
     }
 }

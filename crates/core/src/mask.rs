@@ -22,7 +22,7 @@
 //! the live keys and no sort.
 
 use kvec_data::{Item, Key, TangledSequence};
-use kvec_tensor::Tensor;
+use kvec_tensor::VisibleLists;
 use std::collections::BTreeMap;
 
 /// Classification of one (query item, earlier item) pair.
@@ -105,12 +105,11 @@ impl Runs<'_> {
         }
     }
 
-    /// Writes `own ∪ (shared \ skip) ∪ {t}` into `out` in ascending order,
+    /// Appends `own ∪ (shared \ skip) ∪ {t}` to `out` in ascending order,
     /// as one linear merge. The union is disjoint — `own` holds only the
     /// arriving key's items, `shared \ skip` only other keys' — so no
     /// index is written twice, and `t` exceeds every earlier position.
     fn merge_into(&self, t: usize, out: &mut Vec<usize>) {
-        out.clear();
         out.reserve(self.own.len() + self.shared.len() + 1);
         let (own, mut i, mut s) = (self.own, 0, 0);
         for &p in self.shared {
@@ -164,7 +163,7 @@ pub struct MaskBuilder {
     /// most one list per code the session field takes.
     sessions: BTreeMap<u32, Vec<usize>>,
     /// Every row's edges, kept by the row-recording test builder for the
-    /// [`Self::build_mask`] / [`Self::edge_kinds`] oracles.
+    /// [`Self::recorded_lists`] / [`Self::edge_kinds`] oracles.
     #[cfg(test)]
     rows: Option<Vec<RowEdges>>,
     /// Items pushed so far.
@@ -206,7 +205,7 @@ impl MaskBuilder {
     }
 
     /// A builder with identical edges that also records every row's edges,
-    /// for the [`Self::build_mask`] / [`Self::edge_kinds`] oracles.
+    /// for the [`Self::recorded_lists`] / [`Self::edge_kinds`] oracles.
     #[cfg(test)]
     pub fn new(use_key: bool, use_value: bool) -> Self {
         Self {
@@ -247,10 +246,39 @@ impl MaskBuilder {
     /// grown to size.
     pub fn push_visible(&mut self, key: Key, session_code: u32, visible: &mut Vec<usize>) -> usize {
         let t = self.len;
+        visible.clear();
         self.arrive(key, session_code, |runs, prior| {
             runs.merge_into(t, visible);
             prior
         })
+    }
+
+    /// Registers `items` in order and appends each one's visible list — the
+    /// list [`Self::push_visible`] writes — to `lists` as its next row,
+    /// then hands `each` the row's index in `lists`, the item and its
+    /// position within its key. This is the one mask loop behind every
+    /// CSR of visible lists: the training forward's ([`visible_lists`])
+    /// and the block-major inference encoder's
+    /// (`kvrl::PrefixEncoder::advance`). Allocates nothing once `lists`
+    /// and the builder's state have grown to size.
+    pub fn push_rows<'i>(
+        &mut self,
+        items: impl IntoIterator<Item = &'i Item>,
+        session_field: usize,
+        lists: &mut VisibleLists,
+        mut each: impl FnMut(usize, &'i Item, usize),
+    ) {
+        for item in items {
+            let t = self.len;
+            let g = lists.len();
+            let pos_in_key = lists.push_row_with(|out| {
+                self.arrive(item.key, item.value[session_field], |runs, prior| {
+                    runs.merge_into(t, out);
+                    prior
+                })
+            });
+            each(g, item, pos_in_key);
+        }
     }
 
     /// The one body of [`Self::push`] and [`Self::push_visible`]: hands
@@ -369,19 +397,28 @@ impl MaskBuilder {
             .expect("the oracles need a row-recording builder (MaskBuilder::new)")
     }
 
-    /// Materializes the `T x T` additive mask (0 visible, `-inf` hidden)
-    /// from the recorded rows: the oracle of [`build_mask`].
+    /// Every recorded row's visible list — its key and value edges and the
+    /// row itself, sorted — rebuilt from the recorded edges: the oracle of
+    /// [`visible_lists`].
     #[cfg(test)]
-    pub fn build_mask(&self) -> Tensor {
-        let t = self.recorded_rows().len();
-        let mut m = Tensor::full(t, t, f32::NEG_INFINITY);
-        for (i, row) in self.recorded_rows().iter().enumerate() {
-            m[(i, i)] = 0.0;
-            for &j in row.key_edges.iter().chain(&row.value_edges) {
-                m[(i, j)] = 0.0;
-            }
-        }
-        m
+    pub fn recorded_lists(&self) -> VisibleLists {
+        let rows: Vec<Vec<usize>> = self
+            .recorded_rows()
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let mut list: Vec<usize> = row
+                    .key_edges
+                    .iter()
+                    .chain(&row.value_edges)
+                    .copied()
+                    .collect();
+                list.push(i);
+                list.sort_unstable();
+                list
+            })
+            .collect();
+        VisibleLists::from_rows(&rows)
     }
 
     /// Materializes the edge-kind matrix (row-major `T*T`) from the
@@ -402,12 +439,6 @@ impl MaskBuilder {
         }
         kinds
     }
-}
-
-/// A fully built mask (training path).
-pub struct DynamicMask {
-    /// Additive `T x T` mask.
-    pub mask: Tensor,
 }
 
 /// Splits one row's attention weights into (internal, external) mass, the
@@ -434,26 +465,25 @@ pub fn split_attention_row(
     (internal, external)
 }
 
-/// Builds the mask for a whole tangled sequence at once (training path):
-/// every row's visible list, written by [`MaskBuilder::push_visible`] into
-/// one reused list, opens its cells. `session_field` selects the value
+/// Every row's visible list over a whole tangled sequence, in CSR form:
+/// [`MaskBuilder::push_rows`] on a fresh streaming builder. This is the
+/// mask the training forward attends under; row `i`'s list is the one the
+/// streaming engine builds for item `i`. `session_field` selects the value
 /// dimension defining sessions.
-pub fn build_mask(
+pub fn visible_lists(
     tangled: &TangledSequence,
     session_field: usize,
     use_key: bool,
     use_value: bool,
-) -> DynamicMask {
-    let t = tangled.len();
-    let mut builder = MaskBuilder::streaming(use_key, use_value);
-    let (mut mask, mut visible) = (Tensor::full(t, t, f32::NEG_INFINITY), Vec::new());
-    for (i, item) in tangled.items.iter().enumerate() {
-        builder.push_visible(item.key, item.value[session_field], &mut visible);
-        for &j in &visible {
-            mask[(i, j)] = 0.0;
-        }
-    }
-    DynamicMask { mask }
+) -> VisibleLists {
+    let mut lists = VisibleLists::new();
+    MaskBuilder::streaming(use_key, use_value).push_rows(
+        &tangled.items,
+        session_field,
+        &mut lists,
+        |_, _, _| {},
+    );
+    lists
 }
 
 #[cfg(test)]
@@ -475,40 +505,31 @@ mod tests {
 
     #[test]
     fn key_correlation_links_same_key_history() {
-        let dm = build_mask(&sample(), 0, true, false);
+        let lists = visible_lists(&sample(), 0, true, false);
         // Item 4 (key A) sees items 0, 1 (key A) and itself; never key B.
-        assert_eq!(dm.mask[(4, 0)], 0.0);
-        assert_eq!(dm.mask[(4, 1)], 0.0);
-        assert_eq!(dm.mask[(4, 4)], 0.0);
-        assert_eq!(dm.mask[(4, 2)], f32::NEG_INFINITY);
-        assert_eq!(dm.mask[(4, 3)], f32::NEG_INFINITY);
+        assert_eq!(lists.row(4), [0, 1, 4]);
     }
 
     #[test]
     fn value_correlation_links_matching_trailing_sessions() {
-        let dm = build_mask(&sample(), 0, false, true);
+        let lists = visible_lists(&sample(), 0, false, true);
         // Item 2 (key B, dir 0) arrives while key A's trailing session is
         // {0, 1} with code 0 -> value edges to 0 and 1.
-        assert_eq!(dm.mask[(2, 0)], 0.0);
-        assert_eq!(dm.mask[(2, 1)], 0.0);
+        assert_eq!(lists.row(2), [0, 1, 2]);
         // Item 3 (key B, dir 1): key A's trailing session still has code 0
-        // -> no value edges.
-        assert_eq!(dm.mask[(3, 0)], f32::NEG_INFINITY);
-        assert_eq!(dm.mask[(3, 1)], f32::NEG_INFINITY);
-        assert_eq!(dm.mask[(3, 3)], 0.0, "self always visible");
+        // -> no value edges; self always visible.
+        assert_eq!(lists.row(3), [3]);
         // Item 4 (key A, dir 1): key B's trailing session is {3} with code
-        // 1 -> value edge to 3.
-        assert_eq!(dm.mask[(4, 3)], 0.0);
-        assert_eq!(dm.mask[(4, 2)], f32::NEG_INFINITY);
+        // 1 -> value edge to 3, not to 2.
+        assert_eq!(lists.row(4), [3, 4]);
     }
 
     #[test]
     fn causality_upper_triangle_is_masked() {
-        let dm = build_mask(&sample(), 0, true, true);
+        let lists = visible_lists(&sample(), 0, true, true);
         for i in 0..5 {
-            for j in (i + 1)..5 {
-                assert_eq!(dm.mask[(i, j)], f32::NEG_INFINITY, "({i},{j})");
-            }
+            let row = lists.row(i);
+            assert!(row.iter().all(|&j| j <= i), "row {i} sees ahead: {row:?}");
         }
     }
 
@@ -529,12 +550,9 @@ mod tests {
 
     #[test]
     fn disabled_correlations_leave_only_diagonal() {
-        let dm = build_mask(&sample(), 0, false, false);
+        let lists = visible_lists(&sample(), 0, false, false);
         for i in 0..5 {
-            for j in 0..5 {
-                let expected = if i == j { 0.0 } else { f32::NEG_INFINITY };
-                assert_eq!(dm.mask[(i, j)], expected);
-            }
+            assert_eq!(lists.row(i), [i]);
         }
     }
 
@@ -549,10 +567,8 @@ mod tests {
             Item::new(Key(2), vec![0], 3),
         ];
         let t = TangledSequence::new(items, vec![(Key(1), 0), (Key(2), 1)]);
-        let dm = build_mask(&t, 0, false, true);
-        assert_eq!(dm.mask[(3, 0)], f32::NEG_INFINITY);
-        assert_eq!(dm.mask[(3, 1)], f32::NEG_INFINITY);
-        assert_eq!(dm.mask[(3, 2)], f32::NEG_INFINITY);
+        let lists = visible_lists(&t, 0, false, true);
+        assert_eq!(lists.row(3), [3]);
     }
 
     #[test]
@@ -563,12 +579,12 @@ mod tests {
         for item in &tangled.items {
             rows.push(builder.push(item.key, item.value[0]));
         }
-        let mask = builder.build_mask();
+        let lists = visible_lists(&tangled, 0, true, true);
         for (i, row) in rows.iter().enumerate() {
             for &j in row.key_edges.iter().chain(&row.value_edges) {
-                assert_eq!(mask[(i, j)], 0.0);
+                assert!(lists.row(i).contains(&j), "row {i} misses {j}");
             }
-            let visible = (0..=i).filter(|&j| mask[(i, j)] == 0.0 && j != i).count();
+            let visible = lists.row(i).iter().filter(|&&j| j != i).count();
             assert_eq!(visible, row.key_edges.len() + row.value_edges.len());
         }
     }
@@ -738,9 +754,9 @@ mod tests {
     }
 
     #[test]
-    fn build_mask_matches_the_row_recording_builder() {
+    fn visible_lists_match_the_row_recording_builder() {
         for (use_key, use_value) in [(true, true), (true, false), (false, true), (false, false)] {
-            let name = format!("build_mask (key={use_key}, value={use_value})");
+            let name = format!("visible_lists (key={use_key}, value={use_value})");
             kvec_check::check_n(&name, 48, |g| {
                 let n_keys = g.usize_in(1, 10) as u64;
                 let cardinality = g.usize_in(1, 6) as u32;
@@ -759,9 +775,23 @@ mod tests {
                 for item in &tangled.items {
                     rec.push(item.key, item.value[0]);
                 }
-                let got = build_mask(&tangled, 0, use_key, use_value).mask;
-                let bits = |m: &Tensor| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&rec.build_mask()));
+                let got = visible_lists(&tangled, 0, use_key, use_value);
+                assert_eq!(got, rec.recorded_lists());
+
+                // Rows pushed in two runs into one CSR are the same rows, and
+                // each row's position within its key counts its key's items.
+                let (mut lists, mut seen) = (VisibleLists::new(), BTreeMap::new());
+                let mut b = MaskBuilder::streaming(use_key, use_value);
+                let cut = tangled.len() / 2;
+                for run in [&tangled.items[..cut], &tangled.items[cut..]] {
+                    b.push_rows(run, 0, &mut lists, |row, item, pos_in_key| {
+                        assert_eq!(item.time, row as u64, "row index");
+                        let count: &mut usize = seen.entry(item.key).or_default();
+                        assert_eq!(pos_in_key, *count, "position within key at {row}");
+                        *count += 1;
+                    });
+                }
+                assert_eq!(lists, got);
             });
         }
     }
@@ -782,10 +812,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "row-recording builder")]
-    fn streaming_builder_rejects_build_mask() {
+    fn streaming_builder_rejects_the_oracles() {
         let mut b = MaskBuilder::streaming(true, true);
         b.push(Key(1), 0);
-        let _ = b.build_mask();
+        let _ = b.recorded_lists();
     }
 
     #[test]

@@ -3,12 +3,13 @@
 use crate::classifier::Classifier;
 use crate::ectl::Ectl;
 use crate::kvrl::KvrlEncoder;
-use crate::mask::{build_mask, DynamicMask};
+use crate::mask::visible_lists;
 use crate::KvecConfig;
 use kvec_autograd::Var;
 use kvec_data::TangledSequence;
 use kvec_nn::{ParamId, ParamStore, Session};
-use kvec_tensor::KvecRng;
+use kvec_tensor::{KvecRng, VisibleLists};
+use std::rc::Rc;
 
 /// KVRL + ECTL + classifier, sharing one [`ParamStore`].
 ///
@@ -32,8 +33,8 @@ pub struct KvecModel {
 pub struct StreamForward<'s> {
     /// Refined item embeddings `E` (`T x d`).
     pub e: Var<'s>,
-    /// The dynamic mask.
-    pub dyn_mask: DynamicMask,
+    /// The dynamic mask: every row's visible list.
+    pub lists: Rc<VisibleLists>,
 }
 
 impl KvecModel {
@@ -87,11 +88,13 @@ impl KvecModel {
     }
 
     /// Teacher-forced full forward over a tangled stream (the training
-    /// forward): builds the dynamic mask and runs the taped attention
-    /// stack once for all arrived items. By causality of the mask, row
-    /// `t` of `E` equals the representation item `t` had at its arrival
-    /// time, so per-step fusion/halting can be simulated afterwards.
-    /// Inference runs the tape-free [`KvrlEncoder::encode_rows`] instead.
+    /// forward): builds every row's visible list and runs the taped
+    /// attention stack once for all arrived items. By causality of the
+    /// mask, row `t` of `E` equals the representation item `t` had at its
+    /// arrival time, so per-step fusion/halting can be simulated
+    /// afterwards. Inference runs the tape-free
+    /// [`KvrlEncoder::encode_rows`] instead; with dropout off, `E` has its
+    /// bits.
     pub fn encode_stream<'s>(
         &self,
         sess: &'s Session,
@@ -99,17 +102,17 @@ impl KvecModel {
         dropout_rng: Option<&mut KvecRng>,
     ) -> StreamForward<'s> {
         assert!(!tangled.is_empty(), "cannot encode an empty stream");
-        let dyn_mask = build_mask(
+        let lists = Rc::new(visible_lists(
             tangled,
             self.cfg.session_field,
             self.cfg.use_key_correlation,
             self.cfg.use_value_correlation,
-        );
+        ));
         let indices = self.encoder.input.indices_for(tangled);
         let e = self
             .encoder
-            .encode(sess, &self.store, &indices, &dyn_mask.mask, dropout_rng);
-        StreamForward { e, dyn_mask }
+            .encode(sess, &self.store, &indices, &lists, dropout_rng);
+        StreamForward { e, lists }
     }
 }
 
@@ -154,13 +157,13 @@ mod tests {
         let sess = Session::new();
         let fwd = model.encode_stream(&sess, &sample(), None);
         assert_eq!(fwd.e.shape(), (3, cfg.d_model));
-        assert_eq!(fwd.dyn_mask.mask.shape(), (3, 3));
-        // The inference forward covers the same rows and holds one weight
-        // per visible mask cell.
+        assert_eq!(fwd.lists.len(), 3);
+        // The inference forward covers the same rows, under the same
+        // lists, and holds one weight per visible entry.
         let rows = model.encoder.encode_rows(&model.store, &cfg, &sample());
         assert_eq!(rows.e.shape(), fwd.e.shape());
-        let visible = fwd.dyn_mask.mask.data().iter().filter(|&&m| m == 0.0);
-        assert_eq!(rows.weights.len(), visible.count());
+        assert_eq!(rows.lists, *fwd.lists);
+        assert_eq!(rows.weights.len(), fwd.lists.nnz());
     }
 
     #[test]

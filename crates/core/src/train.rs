@@ -545,7 +545,7 @@ impl Trainer {
         // Establish an initial rollback target before the first update so
         // divergence on step 0 is still recoverable.
         if self.snapshot.is_none() && self.watchdog.snapshot_every > 0 {
-            self.snapshot = Some(self.capture_snapshot(model));
+            self.capture_snapshot(model);
         }
 
         if let Some(reason) = self.diagnose(model, step_loss) {
@@ -601,7 +601,7 @@ impl Trainer {
         if self.watchdog.snapshot_every > 0
             && self.good_steps.is_multiple_of(self.watchdog.snapshot_every)
         {
-            self.snapshot = Some(self.capture_snapshot(model));
+            self.capture_snapshot(model);
         }
         Ok(true)
     }
@@ -629,12 +629,24 @@ impl Trainer {
         None
     }
 
-    fn capture_snapshot(&self, model: &KvecModel) -> StepSnapshot {
-        StepSnapshot {
-            step: self.step,
-            values: model.store.snapshot_values(),
-            opt_model: self.opt_model.export_state(),
-            opt_baseline: self.opt_baseline.export_state(),
+    /// Captures the current state as the rollback target, copying into
+    /// the previous snapshot's buffers when there is one.
+    fn capture_snapshot(&mut self, model: &KvecModel) {
+        match &mut self.snapshot {
+            Some(snap) => {
+                snap.step = self.step;
+                model.store.snapshot_values_into(&mut snap.values);
+                self.opt_model.export_state_into(&mut snap.opt_model);
+                self.opt_baseline.export_state_into(&mut snap.opt_baseline);
+            }
+            None => {
+                self.snapshot = Some(StepSnapshot {
+                    step: self.step,
+                    values: model.store.snapshot_values(),
+                    opt_model: self.opt_model.export_state(),
+                    opt_baseline: self.opt_baseline.export_state(),
+                })
+            }
         }
     }
 

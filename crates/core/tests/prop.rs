@@ -2,7 +2,7 @@
 //! paper's representation learning. (Ported from proptest to the in-tree
 //! `kvec-check` harness.)
 
-use kvec::mask::{build_mask, EdgeKind, MaskBuilder};
+use kvec::mask::{visible_lists, EdgeKind, MaskBuilder};
 use kvec_check::{check, Gen};
 use kvec_data::{Item, Key, TangledSequence};
 
@@ -45,9 +45,9 @@ fn gen_stream(g: &mut Gen) -> TangledSequence {
 fn diagonal_always_visible() {
     check("diagonal_always_visible", |g| {
         let t = gen_stream(g);
-        let dm = build_mask(&t, 0, true, true);
+        let lists = visible_lists(&t, 0, true, true);
         for i in 0..t.len() {
-            assert_eq!(dm.mask[(i, i)], 0.0);
+            assert_eq!(lists.row(i).last(), Some(&i));
         }
     });
 }
@@ -57,11 +57,9 @@ fn strict_causality() {
     check("strict_causality", |g| {
         let t = gen_stream(g);
         for (uk, uv) in [(true, true), (true, false), (false, true), (false, false)] {
-            let dm = build_mask(&t, 0, uk, uv);
+            let lists = visible_lists(&t, 0, uk, uv);
             for i in 0..t.len() {
-                for j in (i + 1)..t.len() {
-                    assert_eq!(dm.mask[(i, j)], f32::NEG_INFINITY);
-                }
+                assert!(lists.row(i).iter().all(|&j| j <= i), "row {i}");
             }
         }
     });
@@ -71,10 +69,7 @@ fn strict_causality() {
 fn edges_grow_monotonically_with_enabled_correlations() {
     check("edges_grow_monotonically_with_enabled_correlations", |g| {
         let t = gen_stream(g);
-        let count = |uk: bool, uv: bool| {
-            let dm = build_mask(&t, 0, uk, uv);
-            dm.mask.data().iter().filter(|&&v| v == 0.0).count()
-        };
+        let count = |uk: bool, uv: bool| visible_lists(&t, 0, uk, uv).nnz();
         let none = count(false, false);
         let key_only = count(true, false);
         let value_only = count(false, true);
@@ -123,11 +118,11 @@ fn key_correlation_is_complete_within_a_key() {
         let t = gen_stream(g);
         // With key correlation on, every pair (i, j<i) of the same key is
         // visible.
-        let dm = build_mask(&t, 0, true, false);
+        let lists = visible_lists(&t, 0, true, false);
         for i in 0..t.len() {
             for j in 0..i {
                 if t.items[i].key == t.items[j].key {
-                    assert_eq!(dm.mask[(i, j)], 0.0, "({i}, {j})");
+                    assert!(lists.row(i).contains(&j), "({i}, {j})");
                 }
             }
         }
@@ -138,12 +133,12 @@ fn key_correlation_is_complete_within_a_key() {
 fn kinds_and_mask_agree() {
     check("kinds_and_mask_agree", |g| {
         let t = gen_stream(g);
-        let dm = build_mask(&t, 0, true, true);
+        let lists = visible_lists(&t, 0, true, true);
         let kinds = edge_kinds(&t);
         let n = t.len();
         for i in 0..n {
             for j in 0..n {
-                let visible = dm.mask[(i, j)] == 0.0;
+                let visible = lists.row(i).contains(&j);
                 let kind = kinds[i * n + j];
                 assert_eq!(visible, kind != EdgeKind::None, "({i}, {j})");
             }

@@ -1,24 +1,26 @@
 //! The correlation-masked self-attention block of KVRL.
 //!
 //! Paper Section IV-B: queries/keys/values are linear projections of the
-//! dynamic embedding matrix, attention logits receive the additive dynamic
-//! mask `M` (0 for visible pairs, `-inf` otherwise), and a two-layer ReLU
-//! feed-forward network follows. The same block with an all-visible causal
-//! mask doubles as the per-sequence transformer encoder of the SRN
-//! baselines.
+//! dynamic embedding matrix, each item attends over the items the dynamic
+//! mask `M` leaves visible to it, and a two-layer ReLU feed-forward network
+//! follows. KVEC's mask is given as each row's visible list
+//! ([`Visible::Lists`]); the same block under a dense causal mask
+//! ([`Visible::Mask`]) doubles as the per-sequence transformer encoder of
+//! the SRN baselines.
 //!
-//! All heavy linear algebra here — the Q/K/V/O projections, the per-head
-//! `Q Kᵀ` score products, the masked row softmax and the `attn · V`
-//! contraction — lowers to the register-tiled kernels in `kvec_tensor`.
-//! The streaming row ([`AttentionBlock::attend_row_into`]) writes into
-//! caller buffers, exponentiates its logits with one vectorised
-//! `simd::exp_on` and computes attention weights for analysis only when
-//! the caller passes a sink.
+//! The projections and the FFN lower to the register-tiled kernels in
+//! `kvec_tensor`. Every attended row over a visible list — streaming
+//! ([`AttentionBlock::attend_row_into`]), block-major inference and the
+//! training tape — runs one body, [`kvec_tensor::attend_head_row`], which
+//! writes into caller buffers, exponentiates its logits with one
+//! vectorised `simd::exp_on` and computes attention weights for analysis
+//! only when the caller passes a sink.
 
 use crate::{Dropout, FeedForward, Linear, ParamId, ParamStore, Session};
 use kvec_autograd::Var;
 use kvec_obs::LazyCounter;
-use kvec_tensor::{simd, KvecRng, Tensor};
+use kvec_tensor::{attend_head_row, simd, HeadKv, KvecRng, Tensor, VisibleLists};
+use std::rc::Rc;
 
 // Phase timers for the training-path forward pass. The autograd session is
 // eager (every `Var` op computes its value immediately), so wall-clock
@@ -31,6 +33,19 @@ static ATTN_FFN_NS: LazyCounter = LazyCounter::new("attn.ffn.ns");
 // Streaming-inference hot path.
 static ATTN_ROW_CALLS: LazyCounter = LazyCounter::new("attn.attend_row.calls");
 static ATTN_ROW_NS: LazyCounter = LazyCounter::new("attn.attend_row.ns");
+
+/// What each row of [`AttentionBlock::forward`]'s input may attend to.
+#[derive(Clone, Copy)]
+pub enum Visible<'a> {
+    /// A `T x T` additive mask of `0` (visible) and `-inf`: dense scores,
+    /// a masked softmax and a dense weighted sum. The SRN baselines' short
+    /// causal sequences, where half of `T²` is visible, run this.
+    Mask(&'a Tensor),
+    /// Each row's visible list: logits, softmax and weighted sum over the
+    /// list alone ([`Var::sparse_attention`]). KVEC's correlation mask,
+    /// where a row sees a few percent of `T`, runs this.
+    Lists(&'a Rc<VisibleLists>),
+}
 
 /// One attention block: masked single-head self-attention followed by a
 /// position-wise feed-forward network, with optional residual connections
@@ -100,10 +115,12 @@ impl AttentionBlock {
         }
     }
 
-    /// Applies the block to a `T x d_model` input under the additive mask
-    /// `mask` (`T x T` of `0`/`-inf`), returning the transformed
-    /// embeddings. This is the training forward; inference runs the row
-    /// bodies ([`Self::attend_row_into`], [`Self::finish_row_into`]).
+    /// Applies the block to a `T x d_model` input whose rows see what
+    /// `visible` says, returning the transformed embeddings. This is the
+    /// training forward; inference runs the row bodies
+    /// ([`Self::attend_row_into`], [`Self::finish_row_into`]). Over
+    /// [`Visible::Lists`] each attended row has the bits
+    /// [`Self::attend_row_into`] gives it.
     ///
     /// `rng = Some(..)` enables dropout (training); `None` is evaluation.
     pub fn forward<'s>(
@@ -111,12 +128,15 @@ impl AttentionBlock {
         sess: &'s Session,
         store: &ParamStore,
         x: Var<'s>,
-        mask: &Tensor,
+        visible: Visible<'_>,
         rng: Option<&mut KvecRng>,
     ) -> Var<'s> {
         let (t, d) = x.shape();
         assert_eq!(d, self.d_model, "attention input width mismatch");
-        assert_eq!(mask.shape(), (t, t), "mask shape mismatch");
+        match visible {
+            Visible::Mask(mask) => assert_eq!(mask.shape(), (t, t), "mask shape mismatch"),
+            Visible::Lists(lists) => assert_eq!(lists.len(), t, "visible list count mismatch"),
+        }
 
         ATTN_FWD_CALLS.add(1);
         let t0 = kvec_obs::timer();
@@ -140,9 +160,14 @@ impl AttentionBlock {
                     v.slice_cols(lo, hi),
                 )
             };
-            let scores = qh.matmul_nt(kh).scale(scale);
-            let attn = scores.masked_softmax_rows(mask);
-            head_outs.push(attn.matmul(vh));
+            head_outs.push(match visible {
+                Visible::Mask(mask) => qh
+                    .matmul_nt(kh)
+                    .scale(scale)
+                    .masked_softmax_rows(mask)
+                    .matmul(vh),
+                Visible::Lists(lists) => qh.sparse_attention(kh, vh, lists, scale),
+            });
         }
         ATTN_SCORES_NS.add_elapsed_ns(t0);
         let t0 = kvec_obs::timer();
@@ -252,13 +277,11 @@ impl AttentionBlock {
 
     /// The body of [`Self::attend_row_window`] on caller buffers: writes the
     /// attended row of query `q` over the windowed `(keys, values)` caches
-    /// into `out` (`d_model` wide, overwritten). Each head's scaled logits
-    /// go into `logits` (grown as needed, carries nothing between calls) and
-    /// are exponentiated by one [`simd::exp_on`]; their sum is taken in
-    /// visible order, as the batch softmax sums its row; each value row is
-    /// then added into `out` once, weighted by `e^(l - max) · (1 / sum)`. The
-    /// head-mean weight per visible index is written to `weights` only when
-    /// a sink is passed — `out` has the same bits either way.
+    /// into `out` (`d_model` wide, overwritten), one [`attend_head_row`] per
+    /// head — the row body the training tape's edge-list attention runs
+    /// too. `logits` is that body's scratch. The head-mean weight per
+    /// visible index is written to `weights` only when a sink is passed —
+    /// `out` has the same bits either way.
     #[allow(clippy::too_many_arguments)]
     pub fn attend_row_into(
         &self,
@@ -287,38 +310,29 @@ impl AttentionBlock {
         let t0 = kvec_obs::timer();
         let dh = self.d_model / self.n_heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        out.fill(0.0);
         if let Some(w) = weights.as_deref_mut() {
-            assert_eq!(w.len(), visible.len(), "weight sink length");
             w.fill(0.0);
         }
-        // Head-dim dots, the exponentials and the weighted accumulation go
-        // through the SIMD backend; the path is resolved once per call, not
-        // per visible index.
+        // The path is resolved once per call, not per visible index.
         let path = simd::active_path();
         for h in 0..self.n_heads {
             let (lo, hi) = (h * dh, (h + 1) * dh);
-            logits.clear();
-            logits.extend(
-                visible
-                    .iter()
-                    .map(|&j| simd::dot_on(path, &q[lo..hi], &keys.row(j - base)[lo..hi]) * scale),
+            let kv = HeadKv {
+                keys: &keys.data()[lo..],
+                values: &values.data()[lo..],
+                stride: self.d_model,
+                base,
+            };
+            attend_head_row(
+                path,
+                &q[lo..hi],
+                kv,
+                visible,
+                scale,
+                logits,
+                &mut out[lo..hi],
+                weights.as_deref_mut().map(|w| (w, self.n_heads as f32)),
             );
-            let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            for l in logits.iter_mut() {
-                *l -= max;
-            }
-            simd::exp_on(path, logits);
-            let inv = 1.0 / logits.iter().sum::<f32>();
-            for (&j, &e) in visible.iter().zip(logits.iter()) {
-                let row = &values.row(j - base)[lo..hi];
-                simd::axpy_on(path, &mut out[lo..hi], e * inv, row);
-            }
-            if let Some(w) = weights.as_deref_mut() {
-                for (mw, &e) in w.iter_mut().zip(logits.iter()) {
-                    *mw += e * inv / self.n_heads as f32;
-                }
-            }
         }
         ATTN_ROW_NS.add_elapsed_ns(t0);
     }
@@ -450,7 +464,13 @@ mod tests {
         let sess = Session::new();
         let mut rng = KvecRng::seed_from_u64(1);
         let x = Tensor::rand_uniform(5, 4, -1.0, 1.0, &mut rng);
-        let y = blk.forward(&sess, &store, sess.input(x.clone()), &causal_mask(5), None);
+        let y = blk.forward(
+            &sess,
+            &store,
+            sess.input(x.clone()),
+            Visible::Mask(&causal_mask(5)),
+            None,
+        );
         assert_eq!(y.shape(), (5, 4));
         for r in 0..5 {
             let weights = causal_row_weights(&blk, &store, &x, r);
@@ -471,14 +491,14 @@ mod tests {
 
         let sess1 = Session::new();
         let x1 = sess1.input(base.clone());
-        let y1 = blk.forward(&sess1, &store, x1, &causal_mask(4), None);
+        let y1 = blk.forward(&sess1, &store, x1, Visible::Mask(&causal_mask(4)), None);
         let first1 = y1.value().row(0).to_vec();
 
         let mut changed = base.clone();
         changed.row_mut(3).iter_mut().for_each(|v| *v += 5.0);
         let sess2 = Session::new();
         let x2 = sess2.input(changed);
-        let y2 = blk.forward(&sess2, &store, x2, &causal_mask(4), None);
+        let y2 = blk.forward(&sess2, &store, x2, Visible::Mask(&causal_mask(4)), None);
         let first2 = y2.value().row(0).to_vec();
         assert_eq!(first1, first2);
     }
@@ -496,7 +516,7 @@ mod tests {
         mask[(2, 1)] = f32::NEG_INFINITY;
         let out = |x: Tensor| {
             let sess = Session::new();
-            blk.forward(&sess, &store, sess.input(x), &mask, None)
+            blk.forward(&sess, &store, sess.input(x), Visible::Mask(&mask), None)
                 .value()
         };
         let mut changed = base.clone();
@@ -519,7 +539,7 @@ mod tests {
         let sess = Session::new();
         let mut rng = KvecRng::seed_from_u64(4);
         let x = sess.input(Tensor::rand_uniform(3, 4, -1.0, 1.0, &mut rng));
-        let y = blk.forward(&sess, &store, x, &causal_mask(3), None);
+        let y = blk.forward(&sess, &store, x, Visible::Mask(&causal_mask(3)), None);
         sess.backward(y.square().sum_all());
         sess.accumulate_grads(&mut store);
         for id in blk.param_ids() {
@@ -542,7 +562,7 @@ mod tests {
         let sess = Session::new();
         let xv = sess.input(x.clone());
         let batch_out = blk
-            .forward(&sess, &store, xv, &causal_mask(6), None)
+            .forward(&sess, &store, xv, Visible::Mask(&causal_mask(6)), None)
             .value();
 
         // Incremental (inference) path.
@@ -683,7 +703,13 @@ mod tests {
 
         let sess = Session::new();
         let x = Tensor::rand_uniform(5, 8, -1.0, 1.0, &mut rng);
-        let y = blk.forward(&sess, &store, sess.input(x.clone()), &causal_mask(5), None);
+        let y = blk.forward(
+            &sess,
+            &store,
+            sess.input(x.clone()),
+            Visible::Mask(&causal_mask(5)),
+            None,
+        );
         assert_eq!(y.shape(), (5, 8));
         // Mean head weights remain row-stochastic.
         for r in 0..5 {
@@ -711,7 +737,7 @@ mod tests {
         let sess = Session::new();
         let xv = sess.input(x.clone());
         let batch_out = blk
-            .forward(&sess, &store, xv, &causal_mask(6), None)
+            .forward(&sess, &store, xv, Visible::Mask(&causal_mask(6)), None)
             .value();
 
         let keys = blk.project_k(&store, &x);

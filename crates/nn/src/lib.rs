@@ -30,7 +30,7 @@ mod param;
 mod schedule;
 mod session;
 
-pub use attention::{causal_mask, AttentionBlock};
+pub use attention::{causal_mask, AttentionBlock, Visible};
 pub use checkpoint::CheckpointError;
 pub use dropout::Dropout;
 pub use embedding::Embedding;

@@ -40,8 +40,8 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore) {
         for &id in &self.params {
-            let g = store.grad(id).clone();
-            store.value_mut(id).add_scaled_assign(&g, -self.lr);
+            let (w, g) = store.value_and_grad_mut(id);
+            w.add_scaled_assign(g, -self.lr);
         }
     }
 
@@ -173,6 +173,18 @@ impl Adam {
         }
     }
 
+    /// [`Self::export_state`] into an earlier capture, reusing its moment
+    /// buffers: a snapshot refreshed every step allocates nothing.
+    pub fn export_state_into(&self, state: &mut AdamState) {
+        state.t = self.t;
+        state.lr = self.lr;
+        state.beta1 = self.beta1;
+        state.beta2 = self.beta2;
+        state.eps = self.eps;
+        state.m.clone_from(&self.m);
+        state.v.clone_from(&self.v);
+    }
+
     /// Restores a state captured by [`Adam::export_state`]. Fails (leaving
     /// the optimizer untouched) if the snapshot's moment buffers do not
     /// match this optimizer's parameter group in count or shape, or carry
@@ -219,14 +231,13 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for (slot, &id) in self.params.iter().enumerate() {
-            let g = store.grad(id).clone();
+            let (w, g) = store.value_and_grad_mut(id);
             let m = &mut self.m[slot];
             let v = &mut self.v[slot];
             for ((m_i, v_i), g_i) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
                 *m_i = self.beta1 * *m_i + (1.0 - self.beta1) * g_i;
                 *v_i = self.beta2 * *v_i + (1.0 - self.beta2) * g_i * g_i;
             }
-            let w = store.value_mut(id);
             for ((w_i, m_i), v_i) in w.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
                 let m_hat = m_i / bc1;
                 let v_hat = v_i / bc2;
@@ -452,6 +463,28 @@ mod tests {
         drive(&mut store_c, &mut opt_c, wc, 20..40);
 
         assert_eq!(store_a.value(wa).item(), store_c.value(wc).item());
+    }
+
+    #[test]
+    fn export_state_into_refreshes_an_earlier_capture_in_place() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::row_vector(&[0.5, -1.0, 2.0]));
+        let mut opt = Adam::new(&store, vec![w], 0.05);
+        let mut state = opt.export_state();
+        let buffers = (state.m[0].data().as_ptr(), state.v[0].data().as_ptr());
+        for _ in 0..3 {
+            store.accumulate_grad(w, &Tensor::row_vector(&[0.3, -0.1, 0.2]));
+            opt.step(&mut store);
+            store.zero_grads();
+        }
+        opt.set_learning_rate(0.01);
+        opt.export_state_into(&mut state);
+        assert_eq!(state, opt.export_state());
+        assert_eq!(
+            (state.m[0].data().as_ptr(), state.v[0].data().as_ptr()),
+            buffers,
+            "moment buffers reallocated"
+        );
     }
 
     #[test]

@@ -92,6 +92,13 @@ impl ParamStore {
         &self.entries[id.0].grad
     }
 
+    /// The value to update and the gradient to read, borrowed at once:
+    /// an optimizer reads the gradient in place instead of cloning it.
+    pub fn value_and_grad_mut(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
+        let entry = &mut self.entries[id.0];
+        (&mut entry.value, &entry.grad)
+    }
+
     /// Adds `contrib` into the parameter's gradient accumulator.
     pub fn accumulate_grad(&mut self, id: ParamId, contrib: &Tensor) {
         self.entries[id.0].grad.add_assign(contrib);
@@ -219,6 +226,17 @@ impl ParamStore {
     /// the divergence watchdog rolls back to.
     pub fn snapshot_values(&self) -> Vec<Tensor> {
         self.entries.iter().map(|e| e.value.clone()).collect()
+    }
+
+    /// [`Self::snapshot_values`] into an earlier snapshot's tensors,
+    /// allocating nothing once `out` holds one of the right size.
+    pub fn snapshot_values_into(&self, out: &mut Vec<Tensor>) {
+        out.truncate(self.entries.len());
+        for (slot, e) in out.iter_mut().zip(&self.entries) {
+            slot.clone_from(&e.value);
+        }
+        let have = out.len();
+        out.extend(self.entries[have..].iter().map(|e| e.value.clone()));
     }
 
     /// Restores values captured by [`ParamStore::snapshot_values`].
@@ -362,6 +380,33 @@ mod tests {
         ps.value_mut(id).data_mut()[0] = 99.0;
         ps.restore_values(&snap);
         assert_eq!(ps.value(id).data(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn snapshot_into_reuses_the_previous_buffers() {
+        let mut ps = ParamStore::new();
+        let a = ps.add("a", Tensor::row_vector(&[1.0, 2.0]));
+        ps.add("b", Tensor::zeros(2, 2));
+        let mut snap = Vec::new();
+        ps.snapshot_values_into(&mut snap);
+        assert_eq!(snap, ps.snapshot_values());
+        let buffers: Vec<*const f32> = snap.iter().map(|t| t.data().as_ptr()).collect();
+        ps.value_mut(a).data_mut()[1] = -7.0;
+        ps.snapshot_values_into(&mut snap);
+        assert_eq!(snap, ps.snapshot_values());
+        let reused: Vec<*const f32> = snap.iter().map(|t| t.data().as_ptr()).collect();
+        assert_eq!(reused, buffers, "a refreshed snapshot reallocated");
+    }
+
+    #[test]
+    fn value_and_grad_mut_borrow_one_entry() {
+        let mut ps = ParamStore::new();
+        let id = ps.add("w", Tensor::row_vector(&[1.0, 2.0]));
+        ps.accumulate_grad(id, &Tensor::row_vector(&[0.5, -1.0]));
+        let (w, g) = ps.value_and_grad_mut(id);
+        w.add_scaled_assign(g, 2.0);
+        assert_eq!(ps.value(id).data(), &[2.0, 0.0]);
+        assert_eq!(ps.grad(id).data(), &[0.5, -1.0]);
     }
 
     #[test]

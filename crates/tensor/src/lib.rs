@@ -3,8 +3,9 @@
 //! Dense, row-major, 2-D `f32` tensor kernels used by the KVEC reproduction.
 //!
 //! Everything the KVEC paper computes is a matrix or a vector: item embedding
-//! matrices are `T x d`, attention logits are `T x T`, gate activations are
-//! `1 x d`. Restricting the kernel surface to two dimensions keeps every
+//! matrices are `T x d`, a row's attention logits are a vector over its
+//! visible list ([`attend_head_row`]), gate activations are `1 x d`.
+//! Restricting the kernel surface to two dimensions keeps every
 //! operation simple enough to be exhaustively tested (including by property
 //! tests) while still covering the entire model.
 //!
@@ -20,6 +21,7 @@
 //!   kernel path is individually deterministic, and the paths agree to
 //!   tight ULP tolerance (FMA legitimately rounds differently).
 
+mod attend;
 mod error;
 mod init;
 mod matmul;
@@ -30,6 +32,7 @@ pub mod simd;
 mod softmax;
 mod tensor;
 
+pub use attend::{attend_head_row, HeadKv, VisibleLists};
 pub use error::{TensorError, TensorResult};
 pub use matmul::matmul_into;
 pub use rng::KvecRng;

@@ -8,11 +8,29 @@ use std::ops::{Index, IndexMut};
 /// parameters, embedding matrices, attention logits, gradients and metric
 /// accumulators are all `Tensor`s. Serialization (used for model
 /// checkpoints and dataset persistence) keeps the row-major buffer as-is.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     rows: usize,
     cols: usize,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Self {
+            data: self.data.clone(),
+            rows: self.rows,
+            cols: self.cols,
+        }
+    }
+
+    /// Copies into the existing buffer, allocating only when it is too
+    /// small: a snapshot refreshed every step reuses its tensors.
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.rows = source.rows;
+        self.cols = source.cols;
+    }
 }
 
 impl kvec_json::ToJson for Tensor {

@@ -183,13 +183,15 @@ fn evaluate_is_bit_equal_to_the_default_engine_across_block_shapes() {
 /// Rows `0..end` of `want` — `e`, the CSR and its weights — are `got`'s,
 /// bit for bit, and `got` holds no more.
 fn assert_prefix_bit_equal(got: &EncodedRows, want: &EncodedRows, end: usize) {
-    let (n, d) = (want.offsets[end], want.e.cols());
-    assert_eq!(got.offsets, want.offsets[..=end], "offsets up to row {end}");
-    assert_eq!(
-        got.positions,
-        want.positions[..n],
-        "positions up to row {end}"
+    let (n, d) = (
+        (0..end).map(|g| want.lists.row(g).len()).sum(),
+        want.e.cols(),
     );
+    assert_eq!(got.lists.len(), end, "rows encoded");
+    assert_eq!(got.lists.nnz(), n, "entries up to row {end}");
+    for g in 0..end {
+        assert_eq!(got.lists.row(g), want.lists.row(g), "list of row {g}");
+    }
     assert_eq!(
         bits(&got.weights),
         bits(&want.weights[..n]),
@@ -285,9 +287,10 @@ fn taped_training_forward_agrees_with_evaluate() {
         let rows = model
             .encoder
             .encode_rows(&model.store, &model.cfg, scenario);
-        assert!(
-            rows.e.allclose(&taped, 1e-5),
-            "tape-free rows drift from the training forward"
+        assert_eq!(
+            bits(rows.e.data()),
+            bits(taped.data()),
+            "tape-free rows differ from the training forward"
         );
     }
 }
