@@ -126,9 +126,9 @@ fn kvec_trainer_keeps_its_golden_bits_per_path() {
         "KVEC",
         kvec_fingerprint,
         [
-            0x05d3_320b_a7d8_4532,
-            0x75ed_e4fc_d9e0_d521,
-            0x75ed_e4fc_d9e0_d521,
+            0x929f_aa65_dddf_a0d9,
+            0xc012_1420_ebab_494c,
+            0xc012_1420_ebab_494c,
         ],
     );
 }
