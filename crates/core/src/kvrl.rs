@@ -71,7 +71,7 @@ impl PrefixEncoder<'_> {
         let (start, d) = (self.encoded(), self.cfg.d_model);
         let end = end.clamp(start, self.tangled.len());
         let (input, rows) = (&self.encoder.input, &mut self.rows);
-        let mut idx = ItemIndices::default();
+        let (mut idx, first) = (ItemIndices::default(), rows.lists.nnz());
         let e = &mut rows.e;
         self.masks.push_rows(
             &self.tangled.items[start..end],
@@ -83,7 +83,6 @@ impl PrefixEncoder<'_> {
             },
         );
 
-        let first = rows.lists.span(start).start;
         rows.weights.resize(rows.lists.nnz(), 0.0);
         let mut sink = vec![0.0; rows.lists.nnz() - first];
         let [mut q, mut attended] = [(); 2].map(|_| Tensor::zeros(end - start, d));
