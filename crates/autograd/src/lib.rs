@@ -5,7 +5,8 @@
 //! The design is a classic *tape*: a [`Graph`] is an arena of nodes appended
 //! in topological order as the forward pass runs; [`Graph::backward`] walks
 //! the arena in reverse, dispatching on an op enum. The op set is exactly
-//! what the KVEC model needs — masked attention, feed-forward blocks,
+//! what the KVEC model needs — attention over each row's visible list (and
+//! the baselines' dense masked attention), feed-forward blocks,
 //! LSTM-style gates, the REINFORCE surrogate and the classifier loss — and
 //! every backward rule is validated against central finite differences (see
 //! [`gradcheck`]).

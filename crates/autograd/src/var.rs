@@ -188,8 +188,8 @@ impl<'g> Var<'g> {
     /// forward costs what the lists hold, and so does the backward, which
     /// scatters `dQ`, `dK` and `dV` through the same lists (see
     /// `Graph::backward`). `self` is `T x dh` with `lists.len() == T`;
-    /// `k` and `v` are `N x dh` and every listed position is below `N`.
-    /// Every list must be non-empty.
+    /// `k` and `v` are `N x dh`, every listed position is below `N` and
+    /// no list is empty.
     pub fn sparse_attention(
         &self,
         k: Var<'g>,
@@ -223,10 +223,7 @@ impl<'g> Var<'g> {
         let mut logits = Vec::new();
         for i in 0..t {
             let visible = lists.row(i);
-            assert!(
-                !visible.is_empty() && visible.iter().all(|&j| j < k_t.rows()),
-                "row {i}: visible list empty or out of range"
-            );
+            assert!(!visible.is_empty(), "row {i}: empty visible list");
             attend_head_row(
                 path,
                 q_t.row(i),
