@@ -281,7 +281,8 @@ impl MaskBuilder {
         }
     }
 
-    /// The one body of [`Self::push`] and [`Self::push_visible`]: hands
+    /// The one body of [`Self::push`], [`Self::push_visible`] and
+    /// [`Self::push_rows`]: hands
     /// `read` the arrival's runs and the key's earlier item count, taken
     /// before the arrival is registered, then registers it — the key's
     /// history and trailing session, the session index and the anchor
