@@ -13,7 +13,7 @@ use kvec::classifier::Classifier;
 use kvec::ectl::{self, Ectl, HaltLosses};
 use kvec_autograd::Var;
 use kvec_nn::loss::cross_entropy_logits;
-use kvec_nn::{clip_global_norm, Adam, Optimizer, ParamId, ParamStore, Session};
+use kvec_nn::{clip_global_norm, Adam, ParamId, ParamStore, Session};
 use kvec_tensor::{KvecRng, Tensor};
 
 /// The halting heads of an RL baseline and the optimizers of its whole

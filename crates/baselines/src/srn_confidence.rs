@@ -12,7 +12,7 @@ use kvec::eval::EvalReport;
 use kvec_autograd::Var;
 use kvec_data::TangledSequence;
 use kvec_nn::loss::cross_entropy_logits;
-use kvec_nn::{clip_global_norm, Adam, Linear, Optimizer, ParamId, ParamStore, Session};
+use kvec_nn::{clip_global_norm, Adam, Linear, ParamId, ParamStore, Session};
 use kvec_tensor::KvecRng;
 
 /// The SRN-Confidence baseline.

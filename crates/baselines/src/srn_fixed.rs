@@ -8,7 +8,7 @@ use crate::{BaselineConfig, EarlyClassifier};
 use kvec::eval::EvalReport;
 use kvec_data::TangledSequence;
 use kvec_nn::loss::cross_entropy_logits;
-use kvec_nn::{clip_global_norm, Adam, Linear, Optimizer, ParamId, ParamStore, Session};
+use kvec_nn::{clip_global_norm, Adam, Linear, ParamId, ParamStore, Session};
 use kvec_tensor::KvecRng;
 
 /// The SRN-Fixed baseline.

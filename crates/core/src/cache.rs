@@ -75,7 +75,7 @@ impl CacheWindow {
     /// so returns the number of front rows to drop (updating `base`).
     ///
     /// Hysteresis: compaction fires only when the dead prefix is at least
-    /// [`MIN_COMPACT_ROWS`] *and* at least as long as the surviving
+    /// `MIN_COMPACT_ROWS` (64) *and* at least as long as the surviving
     /// suffix. Each compaction memmoves `live <= dead` rows and frees
     /// `dead` rows, so the move cost charges to rows that die exactly
     /// once — amortized O(1) per appended row, never O(t²).

@@ -4,7 +4,8 @@
 //! A checkpoint captures **everything** the training trajectory depends
 //! on — parameter values, both Adam optimizers' moments and step counts,
 //! the epoch/step counters (warmup gating reads `epochs_done`), the
-//! divergence-watchdog counters, and the full [`KvecRng`] state — so that
+//! divergence-watchdog counters, and the full
+//! [`KvecRng`](kvec_tensor::KvecRng) state — so that
 //! `Trainer::resume` continues bit-identically to a run that was never
 //! interrupted (see `tests/fault_tolerance.rs` for the enforced contract).
 //!

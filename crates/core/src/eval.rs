@@ -193,7 +193,7 @@ pub fn evaluate_scenario(model: &KvecModel, scenario: &TangledSequence) -> Vec<K
 }
 
 /// [`evaluate_scenario`] and the number of rows it encoded. The
-/// [`PrefixEncoder`](crate::kvrl::PrefixEncoder) advances by [`WAVE`]
+/// [`PrefixEncoder`](crate::kvrl::PrefixEncoder) advances by `WAVE` (32)
 /// rows; then every undecided key steps over its rows in the wave, and
 /// encoding stops once every key has decided. Row `g` reads only rows
 /// `<= g`, so the rows past the last decision would change none.

@@ -58,7 +58,7 @@ use kvec_data::{Key, TangledSequence};
 use kvec_json::Json;
 use kvec_nn::checkpoint::{read_verified, write_atomic, CheckpointError};
 use kvec_nn::loss::cross_entropy_logits;
-use kvec_nn::{clip_global_norm, Adam, AdamState, LstmState, Optimizer, ParamId, Session};
+use kvec_nn::{clip_global_norm, Adam, AdamState, LstmState, ParamId, Session};
 use kvec_obs::{self as obs, LazyHistogram, Level};
 use kvec_tensor::{KvecRng, Tensor};
 use std::fmt;

@@ -6,7 +6,7 @@
 //! - a **handshake signature**: the first `sig_len` packets' (direction,
 //!   size-bucket) pairs, lightly mutated per flow — the paper observes that
 //!   "the first few packets in a network flow carry crucial information for
-//!   identifying it" [48], and this is the knob that makes early
+//!   identifying it" \[48\], and this is the knob that makes early
 //!   classification possible at all;
 //! - a **burst persistence** probability: packets keep their direction with
 //!   probability `p_stay`, producing direction bursts whose mean length

@@ -37,11 +37,6 @@ pub fn encode<T: ToJson + ?Sized>(v: &T) -> String {
     v.to_json().dump()
 }
 
-/// Encodes a value as pretty-printed JSON text (2-space indent).
-pub fn encode_pretty<T: ToJson + ?Sized>(v: &T) -> String {
-    v.to_json().dump_pretty()
-}
-
 /// Parses JSON text and converts it into `T`.
 pub fn decode<T: FromJson>(s: &str) -> Result<T, JsonError> {
     T::from_json(&Json::parse(s)?)

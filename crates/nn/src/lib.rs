@@ -9,7 +9,7 @@
 //! - layers ([`Linear`], [`Embedding`], [`FeedForward`], [`AttentionBlock`],
 //!   [`LstmCell`], [`Dropout`]) — exactly the blocks the KVEC paper's model
 //!   and its baselines are assembled from;
-//! - optimizers ([`Sgd`], [`Adam`]) with parameter groups so different
+//! - the paper's optimizer, [`Adam`], over parameter groups so different
 //!   sub-networks can train at different learning rates (the paper trains
 //!   the value baseline with its own rate, Algorithm 1 line 19);
 //! - loss helpers (softmax cross-entropy, MSE);
@@ -27,7 +27,6 @@ pub mod loss;
 mod lstm;
 mod optim;
 mod param;
-mod schedule;
 mod session;
 
 pub use attention::{causal_mask, AttentionBlock, Visible};
@@ -37,7 +36,6 @@ pub use embedding::Embedding;
 pub use layernorm::LayerNorm;
 pub use linear::{FeedForward, Linear};
 pub use lstm::{LstmCell, LstmState};
-pub use optim::{clip_global_norm, Adam, AdamState, AdamW, Optimizer, Sgd};
+pub use optim::{clip_global_norm, Adam, AdamState};
 pub use param::{ParamId, ParamStore};
-pub use schedule::LrSchedule;
 pub use session::Session;

@@ -3,62 +3,18 @@
 use crate::{ParamId, ParamStore};
 use kvec_tensor::Tensor;
 
-/// A gradient-descent optimizer updating a fixed group of parameters.
+/// Kingma & Ba's standard first-moment decay, second-moment decay and
+/// denominator fuzz.
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+const EPS: f32 = 1e-8;
+
+/// Adam (Kingma & Ba) with bias correction — the optimizer the paper uses —
+/// updating a fixed group of parameters.
 ///
 /// Groups make the paper's two-rate scheme (Algorithm 1 lines 18-19: the
 /// model at `gamma_theta`, the value baseline at `gamma_theta_b`) a matter
 /// of instantiating two optimizers over disjoint id sets.
-pub trait Optimizer {
-    /// Applies one update from the store's accumulated gradients. Does not
-    /// clear the gradients; call [`ParamStore::zero_grads`] afterwards.
-    fn step(&mut self, store: &mut ParamStore);
-
-    /// The parameter ids this optimizer owns.
-    fn params(&self) -> &[ParamId];
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent: `w -= lr * g`.
-pub struct Sgd {
-    lr: f32,
-    params: Vec<ParamId>,
-}
-
-impl Sgd {
-    /// Creates SGD over a parameter group.
-    pub fn new(params: Vec<ParamId>, lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self { lr, params }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        for &id in &self.params {
-            let (w, g) = store.value_and_grad_mut(id);
-            w.add_scaled_assign(g, -self.lr);
-        }
-    }
-
-    fn params(&self) -> &[ParamId] {
-        &self.params
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction — the optimizer the paper uses.
 pub struct Adam {
     lr: f32,
     beta1: f32,
@@ -71,21 +27,9 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Creates Adam with the standard defaults `beta1 = 0.9`,
-    /// `beta2 = 0.999`, `eps = 1e-8`.
+    /// Creates Adam over a parameter group with the standard
+    /// `beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`.
     pub fn new(store: &ParamStore, params: Vec<ParamId>, lr: f32) -> Self {
-        Self::with_betas(store, params, lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Creates Adam with explicit moment decay rates.
-    pub fn with_betas(
-        store: &ParamStore,
-        params: Vec<ParamId>,
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-    ) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         let m = params
             .iter()
@@ -97,26 +41,48 @@ impl Adam {
         let v = m.clone();
         Self {
             lr,
-            beta1,
-            beta2,
-            eps,
+            beta1: BETA1,
+            beta2: BETA2,
+            eps: EPS,
             t: 0,
             params,
             m,
             v,
         }
     }
+
+    /// Applies one update from the store's accumulated gradients. Does not
+    /// clear the gradients; call [`ParamStore::zero_grads`] afterwards.
+    pub fn step(&mut self, store: &mut ParamStore) {
+        self.t += 1;
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        for (slot, &id) in self.params.iter().enumerate() {
+            let (w, g) = store.value_and_grad_mut(id);
+            let m = &mut self.m[slot];
+            let v = &mut self.v[slot];
+            for ((m_i, v_i), g_i) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
+                *m_i = self.beta1 * *m_i + (1.0 - self.beta1) * g_i;
+                *v_i = self.beta2 * *v_i + (1.0 - self.beta2) * g_i * g_i;
+            }
+            for ((w_i, m_i), v_i) in w.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
+                let m_hat = m_i / bc1;
+                let v_hat = v_i / bc2;
+                *w_i -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            }
+        }
+    }
 }
 
-/// Serializable snapshot of an [`Adam`] (or [`AdamW`]) optimizer: the step
-/// count, the hyperparameters a schedule may have mutated, and both moment
-/// buffers. Together with the parameter values and the RNG state this is
-/// everything needed to resume training bit-identically.
+/// Serializable snapshot of an [`Adam`] optimizer: the step count, the
+/// hyperparameters and both moment buffers. Together with the parameter
+/// values and the RNG state this is everything needed to resume training
+/// bit-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdamState {
     /// Bias-correction step count.
     pub t: u64,
-    /// Learning rate at capture time (schedules mutate it).
+    /// Learning rate at capture time.
     pub lr: f32,
     /// First-moment decay.
     pub beta1: f32,
@@ -225,98 +191,6 @@ impl Adam {
     }
 }
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (slot, &id) in self.params.iter().enumerate() {
-            let (w, g) = store.value_and_grad_mut(id);
-            let m = &mut self.m[slot];
-            let v = &mut self.v[slot];
-            for ((m_i, v_i), g_i) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
-                *m_i = self.beta1 * *m_i + (1.0 - self.beta1) * g_i;
-                *v_i = self.beta2 * *v_i + (1.0 - self.beta2) * g_i * g_i;
-            }
-            for ((w_i, m_i), v_i) in w.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                let m_hat = m_i / bc1;
-                let v_hat = v_i / bc2;
-                *w_i -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn params(&self) -> &[ParamId] {
-        &self.params
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// AdamW: Adam with decoupled weight decay (`w -= lr * wd * w` applied
-/// outside the adaptive update), the modern default for transformer
-/// training.
-pub struct AdamW {
-    inner: Adam,
-    weight_decay: f32,
-}
-
-impl AdamW {
-    /// Creates AdamW with standard betas and the given decoupled decay.
-    pub fn new(store: &ParamStore, params: Vec<ParamId>, lr: f32, weight_decay: f32) -> Self {
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
-        Self {
-            inner: Adam::new(store, params, lr),
-            weight_decay,
-        }
-    }
-
-    /// The decoupled weight-decay coefficient.
-    pub fn weight_decay(&self) -> f32 {
-        self.weight_decay
-    }
-
-    /// Captures the inner Adam state (the decay coefficient is
-    /// configuration, not state — rebuild it from the same config).
-    pub fn export_state(&self) -> AdamState {
-        self.inner.export_state()
-    }
-
-    /// Restores a state captured by [`AdamW::export_state`].
-    pub fn import_state(&mut self, state: AdamState) -> Result<(), String> {
-        self.inner.import_state(state)
-    }
-}
-
-impl Optimizer for AdamW {
-    fn step(&mut self, store: &mut ParamStore) {
-        // Decoupled decay first, then the adaptive update.
-        let shrink = 1.0 - self.inner.lr * self.weight_decay;
-        for &id in &self.inner.params {
-            store.value_mut(id).scale_assign(shrink);
-        }
-        self.inner.step(store);
-    }
-
-    fn params(&self) -> &[ParamId] {
-        self.inner.params()
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.inner.learning_rate()
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.inner.set_learning_rate(lr);
-    }
-}
-
 /// Rescales the gradients of `ids` so their global L2 norm is at most
 /// `max_norm`. Returns the pre-clip norm. REINFORCE gradients are heavy-
 /// tailed; the KVEC trainer clips before every step.
@@ -337,10 +211,11 @@ mod tests {
     use kvec_tensor::KvecRng;
 
     /// Minimizes `(w - 3)^2` and checks convergence.
-    fn quadratic_descent(opt_factory: impl Fn(&ParamStore, Vec<ParamId>) -> Box<dyn Optimizer>) {
+    #[test]
+    fn adam_minimizes_quadratic() {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::scalar(0.0));
-        let mut opt = opt_factory(&store, vec![w]);
+        let mut opt = Adam::new(&store, vec![w], 0.1);
         for _ in 0..500 {
             let wv = store.value(w).item();
             let grad = 2.0 * (wv - 3.0);
@@ -350,33 +225,6 @@ mod tests {
         }
         let final_w = store.value(w).item();
         assert!((final_w - 3.0).abs() < 0.05, "w = {final_w}");
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        quadratic_descent(|_s, ids| Box::new(Sgd::new(ids, 0.05)));
-    }
-
-    #[test]
-    fn adam_minimizes_quadratic() {
-        quadratic_descent(|s, ids| Box::new(Adam::new(s, ids, 0.1)));
-    }
-
-    #[test]
-    fn adamw_minimizes_quadratic() {
-        quadratic_descent(|s, ids| Box::new(AdamW::new(s, ids, 0.1, 1e-4)));
-    }
-
-    #[test]
-    fn adamw_decays_weights_without_gradient() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::scalar(10.0));
-        let mut opt = AdamW::new(&store, vec![w], 0.1, 0.5);
-        // Zero gradient: pure decoupled decay shrinks the weight.
-        opt.step(&mut store);
-        let v = store.value(w).item();
-        assert!(v < 10.0, "weight should shrink, got {v}");
-        assert!((v - 10.0 * (1.0 - 0.1 * 0.5)).abs() < 1e-4);
     }
 
     #[test]
@@ -390,15 +238,6 @@ mod tests {
         opt.step(&mut store);
         assert!(store.value(a).item() < 1.0);
         assert_eq!(store.value(b).item(), 1.0);
-    }
-
-    #[test]
-    fn learning_rate_is_adjustable() {
-        let store = ParamStore::new();
-        let mut opt = Adam::new(&store, vec![], 0.1);
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 
     #[test]
@@ -459,7 +298,7 @@ mod tests {
         opt_c
             .import_state(kvec_json::decode(&json).unwrap())
             .unwrap();
-        assert_eq!(opt_c.learning_rate(), 0.07, "lr restored from state");
+        assert_eq!(opt_c.export_state().lr, 0.07, "lr restored from state");
         drive(&mut store_c, &mut opt_c, wc, 20..40);
 
         assert_eq!(store_a.value(wa).item(), store_c.value(wc).item());
@@ -477,7 +316,6 @@ mod tests {
             opt.step(&mut store);
             store.zero_grads();
         }
-        opt.set_learning_rate(0.01);
         opt.export_state_into(&mut state);
         assert_eq!(state, opt.export_state());
         assert_eq!(
@@ -485,6 +323,33 @@ mod tests {
             buffers,
             "moment buffers reallocated"
         );
+    }
+
+    #[test]
+    fn checkpoint_payload_is_pinned() {
+        // The optimizer's share of a `KVECCKPT` payload, byte for byte: a
+        // two-parameter group after two steps. Round trips within one build
+        // cannot see a change to the moment update, the defaults or the
+        // field set; this literal can.
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::row_vector(&[0.5, -1.0]));
+        let b = store.add("b", Tensor::scalar(2.0));
+        let mut opt = Adam::new(&store, vec![a, b], 0.01);
+        for g in [[0.25, -0.5, 1.0], [-0.125, 0.75, 0.5]] {
+            store.accumulate_grad(a, &Tensor::row_vector(&g[..2]));
+            store.accumulate_grad(b, &Tensor::scalar(g[2]));
+            opt.step(&mut store);
+            store.zero_grads();
+        }
+        let pinned = concat!(
+            r#"{"t":2,"lr":0.009999999776482582,"beta1":0.8999999761581421,"#,
+            r#""beta2":0.9990000128746033,"eps":0.00000000999999993922529,"#,
+            r#""m":[{"data":[0.010000001639127731,0.030000008642673492],"rows":1,"cols":2},"#,
+            r#"{"data":[0.14000003039836884],"rows":1,"cols":1}],"#,
+            r#""v":[{"data":[0.00007806149369571358,0.0008122395374812186],"rows":1,"cols":2},"#,
+            r#"{"data":[0.0012489838991314173],"rows":1,"cols":1}]}"#,
+        );
+        assert_eq!(kvec_json::encode(&opt.export_state()), pinned);
     }
 
     #[test]

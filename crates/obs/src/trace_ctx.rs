@@ -1,6 +1,6 @@
 //! Cross-thread flow-trace context: causal tracing for the serving path.
 //!
-//! The RAII spans in [`crate::span`] time a scope on *one* thread; a
+//! The RAII spans in [`crate::span`](mod@crate::span) time a scope on *one* thread; a
 //! served flow's latency is spread across three — the router that admits
 //! an arrival, the queue it waits in, and the shard worker that feeds it
 //! — so its timeline needs a context that *travels with the message*

@@ -105,11 +105,6 @@ impl<T> BoundedQueue<T> {
         self.readable.notify_all();
     }
 
-    /// Whether [`close`](BoundedQueue::close) was called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
         // A producer/consumer panicking mid-push leaves the VecDeque
         // consistent (push_back/pop_front are atomic w.r.t. the lock), so

@@ -387,8 +387,8 @@ pub struct ServeReport {
     pub shards: Vec<ShardBreakdown>,
 }
 
-/// A running sharded serving instance. See the [module docs](self) for
-/// the architecture and the determinism contract.
+/// A running sharded serving instance. The module docs of `service.rs`
+/// give the architecture and the determinism contract.
 pub struct ShardedService {
     shared: Arc<Shared>,
     supervisor: Option<JoinHandle<()>>,

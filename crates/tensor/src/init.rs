@@ -27,12 +27,6 @@ impl Tensor {
         let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
         Self::rand_uniform(fan_in, fan_out, -bound, bound, rng)
     }
-
-    /// He/Kaiming normal init, appropriate before ReLU layers.
-    pub fn he_normal(fan_in: usize, fan_out: usize, rng: &mut KvecRng) -> Self {
-        let std = (2.0 / fan_in as f32).sqrt();
-        Self::rand_normal(fan_in, fan_out, 0.0, std, rng)
-    }
 }
 
 #[cfg(test)]
@@ -54,14 +48,6 @@ mod tests {
         assert!(small.max().abs() < big.max().abs());
         let bound = (6.0f32 / 2000.0).sqrt();
         assert!(small.max() <= bound && small.min() >= -bound);
-    }
-
-    #[test]
-    fn he_normal_variance_matches() {
-        let mut rng = KvecRng::seed_from_u64(3);
-        let t = Tensor::he_normal(100, 200, &mut rng);
-        let var = t.data().iter().map(|v| v * v).sum::<f32>() / t.len() as f32;
-        assert!((var - 0.02).abs() < 0.005, "var {var}");
     }
 
     #[test]

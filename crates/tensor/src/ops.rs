@@ -74,16 +74,6 @@ impl Tensor {
         self.try_hadamard(other).expect("tensor hadamard")
     }
 
-    /// Elementwise division; panics on shape mismatch.
-    pub fn elementwise_div(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape(), other.shape(), "elementwise_div mismatch");
-        let mut out = self.clone();
-        for (a, b) in out.data_mut().iter_mut().zip(other.data()) {
-            *a /= b;
-        }
-        out
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Tensor {
         let mut out = self.clone();
@@ -112,23 +102,6 @@ impl Tensor {
         let mut out = self.clone();
         for a in out.data_mut() {
             *a = f(*a);
-        }
-        out
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in self.data_mut() {
-            *a = f(*a);
-        }
-    }
-
-    /// Combines two same-shape tensors elementwise with `f`.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        let mut out = self.clone();
-        for (a, b) in out.data_mut().iter_mut().zip(other.data()) {
-            *a = f(*a, *b);
         }
         out
     }

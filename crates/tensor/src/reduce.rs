@@ -44,19 +44,6 @@ impl Tensor {
         }
     }
 
-    /// Axis-wise mean; see [`Tensor::sum_axis`] for orientation.
-    pub fn mean_axis(&self, axis: Axis) -> Tensor {
-        let n = match axis {
-            Axis::Rows => self.rows(),
-            Axis::Cols => self.cols(),
-        };
-        let mut out = self.sum_axis(axis);
-        if n > 0 {
-            out.scale_assign(1.0 / n as f32);
-        }
-        out
-    }
-
     /// Largest element; `NEG_INFINITY` for an empty tensor.
     pub fn max(&self) -> f32 {
         self.data()
@@ -88,13 +75,6 @@ impl Tensor {
     pub fn frobenius_norm(&self) -> f32 {
         self.data().iter().map(|v| v * v).sum::<f32>().sqrt()
     }
-
-    /// Clamps every element into `[lo, hi]` in place.
-    pub fn clamp_assign(&mut self, lo: f32, hi: f32) {
-        for v in self.data_mut() {
-            *v = v.clamp(lo, hi);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,8 +98,6 @@ mod tests {
         let t = t23();
         assert_eq!(t.sum_axis(Axis::Rows).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(t.sum_axis(Axis::Cols).data(), &[6.0, 15.0]);
-        assert_eq!(t.mean_axis(Axis::Rows).data(), &[2.5, 3.5, 4.5]);
-        assert_eq!(t.mean_axis(Axis::Cols).data(), &[2.0, 5.0]);
     }
 
     #[test]
@@ -133,9 +111,7 @@ mod tests {
 
     #[test]
     fn norm_and_clamp() {
-        let mut t = Tensor::from_rows(&[vec![3.0, 4.0]]).unwrap();
+        let t = Tensor::from_rows(&[vec![3.0, 4.0]]).unwrap();
         assert!((t.frobenius_norm() - 5.0).abs() < 1e-6);
-        t.clamp_assign(0.0, 3.5);
-        assert_eq!(t.data(), &[3.0, 3.5]);
     }
 }

@@ -76,18 +76,6 @@ impl KvecRng {
         Some(Self { s })
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// submodule or dataset shard its own stream.
-    ///
-    /// The child is seeded from one parent draw, re-expanded through
-    /// splitmix64, so parent and child states are decorrelated. Two forks
-    /// collide (start identical streams) only if they draw the same 64-bit
-    /// seed — probability 2⁻⁶⁴ per pair, negligible at the tens-of-forks
-    /// scale of an experiment run (see `fork_streams_do_not_overlap`).
-    pub fn fork(&mut self) -> Self {
-        Self::seed_from_u64(self.next_u64())
-    }
-
     /// Raw `u64` draw: the xoshiro256++ next() function.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -346,33 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = KvecRng::seed_from_u64(10);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn fork_streams_do_not_overlap() {
-        // Stream-overlap audit: the parent and several forks must not share
-        // any 64-bit output in a 10k-draw window (a shared output would
-        // indicate the forked state landed inside another stream's orbit).
-        let mut parent = KvecRng::seed_from_u64(13);
-        let mut children: Vec<KvecRng> = (0..4).map(|_| parent.fork()).collect();
-        let window = 10_000;
-        let mut seen = std::collections::HashSet::with_capacity(window * 5);
-        for _ in 0..window {
-            assert!(seen.insert(parent.next_u64()), "duplicate across streams");
-        }
-        for c in &mut children {
-            for _ in 0..window {
-                assert!(seen.insert(c.next_u64()), "duplicate across streams");
-            }
-        }
-    }
-
-    #[test]
     fn state_round_trip_resumes_the_stream() {
         let mut r = KvecRng::seed_from_u64(21);
         for _ in 0..17 {
@@ -389,16 +350,5 @@ mod tests {
     fn from_state_rejects_the_all_zero_fixed_point() {
         assert!(KvecRng::from_state([0; 4]).is_none());
         assert!(KvecRng::from_state([0, 0, 0, 1]).is_some());
-    }
-
-    #[test]
-    fn fork_is_deterministic() {
-        let mut a = KvecRng::seed_from_u64(14);
-        let mut b = KvecRng::seed_from_u64(14);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        for _ in 0..32 {
-            assert_eq!(fa.next_u64(), fb.next_u64());
-        }
     }
 }

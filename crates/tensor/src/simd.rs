@@ -1,7 +1,7 @@
 //! Explicit-SIMD compute backend: AVX2+FMA and AVX-512 micro-kernels
 //! behind runtime feature dispatch.
 //!
-//! The scalar register-tiled kernels in [`crate::matmul`] rely on the
+//! The scalar register-tiled kernels in `crate::matmul` rely on the
 //! autovectorizer, which cannot use FMA (Rust never contracts `a * b + c`)
 //! and targets baseline x86-64 unless the build opts in per host. This
 //! module provides hand-written SIMD kernels selected *at runtime* — a
@@ -36,7 +36,7 @@
 //!   `KC`-deep panel slab stays in L1 across the row tiles). The kernel
 //!   reads `a` through a `(row, step)` stride pair — `(k, 1)` for `nn`,
 //!   `(1, m)` for `tn` — the same pair the scalar tile in
-//!   [`crate::matmul`] takes, so the two layouts share one body on every
+//!   `crate::matmul` takes, so the two layouts share one body on every
 //!   path. The `nt` layout shares it too: `pack_bt` reads its `n x k`
 //!   right operand transposed while packing and the `nn` kernel does the
 //!   rest.

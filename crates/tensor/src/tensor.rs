@@ -285,19 +285,6 @@ impl Tensor {
         self.rows -= n;
     }
 
-    /// Reshapes in place; the element count must be preserved.
-    pub fn reshape(&mut self, rows: usize, cols: usize) -> TensorResult<()> {
-        if rows * cols != self.data.len() {
-            return Err(TensorError::DataLength {
-                shape: (rows, cols),
-                len: self.data.len(),
-            });
-        }
-        self.rows = rows;
-        self.cols = cols;
-        Ok(())
-    }
-
     /// True when every pairwise difference is at most `tol` in absolute
     /// value and shapes match.
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
@@ -417,14 +404,6 @@ mod tests {
         let t = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(t.row(1), &[3.0, 4.0]);
         assert_eq!(t.row_tensor(0).data(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn reshape_preserves_count() {
-        let mut t = Tensor::zeros(2, 3);
-        assert!(t.reshape(3, 2).is_ok());
-        assert_eq!(t.shape(), (3, 2));
-        assert!(t.reshape(4, 2).is_err());
     }
 
     #[test]
