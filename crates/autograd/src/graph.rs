@@ -17,6 +17,7 @@
 //! - one sweep per tape, enforced: the rules accumulate, so a second sweep
 //!   would double-count.
 
+use crate::lstm_keys::{lstm_keys_backward, LstmStep};
 use crate::Var;
 use kvec_tensor::{simd, Axis, Tensor, VisibleLists};
 use std::cell::{Cell, RefCell};
@@ -68,6 +69,13 @@ pub(crate) enum Op {
         scale: f32,
     },
     LogSoftmaxRows(usize),
+    /// The key-batched LSTM recurrence over the rows of `e`; `weights`
+    /// holds each gate's `(W, b)` and `tape` what the backward reads.
+    LstmKeys {
+        e: usize,
+        weights: [(usize, usize); 4],
+        tape: Vec<LstmStep>,
+    },
     /// Gather rows of the parent by constant indices (embedding lookup).
     GatherRows(usize, Vec<usize>),
     ConcatCols(usize, usize),
@@ -220,7 +228,7 @@ impl Graph {
 
     /// Adds an owned contribution to `parent`'s gradient (moved in on first
     /// touch).
-    fn accum(nodes: &mut [Node], parent: usize, contrib: Tensor) {
+    pub(crate) fn accum(nodes: &mut [Node], parent: usize, contrib: Tensor) {
         match &mut nodes[parent].grad {
             Some(g) => g.add_assign(&contrib),
             slot => *slot = Some(contrib),
@@ -239,7 +247,11 @@ impl Graph {
     /// Hands `scatter` the gradient accumulator of `parent` — allocated
     /// zeroed on first touch — and read access to every node, so a rule
     /// that reaches only part of its parent adds just those elements.
-    fn accum_into(nodes: &mut [Node], parent: usize, scatter: impl FnOnce(&mut Tensor, &[Node])) {
+    pub(crate) fn accum_into(
+        nodes: &mut [Node],
+        parent: usize,
+        scatter: impl FnOnce(&mut Tensor, &[Node]),
+    ) {
         let mut acc = nodes[parent].grad.take().unwrap_or_else(|| {
             let (rows, cols) = nodes[parent].value.shape();
             Tensor::zeros(rows, cols)
@@ -374,6 +386,7 @@ impl Graph {
                 }
                 Self::accum(nodes, *a, grad);
             }
+            Op::LstmKeys { e, weights, tape } => lstm_keys_backward(nodes, *e, weights, tape, grad),
             Op::GatherRows(a, indices) => Self::accum_into(nodes, *a, |ga, _| {
                 for (out_row, &src_row) in indices.iter().enumerate() {
                     add_to(ga.row_mut(src_row), grad.row(out_row));
@@ -508,7 +521,7 @@ fn zip_with(mut grad: Tensor, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Te
 }
 
 /// `dst += src`, elementwise over two equal-length rows.
-fn add_to(dst: &mut [f32], src: &[f32]) {
+pub(crate) fn add_to(dst: &mut [f32], src: &[f32]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d += s;
     }

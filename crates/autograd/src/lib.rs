@@ -28,6 +28,7 @@
 
 pub mod gradcheck;
 mod graph;
+mod lstm_keys;
 mod var;
 
 pub use graph::{Graph, VarId};

@@ -30,14 +30,14 @@ impl<'g> Var<'g> {
         self.graph.with_value(*self, Tensor::shape)
     }
 
-    fn same_graph(&self, other: Var<'g>) {
+    pub(crate) fn same_graph(&self, other: Var<'g>) {
         assert!(
             std::ptr::eq(self.graph, other.graph),
             "vars belong to different graphs"
         );
     }
 
-    fn unary(&self, value: Tensor, op: Op) -> Var<'g> {
+    pub(crate) fn unary(&self, value: Tensor, op: Op) -> Var<'g> {
         let id = self.graph.push(value, op);
         Var {
             graph: self.graph,

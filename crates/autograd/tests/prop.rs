@@ -448,3 +448,42 @@ fn grad_sparse_attention() {
         }
     });
 }
+
+// --- Key-batched LSTM recurrence -------------------------------------------
+
+#[test]
+fn grad_lstm_keys() {
+    check_n("grad_lstm_keys", CASES, |g| {
+        let (d, hd) = (2, 3);
+        // Three tangled sequences of lengths 3, 2 and 1: the last step has
+        // one row, so the one-row rules run too.
+        let steps = [vec![0, 2, 5], vec![1, 4], vec![3]];
+        let e = gen_input(g, 6, d);
+        let params: Vec<Tensor> = (0..8)
+            .map(|i| gen_input(g, if i % 2 == 0 { hd + d } else { 1 }, hd))
+            .collect();
+        let k_out = gen_input(g, 6, hd);
+        // The input plays `e`, the candidate gate's weight and the forget
+        // gate's bias in turn.
+        for (role, x) in [(8, &e), (6, &params[6]), (1, &params[1])] {
+            let r = check_scalar_fn(x, EPS, |graph, x| {
+                let leaf = |i: usize| {
+                    if i == role {
+                        x
+                    } else {
+                        graph.leaf(if i == 8 { &e } else { &params[i] }.clone())
+                    }
+                };
+                let weights = [0, 1, 2, 3].map(|q| (leaf(2 * q), leaf(2 * q + 1)));
+                weighted(leaf(8).lstm_keys(weights, &steps), &k_out)
+                    .value()
+                    .item()
+            });
+            assert!(
+                r.max_rel_err < TOL,
+                "input {role}: rel err {}",
+                r.max_rel_err
+            );
+        }
+    });
+}

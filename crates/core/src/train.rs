@@ -58,7 +58,7 @@ use kvec_data::{Key, TangledSequence};
 use kvec_json::Json;
 use kvec_nn::checkpoint::{read_verified, write_atomic, CheckpointError};
 use kvec_nn::loss::cross_entropy_logits;
-use kvec_nn::{clip_global_norm, Adam, AdamState, LstmState, ParamId, Session};
+use kvec_nn::{clip_global_norm, Adam, AdamState, ParamId, Session};
 use kvec_obs::{self as obs, LazyHistogram, Level};
 use kvec_tensor::{KvecRng, Tensor};
 use std::fmt;
@@ -461,7 +461,7 @@ impl Trainer {
         let fused = fuse_keys(model, &sess, fwd.e, &subsequences);
         for (k, (key, item_rows)) in subsequences.iter().enumerate() {
             let label = label_map[key];
-            let state_at = |i: usize| fused.steps[i].row(fused.slot[k]);
+            let state_at = |i: usize| fused.h.row(fused.row(k, i));
             // The policy and the baseline read a detached state: the
             // halting losses train their heads only, never reshaping the
             // shared representation (which the classification loss owns).
@@ -470,7 +470,7 @@ impl Trainer {
             let detached_at = |i: usize| {
                 let row = sess
                     .graph()
-                    .with_value(fused.steps[i], |h| h.row_tensor(fused.slot[k]));
+                    .with_value(fused.h, |h| h.row_tensor(fused.row(k, i)));
                 sess.input(row)
             };
             // During warmup the halting position is drawn uniformly (the
@@ -825,59 +825,57 @@ impl Trainer {
 
 /// The teacher-forced fusion states of every key of one scenario.
 struct FusedKeys<'s> {
-    /// `steps[i]` holds the states after item `i`, one row per key that has
-    /// an item `i`.
-    steps: Vec<Var<'s>>,
-    /// Row of key `k` (its index in `key_subsequences` order) in every
-    /// element of `steps` it appears in.
+    /// Every step's states stacked: step `i` holds one row per key that has
+    /// an item `i`, starting at row `offsets[i]`.
+    h: Var<'s>,
+    offsets: Vec<usize>,
+    /// Row of key `k` (its index in `key_subsequences` order) within every
+    /// step it appears in.
     slot: Vec<usize>,
 }
 
-/// Runs the fusion cell over all keys at once: step `i` advances every key
-/// with more than `i` items as one `B_i x d` batch — one GEMM per gate
-/// where per-key stepping runs `B_i` GEMVs. Keys take their rows in order
-/// of decreasing length, so the keys still active at a step are always the
-/// leading rows of the carried state.
+impl FusedKeys<'_> {
+    /// Row of key `k`'s state after its item `i` in the stacked states.
+    fn row(&self, k: usize, i: usize) -> usize {
+        self.offsets[i] + self.slot[k]
+    }
+}
+
+/// Runs the fusion cell over all keys at once, as one tape op: step `i`
+/// advances every key with more than `i` items as one `B_i x d` batch.
+/// Keys take their rows in order of decreasing length, so the keys still
+/// active at a step are always the leading rows of the carried state.
 fn fuse_keys<'s>(
     model: &KvecModel,
     sess: &'s Session,
     e: Var<'s>,
     subsequences: &[(Key, Vec<usize>)],
 ) -> FusedKeys<'s> {
-    let fusion = &model.encoder.fusion;
     let mut by_len: Vec<usize> = (0..subsequences.len()).collect();
     by_len.sort_by_key(|&k| std::cmp::Reverse(subsequences[k].1.len()));
     let mut slot = vec![0; by_len.len()];
     for (row, &k) in by_len.iter().enumerate() {
         slot[k] = row;
     }
-    let zeros = || sess.input(Tensor::zeros(by_len.len(), fusion.hidden()));
-    let mut state = LstmState {
-        h: zeros(),
-        c: zeros(),
-    };
-    let mut active = by_len.len();
-    let mut steps = Vec::new();
-    for i in 0..subsequences[by_len[0]].1.len() {
-        let still = by_len[..active]
-            .iter()
-            .take_while(|&&k| subsequences[k].1.len() > i)
-            .count();
-        if still < active {
-            active = still;
-            state = LstmState {
-                h: state.h.slice_rows(0, active),
-                c: state.c.slice_rows(0, active),
-            };
-        }
-        let items: Vec<usize> = by_len[..active]
-            .iter()
-            .map(|&k| subsequences[k].1[i])
-            .collect();
-        state = fusion.step(sess, &model.store, e.gather_rows(&items), state);
-        steps.push(state.h);
-    }
-    FusedKeys { steps, slot }
+    let steps: Vec<Vec<usize>> = (0..subsequences[by_len[0]].1.len())
+        .map(|i| {
+            let items = by_len.iter().map(|&k| subsequences[k].1.get(i));
+            items.map_while(|item| item.copied()).collect()
+        })
+        .collect();
+    let mut rows = 0;
+    let offsets = steps
+        .iter()
+        .map(|step| {
+            rows += step.len();
+            rows - step.len()
+        })
+        .collect();
+    let h = model
+        .encoder
+        .fusion
+        .step_keys(sess, &model.store, e, &steps);
+    FusedKeys { h, offsets, slot }
 }
 
 #[cfg(test)]

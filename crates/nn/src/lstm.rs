@@ -6,14 +6,18 @@
 //!   output gates over the concatenation `[s_{t-1}; x_t]`, and
 //! - the recurrent feature extractor of the **EARLIEST** baseline.
 //!
-//! Training steps through the taped [`LstmCell::step`]; inference through
+//! KVEC's training fuses every key of a scenario through
+//! [`LstmCell::step_keys`], one tape op whose forward runs the inference
+//! body on gate weights packed once per tape; only EARLIEST's training
+//! still steps through the taped [`LstmCell::step`]. Inference runs
 //! [`LstmCell::step_into`], which advances a state row in place on caller
-//! buffers — four gate GEMVs into one `4H` strip, one vectorised sigmoid
-//! over `3H`, one tanh over `H` — and allocates nothing.
+//! buffers — four gate GEMVs into one `4H` strip, then
+//! [`lstm_cell_rows`]: one vectorised sigmoid over `3H`, one tanh over `H`
+//! — and allocates nothing.
 
 use crate::{Linear, ParamId, ParamStore, Session};
 use kvec_autograd::Var;
-use kvec_tensor::{simd, KvecRng, Tensor};
+use kvec_tensor::{lstm_cell_rows, simd, KvecRng, Tensor};
 
 /// The `(hidden, cell)` pair carried between steps: one row per sequence
 /// stepped together (a single row everywhere but batched training).
@@ -113,9 +117,10 @@ impl LstmCell {
 
     /// Tape-free step of one state row, in place: [`Self::step`]'s update
     /// of `h` and `c` (each `hidden` wide) by input `x`, with the same
-    /// expressions and bits. `scratch` holds `[h; x]` and the four gate
-    /// pre-activations `[f | i | o | g]`; it is grown on first use and
-    /// carries nothing between calls, so one buffer serves every key.
+    /// expressions and bits. `scratch` holds `[h; x]`, the four gate
+    /// pre-activations `[f | i | o | g]` and `tanh(C')`; it is grown on
+    /// first use and carries nothing between calls, so one buffer serves
+    /// every key.
     pub fn step_into(
         &self,
         store: &ParamStore,
@@ -128,29 +133,38 @@ impl LstmCell {
         assert_eq!(x.len(), self.input_dim, "lstm input shape");
         assert!(h.len() == hd && c.len() == hd, "lstm state shape");
         let cat_len = hd + self.input_dim;
-        scratch.resize(cat_len + 4 * hd, 0.0);
-        let (cat, gates) = scratch.split_at_mut(cat_len);
+        scratch.resize(cat_len + 5 * hd, 0.0);
+        let (cat, rest) = scratch.split_at_mut(cat_len);
+        let (gates, tanh_c) = rest.split_at_mut(4 * hd);
         cat[..hd].copy_from_slice(h);
         cat[hd..].copy_from_slice(x);
-        let linears = [&self.wf, &self.wi, &self.wo, &self.wc];
-        for (lin, out) in linears.into_iter().zip(gates.chunks_exact_mut(hd)) {
+        for (lin, out) in self.gates().into_iter().zip(gates.chunks_exact_mut(hd)) {
             lin.apply_into(store, cat, out);
         }
-        let path = simd::active_path();
-        let (sig, g) = gates.split_at_mut(3 * hd);
-        simd::sigmoid_on(path, sig);
-        simd::tanh_on(path, g);
-        let (f, rest) = sig.split_at(hd);
-        let (i, o) = rest.split_at(hd);
-        // C' = f (.) C + i (.) g; `g` then holds C' for the second tanh.
-        for (((cj, &fj), &ij), gj) in c.iter_mut().zip(f).zip(i).zip(g.iter_mut()) {
-            *cj = fj * *cj + ij * *gj;
-            *gj = *cj;
-        }
-        simd::tanh_on(path, g);
-        for ((hj, &oj), &tj) in h.iter_mut().zip(o).zip(g.iter()) {
-            *hj = oj * tj;
-        }
+        lstm_cell_rows(simd::active_path(), hd, gates, c, tanh_c, h);
+    }
+
+    /// [`Self::step`] for many sequences at once, as one tape op
+    /// ([`Var::lstm_keys`]) with this cell's gates: step `i` feeds rows
+    /// `steps[i]` of `x` to the first `steps[i].len()` sequences, ordered
+    /// by decreasing length. Returns every step's hidden states stacked in
+    /// step order, with the bits of stepping [`Self::step`] batch by batch.
+    pub fn step_keys<'s>(
+        &self,
+        sess: &'s Session,
+        store: &ParamStore,
+        x: Var<'s>,
+        steps: &[Vec<usize>],
+    ) -> Var<'s> {
+        let bind = |lin: &Linear| match lin.param_ids()[..] {
+            [w, b] => (sess.param(store, w), sess.param(store, b)),
+            _ => unreachable!("gates carry a bias"),
+        };
+        x.lstm_keys(self.gates().map(bind), steps)
+    }
+
+    fn gates(&self) -> [&Linear; 4] {
+        [&self.wf, &self.wi, &self.wo, &self.wc]
     }
 
     /// Hidden width.
@@ -165,11 +179,10 @@ impl LstmCell {
 
     /// All parameter ids of the four gates.
     pub fn param_ids(&self) -> Vec<ParamId> {
-        let mut ids = self.wf.param_ids();
-        ids.extend(self.wi.param_ids());
-        ids.extend(self.wo.param_ids());
-        ids.extend(self.wc.param_ids());
-        ids
+        self.gates()
+            .iter()
+            .flat_map(|lin| lin.param_ids())
+            .collect()
     }
 }
 
@@ -356,6 +369,96 @@ mod tests {
                 "{}: batched gradient off by {diff} (norm {scale})",
                 store.name(id)
             );
+        }
+    }
+
+    /// Row `r` of every step's states after stepping `x` through `steps`,
+    /// at each `(step, r)` of `reads`: through [`LstmCell::step_keys`], or
+    /// through the taped [`LstmCell::step`] batch by batch, the way the
+    /// trainer fused keys before the op.
+    fn read_states<'s>(
+        cell: &LstmCell,
+        sess: &'s Session,
+        store: &ParamStore,
+        x: Var<'s>,
+        steps: &[Vec<usize>],
+        reads: &[(usize, usize)],
+        fused: bool,
+    ) -> Vec<Var<'s>> {
+        if fused {
+            let h = cell.step_keys(sess, store, x, steps);
+            let offset = |i: usize| steps[..i].iter().map(Vec::len).sum::<usize>();
+            return reads.iter().map(|&(i, r)| h.row(offset(i) + r)).collect();
+        }
+        let zeros = || sess.input(Tensor::zeros(steps[0].len(), cell.hidden()));
+        let mut state = LstmState {
+            h: zeros(),
+            c: zeros(),
+        };
+        let mut hs = Vec::new();
+        for items in steps {
+            if items.len() < state.h.shape().0 {
+                state = LstmState {
+                    h: state.h.slice_rows(0, items.len()),
+                    c: state.c.slice_rows(0, items.len()),
+                };
+            }
+            state = cell.step(sess, store, x.gather_rows(items), state);
+            hs.push(state.h);
+        }
+        reads.iter().map(|&(i, r)| hs[i].row(r)).collect()
+    }
+
+    #[test]
+    fn step_keys_has_the_bits_of_the_taped_steps() {
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Five keys of lengths 6, 4, 4, 2 and 1, tangled over 17 input
+        // rows; the last two steps have one active key.
+        let lens = [6usize, 4, 4, 2, 1];
+        let mut rows = 0..;
+        let steps: Vec<Vec<usize>> = (0..lens[0])
+            .map(|i| {
+                let keys = lens.iter().filter(|&&len| len > i).count();
+                rows.by_ref().take(keys).collect()
+            })
+            .collect();
+        // One row is read twice, as the trainer reads a key's halting and
+        // random positions.
+        let reads = [(0, 4), (1, 2), (3, 0), (5, 0), (3, 0), (2, 1)];
+        let (input_dim, hidden) = (12, 40);
+        let mut store = ParamStore::new();
+        let mut rng = KvecRng::seed_from_u64(21);
+        let cell = LstmCell::new(&mut store, "cell", input_dim, hidden, &mut rng);
+        let x = Tensor::rand_uniform(17, input_dim, -1.0, 1.0, &mut rng);
+        let ws: Vec<Tensor> = reads
+            .iter()
+            .map(|_| Tensor::rand_uniform(1, hidden, -1.0, 1.0, &mut rng))
+            .collect();
+        let mut modes = vec![simd::SimdMode::Scalar];
+        modes.extend(simd::avx2_supported().then_some(simd::SimdMode::Avx2));
+        modes.extend(simd::avx512_supported().then_some(simd::SimdMode::Avx512));
+        for mode in modes {
+            let run = |fused: bool| {
+                let mut store = store.clone();
+                let sess = Session::new();
+                let xv = sess.input(x.clone());
+                let states = read_states(&cell, &sess, &store, xv, &steps, &reads, fused);
+                let mut loss = sess.scalar(0.0);
+                for (h, w) in states.iter().zip(&ws) {
+                    loss = loss.add(weighted(*h, w));
+                }
+                let mut out: Vec<Tensor> = states.iter().map(Var::value).collect();
+                sess.backward(loss);
+                out.push(sess.graph().grad(xv).expect("x reached"));
+                sess.accumulate_grads(&mut store);
+                out.extend(cell.param_ids().iter().map(|&id| store.grad(id).clone()));
+                out
+            };
+            let (op, tape) = simd::with_simd(mode, || (run(true), run(false)));
+            assert_eq!(op.len(), tape.len());
+            for (n, (a, b)) in op.iter().zip(&tape).enumerate() {
+                assert_eq!(bits(a), bits(b), "{mode:?}: output {n}");
+            }
         }
     }
 

@@ -404,7 +404,9 @@ mod tests {
         let id = ps.add("w", Tensor::row_vector(&[1.0, 2.0]));
         ps.accumulate_grad(id, &Tensor::row_vector(&[0.5, -1.0]));
         let (w, g) = ps.value_and_grad_mut(id);
-        w.add_scaled_assign(g, 2.0);
+        for (w, &g) in w.data_mut().iter_mut().zip(g.data()) {
+            *w += 2.0 * g;
+        }
         assert_eq!(ps.value(id).data(), &[2.0, 0.0]);
         assert_eq!(ps.grad(id).data(), &[0.5, -1.0]);
     }

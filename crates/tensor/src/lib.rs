@@ -24,6 +24,7 @@
 mod attend;
 mod error;
 mod init;
+mod lstm;
 mod matmul;
 mod ops;
 mod reduce;
@@ -34,7 +35,8 @@ mod tensor;
 
 pub use attend::{attend_head_row, HeadKv, VisibleLists};
 pub use error::{TensorError, TensorResult};
-pub use matmul::matmul_into;
+pub use lstm::lstm_cell_rows;
+pub use matmul::{matmul_add_into, matmul_into, matmul_packed_into, Panels};
 pub use rng::KvecRng;
 pub use simd::{set_simd_mode, simd_mode, with_simd, KernelPath, SimdMode};
 pub use softmax::sigmoid_scalar;

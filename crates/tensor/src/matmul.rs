@@ -220,10 +220,11 @@ fn nt_block(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, rows: usize, ou
     }
 }
 
-/// The shared body of [`Tensor::try_matmul`], [`Tensor::matmul_tn`] and
-/// [`matmul_into`]: `out = A (m x k) * b (k x n)` with `A` read through the
-/// stride pair of [`scalar_block`]. Resolves the kernel path once and packs
-/// `b` once where the path calls for it. Every element of `out` is
+/// The shared body of [`Tensor::try_matmul`], [`Tensor::matmul_tn`],
+/// [`matmul_into`] and [`matmul_packed_into`]: `out = A (m x k) * b (k x
+/// n)` with `A` read through the stride pair of [`scalar_block`]. Resolves
+/// the kernel path once and packs `b` once where the path calls for it,
+/// unless `packed` already holds its panels. Every element of `out` is
 /// overwritten.
 #[inline(always)]
 fn strided_matmul(
@@ -231,7 +232,7 @@ fn strided_matmul(
     (a_rs, a_ps): (usize, usize),
     b: &[f32],
     (m, k, n): (usize, usize, usize),
-    obs: &KernelObs,
+    (obs, packed): (&KernelObs, Option<&simd::PackedB>),
     out: &mut [f32],
 ) {
     let t0 = kvec_obs::timer();
@@ -245,11 +246,146 @@ fn strided_matmul(
             simd::gemv_nn(path, a, b, k, n, out);
         }
         path => {
-            let packed = simd::pack_b(path, b, k, n);
-            simd::gemm_packed(path, a, (a_rs, a_ps), &packed, 0, m, out);
+            let fresh;
+            let packed = match packed {
+                Some(packed) => packed,
+                None => {
+                    fresh = simd::pack_b(path, b, k, n);
+                    &fresh
+                }
+            };
+            simd::gemm_packed(path, a, (a_rs, a_ps), packed, 0, m, out, false);
         }
     }
     obs.record(t0, m, k, n);
+}
+
+/// The shared body of [`Tensor::matmul_nt`] and [`matmul_packed_into`]:
+/// `out = a (m x k) * b (n x k)^T`, with `b`'s transposed panels taken from
+/// `packed` when given.
+fn nt_matmul(
+    a: &[f32],
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    packed: Option<&simd::PackedB>,
+    out: &mut [f32],
+) {
+    let t0 = kvec_obs::timer();
+    match simd::active_path() {
+        simd::KernelPath::Scalar => nt_block(a, b, k, n, 0, m, out),
+        path if m == 1 => {
+            // One output per row of `b`: both operands are already
+            // contiguous along `k`, so packing would only add traffic.
+            for (o, b_row) in out.iter_mut().zip(b.chunks_exact(k.max(1))) {
+                *o = simd::dot_on(path, a, b_row);
+            }
+        }
+        path => {
+            let fresh;
+            let packed = match packed {
+                Some(packed) => packed,
+                None => {
+                    fresh = simd::pack_bt(path, b, k, n);
+                    &fresh
+                }
+            };
+            simd::gemm_packed(path, a, (k, 1), packed, 0, m, out, false);
+        }
+    }
+    NT_OBS.record(t0, m, k, n);
+}
+
+/// `out += a * b` for a row-major `a` (`m x k`): each element of the
+/// product is rounded before it is added, so the bits are those of
+/// [`matmul_into`] into a scratch buffer followed by an elementwise `+=`.
+/// On a SIMD path, with more than one row and `k` within one cache block,
+/// the kernel adds each finished tile in place of that scratch buffer.
+pub fn matmul_add_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
+    let (k, n) = b.shape();
+    match simd::active_path() {
+        path if path != simd::KernelPath::Scalar && (1..=simd::KC).contains(&k) && a.len() > k => {
+            let m = a.len() / k;
+            assert!(
+                a.len() == m * k && out.len() == m * n,
+                "matmul_add_into shapes"
+            );
+            let t0 = kvec_obs::timer();
+            let packed = simd::pack_b(path, b.data(), k, n);
+            simd::gemm_packed(path, a, (k, 1), &packed, 0, m, out, true);
+            NN_OBS.record(t0, m, k, n);
+        }
+        _ => {
+            let mut product = vec![0.0; out.len()];
+            matmul_into(a, b, &mut product);
+            out.iter_mut().zip(&product).for_each(|(o, p)| *o += p);
+        }
+    }
+}
+
+/// A right operand packed once for the kernel path active when it was
+/// built, for many products against it ([`matmul_packed_into`]): the
+/// panels of `b` for `a * b` ([`Panels::nn`]) or of `b^T` for `a * b^T`
+/// ([`Panels::nt`]). The scalar path packs nothing.
+pub struct Panels {
+    packed: Option<simd::PackedB>,
+    nt: bool,
+    shape: (usize, usize),
+}
+
+impl Panels {
+    /// Panels of `b (k x n)`, the right operand of `a * b`.
+    pub fn nn(b: &Tensor) -> Panels {
+        let (k, n) = b.shape();
+        Self::pack(b, false, |path| simd::pack_b(path, b.data(), k, n))
+    }
+
+    /// Panels of `b (n x k)` transposed, the right operand of `a * b^T`.
+    pub fn nt(b: &Tensor) -> Panels {
+        let (n, k) = b.shape();
+        Self::pack(b, true, |path| simd::pack_bt(path, b.data(), k, n))
+    }
+
+    fn pack(b: &Tensor, nt: bool, pack: impl FnOnce(simd::KernelPath) -> simd::PackedB) -> Self {
+        let path = simd::active_path();
+        let packed = (path != simd::KernelPath::Scalar).then(|| pack(path));
+        Panels {
+            packed,
+            nt,
+            shape: b.shape(),
+        }
+    }
+}
+
+/// `out = a * b`, or `a * b^T` for [`Panels::nt`], for a row-major `a` with
+/// as many columns as the product's inner dimension and `panels` packed
+/// from `b`: the dispatch, bits and `kernel.matmul_nn`/`kernel.matmul_nt`
+/// counters of [`matmul_into`] and [`Tensor::matmul_nt`], without packing
+/// `b` again. A one-row `a` still takes the GEMV (`nn`) or the dots (`nt`)
+/// on `b` itself. Panics on a shape mismatch.
+pub fn matmul_packed_into(a: &[f32], b: &Tensor, panels: &Panels, out: &mut [f32]) {
+    assert_eq!(
+        b.shape(),
+        panels.shape,
+        "panels packed from another operand"
+    );
+    let (k, n) = if panels.nt {
+        (b.cols(), b.rows())
+    } else {
+        b.shape()
+    };
+    let m = a.len().checked_div(k).unwrap_or(out.len() / n.max(1));
+    assert!(
+        a.len() == m * k && out.len() == m * n,
+        "matmul_packed_into: {} x {k}*{k} x {n} into {}",
+        a.len(),
+        out.len()
+    );
+    let packed = panels.packed.as_ref();
+    if panels.nt {
+        nt_matmul(a, b.data(), (m, k, n), packed, out);
+    } else {
+        strided_matmul(a, (k, 1), b.data(), (m, k, n), (&NN_OBS, packed), out);
+    }
 }
 
 /// `out (m x n) = a (m x k) * b (k x n)` for a row-major slice `a` with `m
@@ -265,7 +401,7 @@ pub fn matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
         a.len(),
         out.len()
     );
-    strided_matmul(a, (k, 1), b.data(), (m, k, n), &NN_OBS, out);
+    strided_matmul(a, (k, 1), b.data(), (m, k, n), (&NN_OBS, None), out);
 }
 
 impl Tensor {
@@ -282,7 +418,7 @@ impl Tensor {
         let (m, k) = self.shape();
         let (a, b, n) = (self.data(), other.data(), other.cols());
         let mut out = Tensor::zeros(m, n);
-        strided_matmul(a, (k, 1), b, (m, k, n), &NN_OBS, out.data_mut());
+        strided_matmul(a, (k, 1), b, (m, k, n), (&NN_OBS, None), out.data_mut());
         Ok(out)
     }
 
@@ -304,7 +440,7 @@ impl Tensor {
         let (k, m) = self.shape();
         let (a, b, n) = (self.data(), other.data(), other.cols());
         let mut out = Tensor::zeros(m, n);
-        strided_matmul(a, (1, m), b, (m, k, n), &TN_OBS, out.data_mut());
+        strided_matmul(a, (1, m), b, (m, k, n), (&TN_OBS, None), out.data_mut());
         Ok(out)
     }
 
@@ -323,24 +459,8 @@ impl Tensor {
         }
         let (m, k) = self.shape();
         let n = other.rows();
-        let t0 = kvec_obs::timer();
         let mut out = Tensor::zeros(m, n);
-        let (a, b) = (self.data(), other.data());
-        match simd::active_path() {
-            simd::KernelPath::Scalar => nt_block(a, b, k, n, 0, m, out.data_mut()),
-            path if m == 1 => {
-                // One output per row of `other`: both operands are already
-                // contiguous along `k`, so packing would only add traffic.
-                for (o, b_row) in out.data_mut().iter_mut().zip(b.chunks_exact(k.max(1))) {
-                    *o = simd::dot_on(path, a, b_row);
-                }
-            }
-            path => {
-                let packed = simd::pack_bt(path, b, k, n);
-                simd::gemm_packed(path, a, (k, 1), &packed, 0, m, out.data_mut());
-            }
-        }
-        NT_OBS.record(t0, m, k, n);
+        nt_matmul(self.data(), other.data(), (m, k, n), None, out.data_mut());
         Ok(out)
     }
 

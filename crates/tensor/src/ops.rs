@@ -36,14 +36,6 @@ impl Tensor {
         }
     }
 
-    /// In-place `self += scale * other`; panics on shape mismatch.
-    pub fn add_scaled_assign(&mut self, other: &Tensor, scale: f32) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled_assign mismatch");
-        for (a, b) in self.data_mut().iter_mut().zip(other.data()) {
-            *a += scale * b;
-        }
-    }
-
     /// Elementwise difference. Errors on shape mismatch.
     pub fn try_sub(&self, other: &Tensor) -> TensorResult<Tensor> {
         self.check_same_shape(other, "sub")?;
@@ -253,13 +245,6 @@ mod tests {
         assert_eq!(a.sub(&b).data(), &[-1.0, 0.0, 1.0, 2.0]);
         assert_eq!(a.hadamard(&b).data(), &[2.0, 4.0, 6.0, 8.0]);
         assert!(a.try_add(&Tensor::zeros(1, 2)).is_err());
-    }
-
-    #[test]
-    fn scaled_accumulate() {
-        let mut a = t22();
-        a.add_scaled_assign(&Tensor::ones(2, 2), 0.5);
-        assert_eq!(a.data(), &[1.5, 2.5, 3.5, 4.5]);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! golden hash per path.
 
 use kvec_check::ulp_distance;
-use kvec_tensor::{simd, KernelPath, KvecRng, SimdMode, Tensor};
+use kvec_tensor::{
+    matmul_add_into, matmul_packed_into, simd, KernelPath, KvecRng, Panels, SimdMode, Tensor,
+};
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -186,6 +188,62 @@ fn matmul_nt_equals_matmul_of_the_transpose_bitwise() {
                     a.matmul(&b.transpose())
                 };
                 assert_eq!(bits(got.data()), bits(want.data()), "{mode:?} {m}x{k}x{n}");
+            }
+        });
+    }
+}
+
+/// Panels packed once serve every left operand with the bits of the
+/// unpacked product: `matmul` for `nn` panels, `matmul_nt` for `nt`
+/// panels, on every tier, for inner dimensions on both sides of the
+/// `KC = 256` cache block.
+#[test]
+fn panels_packed_once_give_every_left_operand_the_products_bits() {
+    let mut rng = KvecRng::seed_from_u64(47);
+    let mut modes = vec![SimdMode::Scalar];
+    modes.extend(simd_tiers().into_iter().map(|(mode, _)| mode));
+    for mode in modes {
+        simd::with_simd(mode, || {
+            for k in [7usize, 64, 255, 256, 257, 300] {
+                let n = 37;
+                let (b, bt) = (rand(k, n, &mut rng), rand(n, k, &mut rng));
+                let (nn, nt) = (Panels::nn(&b), Panels::nt(&bt));
+                for m in [1usize, 2, 5, 8] {
+                    let a = rand(m, k, &mut rng);
+                    let mut out = vec![0.0; m * n];
+                    matmul_packed_into(a.data(), &b, &nn, &mut out);
+                    assert_eq!(bits(&out), bits(a.matmul(&b).data()), "{mode:?} nn {m}x{k}");
+                    matmul_packed_into(a.data(), &bt, &nt, &mut out);
+                    let want = a.matmul_nt(&bt).unwrap();
+                    assert_eq!(bits(&out), bits(want.data()), "{mode:?} nt {m}x{k}");
+                }
+            }
+        });
+    }
+}
+
+/// `matmul_add_into` adds the rounded product: the bits of `matmul`
+/// followed by `+=`, whether the kernel adds in its epilogue (more than
+/// one row, `k` within the `KC = 256` block, ragged and full panels) or
+/// goes through a scratch buffer.
+#[test]
+fn an_adding_product_rounds_the_product_before_the_add() {
+    let mut rng = KvecRng::seed_from_u64(48);
+    let mut modes = vec![SimdMode::Scalar];
+    modes.extend(simd_tiers().into_iter().map(|(mode, _)| mode));
+    for mode in modes {
+        simd::with_simd(mode, || {
+            for (m, k) in [(1usize, 8usize), (2, 1), (5, 256), (8, 257), (130, 8)] {
+                let n = 37;
+                let (a, b, acc) = (
+                    rand(m, k, &mut rng),
+                    rand(k, n, &mut rng),
+                    rand(m, n, &mut rng),
+                );
+                let mut got = acc.data().to_vec();
+                matmul_add_into(a.data(), &b, &mut got);
+                let want = acc.add(&a.matmul(&b));
+                assert_eq!(bits(&got), bits(want.data()), "{mode:?} {m}x{k}");
             }
         });
     }
