@@ -20,7 +20,7 @@ use kvec_autograd::Var;
 use kvec_tensor::{lstm_cell_rows, simd, KvecRng, Tensor};
 
 /// The `(hidden, cell)` pair carried between steps: one row per sequence
-/// stepped together (a single row everywhere but batched training).
+/// stepped together.
 #[derive(Clone, Copy)]
 pub struct LstmState<'s> {
     /// Hidden state `s` (`B x hidden`) — the sequence representation.
@@ -374,8 +374,8 @@ mod tests {
 
     /// Row `r` of every step's states after stepping `x` through `steps`,
     /// at each `(step, r)` of `reads`: through [`LstmCell::step_keys`], or
-    /// through the taped [`LstmCell::step`] batch by batch, the way the
-    /// trainer fused keys before the op.
+    /// through the taped [`LstmCell::step`] batch by batch, dropping
+    /// finished sequences off the end of the batch.
     fn read_states<'s>(
         cell: &LstmCell,
         sess: &'s Session,
