@@ -6,17 +6,15 @@
 
 use crate::graph::{add_to, Graph, Node, Op};
 use crate::Var;
-use kvec_tensor::{
-    lstm_cell_rows, matmul_add_into, matmul_packed_into, simd, Axis, Panels, Tensor,
-};
+use kvec_tensor::{lstm_cell_rows, matmul_packed_into, matmul_tn_into, simd, Axis, Panels, Tensor};
 
 /// One step of [`Var::lstm_keys`]: what its backward reads.
 #[derive(Debug, Clone)]
 pub(crate) struct LstmStep {
     /// Rows of the input fed to this step's state rows.
     items: Vec<usize>,
-    /// `[h; x]` transposed, `(H + D) x B`.
-    cat_t: Tensor,
+    /// `[h; x]`, `B x (H + D)`.
+    cat: Tensor,
     /// Gate activations `[f | i | o | g]`, `B x 4H`.
     gates: Tensor,
     /// The new cell state `C'`, `B x H`.
@@ -84,11 +82,10 @@ impl<'g> Var<'g> {
                 tanh_c.data_mut(),
                 h,
             );
-            let cat_t = cat.transpose();
             let items = items.clone();
             tape.push(LstmStep {
                 items,
-                cat_t,
+                cat,
                 gates,
                 c,
                 tanh_c,
@@ -137,7 +134,8 @@ pub(crate) fn lstm_keys_backward(
     let held = weights.map(|(w, _)| nodes[w].grad.as_ref().unwrap_or(&zero_w));
     let mut dw = Tensor::concat_cols(&held).expect("gate gradients");
     let zeros = vec![0.0; hd];
-    let (mut dq, mut part, mut dcat) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut dq, mut part, mut dcat, mut dw_step) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut row0 = grad.rows();
     let mut dc_next: Option<Tensor> = None;
     for (i, step) in tape.iter().enumerate().rev() {
@@ -200,11 +198,13 @@ pub(crate) fn lstm_keys_backward(
             }
         }
         if rows == 1 {
-            for (p, &a_p) in step.cat_t.data().iter().enumerate() {
+            for (p, &a_p) in step.cat.data().iter().enumerate() {
                 simd::axpy_on(path, dw.row_mut(p), a_p, dg.data());
             }
         } else {
-            matmul_add_into(step.cat_t.data(), &dg, dw.data_mut());
+            dw_step.resize(dw.data().len(), 0.0);
+            matmul_tn_into(step.cat.data(), &dg, &mut dw_step);
+            add_to(dw.data_mut(), &dw_step);
         }
         let dcat_rows = dcat.chunks_exact(k);
         if let Some(prev) = prev {

@@ -254,7 +254,7 @@ fn strided_matmul(
                     &fresh
                 }
             };
-            simd::gemm_packed(path, a, (a_rs, a_ps), packed, 0, m, out, false);
+            simd::gemm_packed(path, a, (a_rs, a_ps), packed, 0, m, out);
         }
     }
     obs.record(t0, m, k, n);
@@ -289,37 +289,10 @@ fn nt_matmul(
                     &fresh
                 }
             };
-            simd::gemm_packed(path, a, (k, 1), packed, 0, m, out, false);
+            simd::gemm_packed(path, a, (k, 1), packed, 0, m, out);
         }
     }
     NT_OBS.record(t0, m, k, n);
-}
-
-/// `out += a * b` for a row-major `a` (`m x k`): each element of the
-/// product is rounded before it is added, so the bits are those of
-/// [`matmul_into`] into a scratch buffer followed by an elementwise `+=`.
-/// On a SIMD path, with more than one row and `k` within one cache block,
-/// the kernel adds each finished tile in place of that scratch buffer.
-pub fn matmul_add_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
-    let (k, n) = b.shape();
-    match simd::active_path() {
-        path if path != simd::KernelPath::Scalar && (1..=simd::KC).contains(&k) && a.len() > k => {
-            let m = a.len() / k;
-            assert!(
-                a.len() == m * k && out.len() == m * n,
-                "matmul_add_into shapes"
-            );
-            let t0 = kvec_obs::timer();
-            let packed = simd::pack_b(path, b.data(), k, n);
-            simd::gemm_packed(path, a, (k, 1), &packed, 0, m, out, true);
-            NN_OBS.record(t0, m, k, n);
-        }
-        _ => {
-            let mut product = vec![0.0; out.len()];
-            matmul_into(a, b, &mut product);
-            out.iter_mut().zip(&product).for_each(|(o, p)| *o += p);
-        }
-    }
 }
 
 /// A right operand packed once for the kernel path active when it was
@@ -404,6 +377,21 @@ pub fn matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
     strided_matmul(a, (k, 1), b.data(), (m, k, n), (&NN_OBS, None), out);
 }
 
+/// `out (m x n) = a^T * b` for a row-major slice `a` (`k x m`, with `k =
+/// b.rows()`), written into a caller slice: [`Tensor::matmul_tn`]'s
+/// dispatch, bits and `kernel.matmul_tn` counters without the output
+/// allocation.
+pub fn matmul_tn_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
+    let (k, n) = b.shape();
+    let m = a.len().checked_div(k).unwrap_or(out.len() / n.max(1));
+    assert!(
+        a.len() == k * m && out.len() == m * n,
+        "matmul_tn_into: ({k} x {m})^T*{k} x {n} into {}",
+        out.len()
+    );
+    strided_matmul(a, (1, m), b.data(), (m, k, n), (&TN_OBS, None), out);
+}
+
 impl Tensor {
     /// `self (m x k) * other (k x n) -> (m x n)`. Errors on inner-dimension
     /// mismatch.
@@ -437,10 +425,8 @@ impl Tensor {
                 rhs: other.shape(),
             });
         }
-        let (k, m) = self.shape();
-        let (a, b, n) = (self.data(), other.data(), other.cols());
-        let mut out = Tensor::zeros(m, n);
-        strided_matmul(a, (1, m), b, (m, k, n), (&TN_OBS, None), out.data_mut());
+        let mut out = Tensor::zeros(self.cols(), other.cols());
+        matmul_tn_into(self.data(), other, out.data_mut());
         Ok(out)
     }
 

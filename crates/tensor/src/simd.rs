@@ -40,8 +40,7 @@
 //!   path. The `nt` layout shares it too: `pack_bt` reads its `n x k`
 //!   right operand transposed while packing and the `nn` kernel does the
 //!   rest. Panels can be packed once and reused across products
-//!   (`crate::Panels`), and the micro-kernel can add each finished tile
-//!   to the output instead of storing it (`crate::matmul_add_into`).
+//!   (`crate::Panels`).
 //! - **GEMV fast path** ([`gemv_nn`]): the `1 x k` times `k x n` case that
 //!   dominates `StreamingEngine::feed` and the per-row inference path
 //!   skips packing entirely — `b` is read exactly once, so repacking would
@@ -106,7 +105,7 @@ pub const NR512: usize = 32;
 
 /// Inner-dimension cache block: one `KC x NR` packed slab is 16 KiB —
 /// half of a typical 32 KiB L1d, leaving room for the `a` rows.
-pub(crate) const KC: usize = 256;
+const KC: usize = 256;
 
 /// Row cache block: an `MC x KC` sweep of `a` touches 128 KiB, well
 /// inside L2.
@@ -483,10 +482,7 @@ macro_rules! on_tier {
 /// `a[i * a_rs + p * a_ps]`: `(a_rs, a_ps) = (k, 1)` reads a row-major
 /// `m x k` operand (`nn`), `(1, m)` reads the transpose of a row-major
 /// `k x m` one (`tn`). `out` is the zeroed row block starting at absolute
-/// row `i0`. With `add`, `out` keeps what it holds and each finished
-/// output element is added to it: `out += A * b`, rounded as the product
-/// followed by a separate `+=`. That needs `k <= KC`, one cache block.
-#[allow(clippy::too_many_arguments)] // flat kernel signature
+/// row `i0`.
 pub(crate) fn gemm_packed(
     path: KernelPath,
     a: &[f32],
@@ -495,21 +491,16 @@ pub(crate) fn gemm_packed(
     i0: usize,
     rows: usize,
     out: &mut [f32],
-    add: bool,
 ) {
     assert_path_supported(path);
     assert_eq!(packed.nr, panel_width(path), "packed for a different path");
-    assert!(
-        !add || packed.k <= KC,
-        "an adding product spans one k block"
-    );
     assert_eq!(out.len(), rows * packed.n, "out block shape mismatch");
     // The last element the kernels read: row `i0 + rows - 1`, step `k - 1`.
     assert!(
         rows == 0 || packed.k == 0 || (i0 + rows - 1) * a_rs + (packed.k - 1) * a_ps < a.len(),
         "a too short for row block"
     );
-    on_tier!(path, gemm_packed(a, a_rs, a_ps, i0, packed, rows, out, add))
+    on_tier!(path, gemm_packed(a, a_rs, a_ps, i0, packed, rows, out))
 }
 
 /// Row-vector times matrix: `out (1 x n) = a (1 x k) * b (k x n)` on a
@@ -701,12 +692,11 @@ mod x86 {
 
     /// Instantiates the kernel set as `mod $tier` for one vector width:
     /// `$nr` is the packed panel width (two vectors), `$hsum` the lane
-    /// reduction, `$vec` the vector type, and the bracketed list names the
-    /// tier's zero, broadcast, unaligned load/store, fused multiply-add and
-    /// add intrinsics.
+    /// reduction, and the bracketed list names the tier's zero, broadcast,
+    /// unaligned load/store, fused multiply-add and add intrinsics.
     macro_rules! simd_tier {
         (
-            $tier:ident, $feat:literal, $nr:ident, $hsum:ident, $vec:ident,
+            $tier:ident, $feat:literal, $nr:ident, $hsum:ident,
             [$setzero:ident, $set1:ident, $loadu:ident, $storeu:ident, $fmadd:ident, $add:ident]
         ) => {
             pub mod $tier {
@@ -715,7 +705,7 @@ mod x86 {
                 use crate::simd::$nr as NR;
                 use core::arch::x86_64::{
                     $add as add, $fmadd as fmadd, $loadu as loadu, $set1 as set1,
-                    $setzero as setzero, $storeu as storeu, $vec as Vector,
+                    $setzero as setzero, $storeu as storeu,
                 };
 
                 /// Lanes per vector; a register tile row is two vectors.
@@ -740,8 +730,7 @@ mod x86 {
                 /// up to `a_off + 3 * a_rs + (kc - 1) * a_ps` are in
                 /// bounds, `panel` has `kc * NR` readable floats, and `out`
                 /// spans 4 rows of stride `n` with `width <= NR` writable
-                /// columns each, readable too with `add_out`, which adds
-                /// the finished tile to `out` instead of storing it.
+                /// columns each.
                 #[allow(clippy::too_many_arguments)]
                 #[target_feature(enable = $feat)]
                 unsafe fn kernel_4(
@@ -755,7 +744,6 @@ mod x86 {
                     n: usize,
                     width: usize,
                     accumulate: bool,
-                    add_out: bool,
                 ) {
                     let mut acc = [[setzero(); 2]; MR];
                     // Ragged panels go through a full-width spill row so
@@ -795,43 +783,18 @@ mod x86 {
                         }
                     }
                     for (r, acc_r) in acc.iter().enumerate() {
-                        store_row(out.add(r * n), acc_r, &mut spill[r], width, add_out);
-                    }
-                }
-
-                /// Writes one finished tile row (`width` columns) to `out`,
-                /// or adds it there with `add_out`; ragged rows go through
-                /// `spill`, so nothing past `width` is touched.
-                ///
-                /// # Safety
-                /// Caller ensures the tier's features and `width <= NR`
-                /// writable floats at `out`, readable too with `add_out`.
-                #[inline]
-                #[target_feature(enable = $feat)]
-                unsafe fn store_row(
-                    out: *mut f32,
-                    acc: &[Vector; 2],
-                    spill: &mut [f32; NR],
-                    width: usize,
-                    add_out: bool,
-                ) {
-                    if width == NR {
-                        let (mut lo, mut hi) = (acc[0], acc[1]);
-                        if add_out {
-                            lo = add(loadu(out), lo);
-                            hi = add(loadu(out.add(W)), hi);
+                        if width == NR {
+                            storeu(out.add(r * n), acc_r[0]);
+                            storeu(out.add(r * n + W), acc_r[1]);
+                        } else {
+                            storeu(spill[r].as_mut_ptr(), acc_r[0]);
+                            storeu(spill[r].as_mut_ptr().add(W), acc_r[1]);
+                            core::ptr::copy_nonoverlapping(
+                                spill[r].as_ptr(),
+                                out.add(r * n),
+                                width,
+                            );
                         }
-                        storeu(out, lo);
-                        storeu(out.add(W), hi);
-                    } else {
-                        storeu(spill.as_mut_ptr(), acc[0]);
-                        storeu(spill.as_mut_ptr().add(W), acc[1]);
-                        if add_out {
-                            for (c, v) in spill[..width].iter_mut().enumerate() {
-                                *v += *out.add(c);
-                            }
-                        }
-                        core::ptr::copy_nonoverlapping(spill.as_ptr(), out, width);
                     }
                 }
 
@@ -850,7 +813,6 @@ mod x86 {
                     out: *mut f32,
                     width: usize,
                     accumulate: bool,
-                    add_out: bool,
                 ) {
                     let mut acc0 = setzero();
                     let mut acc1 = setzero();
@@ -873,7 +835,14 @@ mod x86 {
                         acc1 = fmadd(av, loadu(panel.add(W)), acc1);
                         panel = panel.add(NR);
                     }
-                    store_row(out, &[acc0, acc1], &mut spill, width, add_out);
+                    if width == NR {
+                        storeu(out, acc0);
+                        storeu(out.add(W), acc1);
+                    } else {
+                        storeu(spill.as_mut_ptr(), acc0);
+                        storeu(spill.as_mut_ptr().add(W), acc1);
+                        core::ptr::copy_nonoverlapping(spill.as_ptr(), out, width);
+                    }
                 }
 
                 /// Cache-blocked packed GEMM over one output row block
@@ -887,7 +856,6 @@ mod x86 {
                 /// contracts asserted by [`crate::simd::gemm_packed`], with
                 /// `packed` built at this tier's panel width.
                 #[target_feature(enable = $feat)]
-                #[allow(clippy::too_many_arguments)]
                 pub unsafe fn gemm_packed(
                     a: &[f32],
                     a_rs: usize,
@@ -896,7 +864,6 @@ mod x86 {
                     packed: &PackedB,
                     rows: usize,
                     out: &mut [f32],
-                    add_out: bool,
                 ) {
                     let (k, n) = (packed.k, packed.n);
                     if rows == 0 || n == 0 || k == 0 {
@@ -929,7 +896,6 @@ mod x86 {
                                         n,
                                         width,
                                         accumulate,
-                                        add_out,
                                     );
                                     i += MR;
                                 }
@@ -944,7 +910,6 @@ mod x86 {
                                         out_ptr.add(i * n + jp * NR),
                                         width,
                                         accumulate,
-                                        add_out,
                                     );
                                     i += 1;
                                 }
@@ -1127,7 +1092,6 @@ mod x86 {
         "avx2,fma",
         NR,
         hsum8,
-        __m256,
         [
             _mm256_setzero_ps,
             _mm256_set1_ps,
@@ -1145,7 +1109,6 @@ mod x86 {
         "avx512f,avx2,fma",
         NR512,
         hsum16,
-        __m512,
         [
             _mm512_setzero_ps,
             _mm512_set1_ps,

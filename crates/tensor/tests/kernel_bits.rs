@@ -13,9 +13,7 @@
 //! golden hash per path.
 
 use kvec_check::ulp_distance;
-use kvec_tensor::{
-    matmul_add_into, matmul_packed_into, simd, KernelPath, KvecRng, Panels, SimdMode, Tensor,
-};
+use kvec_tensor::{matmul_packed_into, simd, KernelPath, KvecRng, Panels, SimdMode, Tensor};
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -217,33 +215,6 @@ fn panels_packed_once_give_every_left_operand_the_products_bits() {
                     let want = a.matmul_nt(&bt).unwrap();
                     assert_eq!(bits(&out), bits(want.data()), "{mode:?} nt {m}x{k}");
                 }
-            }
-        });
-    }
-}
-
-/// `matmul_add_into` adds the rounded product: the bits of `matmul`
-/// followed by `+=`, whether the kernel adds in its epilogue (more than
-/// one row, `k` within the `KC = 256` block, ragged and full panels) or
-/// goes through a scratch buffer.
-#[test]
-fn an_adding_product_rounds_the_product_before_the_add() {
-    let mut rng = KvecRng::seed_from_u64(48);
-    let mut modes = vec![SimdMode::Scalar];
-    modes.extend(simd_tiers().into_iter().map(|(mode, _)| mode));
-    for mode in modes {
-        simd::with_simd(mode, || {
-            for (m, k) in [(1usize, 8usize), (2, 1), (5, 256), (8, 257), (130, 8)] {
-                let n = 37;
-                let (a, b, acc) = (
-                    rand(m, k, &mut rng),
-                    rand(k, n, &mut rng),
-                    rand(m, n, &mut rng),
-                );
-                let mut got = acc.data().to_vec();
-                matmul_add_into(a.data(), &b, &mut got);
-                let want = acc.add(&a.matmul(&b));
-                assert_eq!(bits(&got), bits(want.data()), "{mode:?} {m}x{k}");
             }
         });
     }
