@@ -293,9 +293,11 @@ mod tests {
 
     #[test]
     fn batched_steps_over_ragged_lengths_equal_per_key_steps() {
-        // Four sequences, longest first, stepped (a) one key at a time and
-        // (b) all together, dropping finished keys off the end of the
-        // batch — the way the trainer fuses a scenario's keys.
+        // Four sequences, longest first, stepped (a) one key at a time, (b)
+        // all together through the taped step, dropping finished keys off
+        // the end of the batch, and (c) as one `step_keys` op, the way the
+        // trainer fuses a scenario's keys. The last two steps have one
+        // active key.
         let lens = [5usize, 3, 3, 1];
         // Wide enough that the gate products cross both tiers' vector
         // widths and leave a scalar tail.
@@ -311,17 +313,23 @@ mod tests {
             .iter()
             .map(|&len| Tensor::rand_uniform(len, hidden, -1.0, 1.0, &mut rng))
             .collect();
+        // Key 1's state after its second item is read twice, as the
+        // trainer reads a key's halting and sampled positions.
+        let w_extra = Tensor::rand_uniform(1, hidden, -1.0, 1.0, &mut rng);
 
         let mut per_key_store = store.clone();
         let sess = Session::new();
         let mut per_key_h = Vec::new();
         let mut loss = sess.scalar(0.0);
-        for (x, w) in xs.iter().zip(&ws) {
+        for (k, (x, w)) in xs.iter().zip(&ws).enumerate() {
             let mut state = cell.zero_state(&sess);
             let mut hs = Vec::new();
             for t in 0..x.rows() {
                 state = cell.step(&sess, &per_key_store, sess.input(x.row_tensor(t)), state);
                 loss = loss.add(weighted(state.h, &w.row_tensor(t)));
+                if (k, t) == (1, 1) {
+                    loss = loss.add(weighted(state.h, &w_extra));
+                }
                 hs.push(state.h.value());
             }
             per_key_h.push(hs);
@@ -329,39 +337,70 @@ mod tests {
         sess.backward(loss);
         sess.accumulate_grads(&mut per_key_store);
 
-        let sess = Session::new();
-        let zeros = || sess.input(Tensor::zeros(lens.len(), hidden));
-        let mut state = LstmState {
-            h: zeros(),
-            c: zeros(),
+        // (b) and (c) read one input stacked step-major: step `t` feeds
+        // rows `steps[t]`, one per key still active, and row 5 is key 1's
+        // second item.
+        let mut rows = 0..;
+        let steps: Vec<Vec<usize>> = (0..lens[0])
+            .map(|t| {
+                let active = lens.iter().filter(|&&len| len > t).count();
+                rows.by_ref().take(active).collect()
+            })
+            .collect();
+        let stack = |ts: &[Tensor]| {
+            let rows: Vec<Tensor> = (0..lens[0])
+                .flat_map(|t| {
+                    ts.iter()
+                        .filter(move |x| x.rows() > t)
+                        .map(move |x| x.row_tensor(t))
+                })
+                .collect();
+            Tensor::concat_rows(&rows.iter().collect::<Vec<_>>()).unwrap()
         };
-        let mut loss = sess.scalar(0.0);
-        for t in 0..lens[0] {
-            let active = lens.iter().filter(|&&len| len > t).count();
-            if active < state.h.shape().0 {
-                state = LstmState {
-                    h: state.h.slice_rows(0, active),
-                    c: state.c.slice_rows(0, active),
+        let (x, w) = (stack(&xs), stack(&ws));
+        // The stacked states, `x`'s gradient and the parameter gradients.
+        let batched = |fused: bool| {
+            let mut store = store.clone();
+            let sess = Session::new();
+            let xv = sess.input(x.clone());
+            let h = if fused {
+                cell.step_keys(&sess, &store, xv, &steps)
+            } else {
+                let zeros = || sess.input(Tensor::zeros(lens.len(), hidden));
+                let mut state = LstmState {
+                    h: zeros(),
+                    c: zeros(),
                 };
-            }
-            let rows = |ts: &[Tensor]| {
-                let rows: Vec<Tensor> = ts[..active].iter().map(|x| x.row_tensor(t)).collect();
-                Tensor::concat_rows(&rows.iter().collect::<Vec<_>>()).unwrap()
+                let mut hs = Vec::new();
+                for items in &steps {
+                    if items.len() < state.h.shape().0 {
+                        state = LstmState {
+                            h: state.h.slice_rows(0, items.len()),
+                            c: state.c.slice_rows(0, items.len()),
+                        };
+                    }
+                    state = cell.step(&sess, &store, xv.gather_rows(items), state);
+                    hs.push(state.h);
+                }
+                hs.into_iter().reduce(|a, b| a.concat_rows(b)).unwrap()
             };
-            state = cell.step(&sess, &store, sess.input(rows(&xs)), state);
-            loss = loss.add(weighted(state.h, &rows(&ws)));
-            let h = state.h.value();
-            for (k, per_key) in per_key_h.iter().enumerate().take(active) {
-                let (got, want) = (h.row(k), per_key[t].data());
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            sess.backward(weighted(h, &w).add(weighted(h.row(5), &w_extra)));
+            sess.accumulate_grads(&mut store);
+            let mut out = vec![h.value(), sess.graph().grad(xv).expect("x reached")];
+            out.extend(cell.param_ids().iter().map(|&id| store.grad(id).clone()));
+            out
+        };
+
+        let taped = batched(false);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (t, items) in steps.iter().enumerate() {
+            for (k, &row) in items.iter().enumerate() {
+                let (got, want) = (taped[0].row(row), per_key_h[k][t].data());
                 assert_eq!(bits(got), bits(want), "key {k} step {t}");
             }
         }
-        sess.backward(loss);
-        sess.accumulate_grads(&mut store);
-
-        for id in cell.param_ids() {
-            let (got, want) = (store.grad(id), per_key_store.grad(id));
+        for (got, id) in taped[2..].iter().zip(cell.param_ids()) {
+            let want = per_key_store.grad(id);
             let scale = want.frobenius_norm().max(1e-6);
             let diff = got.sub(want).frobenius_norm();
             assert!(
@@ -370,94 +409,16 @@ mod tests {
                 store.name(id)
             );
         }
-    }
 
-    /// Row `r` of every step's states after stepping `x` through `steps`,
-    /// at each `(step, r)` of `reads`: through [`LstmCell::step_keys`], or
-    /// through the taped [`LstmCell::step`] batch by batch, dropping
-    /// finished sequences off the end of the batch.
-    fn read_states<'s>(
-        cell: &LstmCell,
-        sess: &'s Session,
-        store: &ParamStore,
-        x: Var<'s>,
-        steps: &[Vec<usize>],
-        reads: &[(usize, usize)],
-        fused: bool,
-    ) -> Vec<Var<'s>> {
-        if fused {
-            let h = cell.step_keys(sess, store, x, steps);
-            let offset = |i: usize| steps[..i].iter().map(Vec::len).sum::<usize>();
-            return reads.iter().map(|&(i, r)| h.row(offset(i) + r)).collect();
-        }
-        let zeros = || sess.input(Tensor::zeros(steps[0].len(), cell.hidden()));
-        let mut state = LstmState {
-            h: zeros(),
-            c: zeros(),
-        };
-        let mut hs = Vec::new();
-        for items in steps {
-            if items.len() < state.h.shape().0 {
-                state = LstmState {
-                    h: state.h.slice_rows(0, items.len()),
-                    c: state.c.slice_rows(0, items.len()),
-                };
-            }
-            state = cell.step(sess, store, x.gather_rows(items), state);
-            hs.push(state.h);
-        }
-        reads.iter().map(|&(i, r)| hs[i].row(r)).collect()
-    }
-
-    #[test]
-    fn step_keys_has_the_bits_of_the_taped_steps() {
-        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // Five keys of lengths 6, 4, 4, 2 and 1, tangled over 17 input
-        // rows; the last two steps have one active key.
-        let lens = [6usize, 4, 4, 2, 1];
-        let mut rows = 0..;
-        let steps: Vec<Vec<usize>> = (0..lens[0])
-            .map(|i| {
-                let keys = lens.iter().filter(|&&len| len > i).count();
-                rows.by_ref().take(keys).collect()
-            })
-            .collect();
-        // One row is read twice, as the trainer reads a key's halting and
-        // random positions.
-        let reads = [(0, 4), (1, 2), (3, 0), (5, 0), (3, 0), (2, 1)];
-        let (input_dim, hidden) = (12, 40);
-        let mut store = ParamStore::new();
-        let mut rng = KvecRng::seed_from_u64(21);
-        let cell = LstmCell::new(&mut store, "cell", input_dim, hidden, &mut rng);
-        let x = Tensor::rand_uniform(17, input_dim, -1.0, 1.0, &mut rng);
-        let ws: Vec<Tensor> = reads
-            .iter()
-            .map(|_| Tensor::rand_uniform(1, hidden, -1.0, 1.0, &mut rng))
-            .collect();
+        // The op has the taped steps' bits, forward and backward, on
+        // every kernel path.
         let mut modes = vec![simd::SimdMode::Scalar];
         modes.extend(simd::avx2_supported().then_some(simd::SimdMode::Avx2));
         modes.extend(simd::avx512_supported().then_some(simd::SimdMode::Avx512));
         for mode in modes {
-            let run = |fused: bool| {
-                let mut store = store.clone();
-                let sess = Session::new();
-                let xv = sess.input(x.clone());
-                let states = read_states(&cell, &sess, &store, xv, &steps, &reads, fused);
-                let mut loss = sess.scalar(0.0);
-                for (h, w) in states.iter().zip(&ws) {
-                    loss = loss.add(weighted(*h, w));
-                }
-                let mut out: Vec<Tensor> = states.iter().map(Var::value).collect();
-                sess.backward(loss);
-                out.push(sess.graph().grad(xv).expect("x reached"));
-                sess.accumulate_grads(&mut store);
-                out.extend(cell.param_ids().iter().map(|&id| store.grad(id).clone()));
-                out
-            };
-            let (op, tape) = simd::with_simd(mode, || (run(true), run(false)));
-            assert_eq!(op.len(), tape.len());
-            for (n, (a, b)) in op.iter().zip(&tape).enumerate() {
-                assert_eq!(bits(a), bits(b), "{mode:?}: output {n}");
+            let (op, taped) = simd::with_simd(mode, || (batched(true), batched(false)));
+            for (n, (a, b)) in op.iter().zip(&taped).enumerate() {
+                assert_eq!(bits(a.data()), bits(b.data()), "{mode:?}: output {n}");
             }
         }
     }
