@@ -259,6 +259,46 @@ fn nan_gradients_are_skipped_and_k_consecutive_trigger_rollback() {
     );
 }
 
+#[test]
+fn non_finite_loss_is_skipped_and_k_consecutive_trigger_rollback() {
+    let ds = dataset(2);
+    let cfg = KvecConfig::tiny(&ds.schema, ds.num_classes);
+    let mut rng = KvecRng::seed_from_u64(5);
+    let mut model = KvecModel::new(&cfg, &mut rng);
+    let mut trainer = Trainer::new(&cfg, &model);
+    let k = trainer.watchdog().max_consecutive_bad;
+
+    // One clean step, then a poisoned classifier weight: every later loss
+    // is NaN until the rollback restores the post-step-0 snapshot.
+    trainer
+        .train_scenario(&mut model, &ds.train[0], &mut rng)
+        .unwrap();
+    let id = model.classifier.param_ids()[0];
+    model.store.value_mut(id).data_mut()[0] = f32::NAN;
+    for scenario in ds.train.iter().cycle().skip(1).take(k) {
+        trainer
+            .train_scenario(&mut model, scenario, &mut rng)
+            .expect("a skipped step is not a TrainError");
+    }
+
+    let mut expected: Vec<RecoveryEvent> = (1..=k as u64)
+        .map(|step| RecoveryEvent::StepSkipped {
+            step,
+            reason: BadStepReason::NonFiniteLoss,
+        })
+        .collect();
+    expected.push(RecoveryEvent::RolledBack {
+        step: k as u64,
+        restored_step: 1,
+        bad_steps: k,
+    });
+    assert_eq!(trainer.take_events(), expected);
+    assert!(
+        !model.store.has_non_finite(),
+        "rollback restored finite values"
+    );
+}
+
 /// `Trainer::resume` that must fail, returning the error (`Trainer` is
 /// not `Debug`, so `expect_err` cannot).
 fn resume_err(cfg: &KvecConfig, model: &mut KvecModel, path: &Path) -> CheckpointError {
