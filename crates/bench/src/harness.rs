@@ -279,14 +279,6 @@ pub fn print_header() {
     );
 }
 
-/// Prints one sweep point.
-pub fn print_row(method: &str, knob: f32, r: &EvalReport) {
-    println!(
-        "{:<16} {:>8.3} {:>10.3} {:>9.3} {:>10.3} {:>8.3} {:>8.3} {:>8.3}",
-        method, knob, r.earliness, r.accuracy, r.precision, r.recall, r.f1, r.hm
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

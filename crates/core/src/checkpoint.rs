@@ -4,14 +4,18 @@
 //! A checkpoint captures **everything** the training trajectory depends
 //! on — parameter values, both Adam optimizers' moments and step counts,
 //! the epoch/step counters (warmup gating reads `epochs_done`), the
-//! divergence-watchdog counters, and the full
+//! divergence watchdog's consecutive-bad count, and the full
 //! [`KvecRng`](kvec_tensor::KvecRng) state — so that
 //! `Trainer::resume` continues bit-identically to a run that was never
 //! interrupted (see `tests/fault_tolerance.rs` for the enforced contract).
 //!
 //! The watchdog's in-memory rollback snapshot is deliberately *not*
-//! serialized: after a resume the checkpoint itself is the last good
-//! state, and the first good post-resume step re-establishes a snapshot.
+//! serialized: a resumed trainer takes a fresh one from the restored
+//! state before its first update.
+//!
+//! Payloads written before the watchdog lost its spike detector also
+//! carry `good_steps` and `grad_norm_ema`; [`decode_state`] ignores
+//! them, so those checkpoints still resume.
 
 use kvec_json::{FromJson, Json, ToJson};
 use kvec_nn::checkpoint::CheckpointError;
@@ -34,12 +38,8 @@ pub struct TrainerState {
     pub epochs_done: usize,
     /// Optimizer-step attempts so far (good and skipped).
     pub step: u64,
-    /// Applied (good) optimizer steps so far.
-    pub good_steps: u64,
     /// Consecutive bad steps at capture time (0 at any healthy boundary).
     pub consecutive_bad: usize,
-    /// Gradient-norm EMA the spike detector compares against.
-    pub grad_norm_ema: Option<f32>,
     /// Full xoshiro256++ state of the training RNG.
     pub rng_state: [u64; 4],
 }
@@ -54,12 +54,19 @@ pub fn encode_state(state: &TrainerState) -> String {
         ("opt_baseline", state.opt_baseline.to_json()),
         ("epochs_done", state.epochs_done.to_json()),
         ("step", state.step.to_json()),
-        ("good_steps", state.good_steps.to_json()),
         ("consecutive_bad", state.consecutive_bad.to_json()),
-        ("grad_norm_ema", state.grad_norm_ema.to_json()),
         ("rng", rng.to_json()),
     ])
     .dump()
+}
+
+/// Parses a verified payload as JSON: the first step of reading a trainer
+/// checkpoint or a weights file.
+pub(crate) fn parse_payload(payload: &[u8]) -> Result<Json, CheckpointError> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|_| CheckpointError::InvalidPayload("payload is not UTF-8".into()))?;
+    Json::parse(text)
+        .map_err(|e| CheckpointError::InvalidPayload(format!("payload is not JSON: {e}")))
 }
 
 /// Parses a payload produced by [`encode_state`]. The container layer has
@@ -67,10 +74,7 @@ pub fn encode_state(state: &TrainerState) -> String {
 /// reader disagree on the schema — reported as an invalid payload, never a
 /// panic.
 pub fn decode_state(payload: &[u8]) -> Result<TrainerState, CheckpointError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| CheckpointError::InvalidPayload("payload is not UTF-8".into()))?;
-    let j = Json::parse(text)
-        .map_err(|e| CheckpointError::InvalidPayload(format!("payload is not JSON: {e}")))?;
+    let j = parse_payload(payload)?;
     let get = |name: &str| {
         j.get(name)
             .map_err(|e| CheckpointError::InvalidPayload(e.to_string()))
@@ -96,9 +100,7 @@ pub fn decode_state(payload: &[u8]) -> Result<TrainerState, CheckpointError> {
         opt_baseline: AdamState::from_json(get("opt_baseline")?).map_err(inv)?,
         epochs_done: usize::from_json(get("epochs_done")?).map_err(inv)?,
         step: u64::from_json(get("step")?).map_err(inv)?,
-        good_steps: u64::from_json(get("good_steps")?).map_err(inv)?,
         consecutive_bad: usize::from_json(get("consecutive_bad")?).map_err(inv)?,
-        grad_norm_ema: Option::<f32>::from_json(get("grad_norm_ema")?).map_err(inv)?,
         rng_state,
     })
 }
@@ -130,9 +132,7 @@ mod tests {
             },
             epochs_done: 3,
             step: 41,
-            good_steps: 39,
             consecutive_bad: 0,
-            grad_norm_ema: Some(1.25),
             rng_state: [u64::MAX, 2, 3, 4],
         }
     }
@@ -146,8 +146,7 @@ mod tests {
         assert_eq!(back.opt_baseline, state.opt_baseline);
         assert_eq!(back.epochs_done, state.epochs_done);
         assert_eq!(back.step, state.step);
-        assert_eq!(back.good_steps, state.good_steps);
-        assert_eq!(back.grad_norm_ema, state.grad_norm_ema);
+        assert_eq!(back.consecutive_bad, state.consecutive_bad);
         assert_eq!(back.rng_state, state.rng_state);
     }
 

@@ -175,8 +175,10 @@ impl KvecConfig {
         assert!((0.0..1.0).contains(&self.dropout), "dropout out of range");
         assert!(self.alpha >= 0.0, "alpha must be non-negative");
         assert!(
-            self.lr > 0.0 && self.lr_baseline > 0.0,
-            "bad learning rates"
+            [self.lr, self.lr_baseline]
+                .iter()
+                .all(|lr| lr.is_finite() && *lr > 0.0),
+            "learning rates must be finite and positive"
         );
         assert!(self.grad_clip > 0.0, "grad_clip must be positive");
         assert!(
@@ -228,6 +230,14 @@ mod tests {
     fn indivisible_heads_rejected() {
         let mut cfg = KvecConfig::tiny(&schema(), 2);
         cfg.n_heads = 5;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "learning rates must be finite")]
+    fn infinite_learning_rate_rejected() {
+        let mut cfg = KvecConfig::tiny(&schema(), 2);
+        cfg.lr = f32::INFINITY;
         cfg.validate();
     }
 

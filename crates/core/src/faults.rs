@@ -12,8 +12,8 @@
 //!   before applying optimizer step `N`, simulating a hard crash at an
 //!   arbitrary point of an epoch;
 //! - **gradient poisoning** — accumulated gradients are overwritten with
-//!   NaN at chosen (or seeded-random) steps, the failure mode REINFORCE
-//!   training actually exhibits;
+//!   NaN at chosen steps, the failure mode REINFORCE training actually
+//!   exhibits;
 //! - **checkpoint corruption** — byte flips and truncation applied to a
 //!   checkpoint file on disk, which the container checksum must detect.
 
@@ -30,18 +30,16 @@ use std::path::Path;
 pub struct FaultInjector {
     kill_at_step: Option<u64>,
     poison_steps: BTreeSet<u64>,
-    poison_prob: f32,
     rng: KvecRng,
 }
 
 impl FaultInjector {
     /// Creates an injector with no faults armed; the seed drives the
-    /// probabilistic modes and the choice of poisoned entries.
+    /// choice of poisoned entries.
     pub fn new(seed: u64) -> Self {
         Self {
             kill_at_step: None,
             poison_steps: BTreeSet::new(),
-            poison_prob: 0.0,
             rng: KvecRng::seed_from_u64(seed),
         }
     }
@@ -59,15 +57,6 @@ impl FaultInjector {
         self
     }
 
-    /// Arms NaN gradient poisoning at every step independently with
-    /// probability `p` (seeded, so a given injector seed reproduces the
-    /// same fault pattern).
-    pub fn poison_grads_with_prob(mut self, p: f32) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.poison_prob = p;
-        self
-    }
-
     /// Whether the armed crash fires at `step`.
     pub fn should_kill(&self, step: u64) -> bool {
         self.kill_at_step == Some(step)
@@ -77,9 +66,7 @@ impl FaultInjector {
     /// seeded-random gradient entries (at least one per parameter group
     /// region) are set to NaN. Returns whether poisoning happened.
     pub fn poison(&mut self, store: &mut ParamStore, step: u64) -> bool {
-        let fire = self.poison_steps.contains(&step)
-            || (self.poison_prob > 0.0 && self.rng.bernoulli(self.poison_prob));
-        if !fire {
+        if !self.poison_steps.contains(&step) {
             return false;
         }
         // Poison one random entry of a few random parameters — enough to
@@ -257,24 +244,6 @@ mod tests {
         let inj = FaultInjector::new(2).kill_at_step(4);
         let kills: Vec<u64> = (0..10).filter(|&s| inj.should_kill(s)).collect();
         assert_eq!(kills, vec![4]);
-    }
-
-    #[test]
-    fn probabilistic_poisoning_is_seed_deterministic() {
-        let pattern = |seed: u64| -> Vec<bool> {
-            let mut store = ParamStore::new();
-            let id = store.add("w", Tensor::zeros(1, 4));
-            let mut inj = FaultInjector::new(seed).poison_grads_with_prob(0.5);
-            (0..32u64)
-                .map(|s| {
-                    store.zero_grads();
-                    store.accumulate_grad(id, &Tensor::ones(1, 4));
-                    inj.poison(&mut store, s)
-                })
-                .collect()
-        };
-        assert_eq!(pattern(7), pattern(7));
-        assert_ne!(pattern(7), pattern(8), "different seeds, same pattern");
     }
 
     #[test]

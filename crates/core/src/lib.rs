@@ -67,4 +67,4 @@ pub use eval::{evaluate, EvalReport};
 pub use faults::{FaultInjector, ServeChaos};
 pub use model::KvecModel;
 pub use streaming::{StreamError, StreamingEngine};
-pub use train::{BadStepReason, RecoveryEvent, TrainError, WatchdogConfig};
+pub use train::{BadStepReason, RecoveryEvent, TrainError};

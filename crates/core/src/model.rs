@@ -7,6 +7,7 @@ use crate::mask::visible_lists;
 use crate::KvecConfig;
 use kvec_autograd::Var;
 use kvec_data::TangledSequence;
+use kvec_nn::checkpoint::{read_verified, write_atomic, CheckpointError};
 use kvec_nn::{ParamId, ParamStore, Session};
 use kvec_tensor::{KvecRng, VisibleLists};
 use std::rc::Rc;
@@ -75,16 +76,26 @@ impl KvecModel {
         self.store.total_elements()
     }
 
-    /// Writes the trained weights as a JSON checkpoint.
-    pub fn save_weights(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.store.save(path)
+    /// Writes the trained weights — every parameter's name and values, no
+    /// optimizer state — as an atomic, checksummed `KVECCKPT` file (see
+    /// `kvec_nn::checkpoint`).
+    pub fn save_weights(&self, path: impl AsRef<std::path::Path>) -> Result<(), CheckpointError> {
+        write_atomic(path, self.store.values_to_json().dump().as_bytes())
     }
 
     /// Restores weights written by [`KvecModel::save_weights`] into a model
-    /// built from the *same configuration* (names, order and shapes must
-    /// match).
-    pub fn load_weights(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.store.load(path)
+    /// built from the *same configuration*. A corrupt file, a trainer
+    /// checkpoint, a parameter count, name or shape that differs, and a
+    /// non-finite value are all refused
+    /// ([`ParamStore::load_values_json`]).
+    pub fn load_weights(
+        &mut self,
+        path: impl AsRef<std::path::Path>,
+    ) -> Result<(), CheckpointError> {
+        let json = crate::checkpoint::parse_payload(&read_verified(path)?)?;
+        self.store
+            .load_values_json(&json)
+            .map_err(CheckpointError::InvalidPayload)
     }
 
     /// Teacher-forced full forward over a tangled stream (the training
@@ -175,7 +186,7 @@ mod tests {
         let before = crate::eval::evaluate_scenario(&model, &tangled);
 
         let dir = std::env::temp_dir().join("kvec-model-ckpt");
-        let path = dir.join("weights.json");
+        let path = dir.join("weights.ckpt");
         model.save_weights(&path).unwrap();
 
         let mut restored = KvecModel::new(&cfg, &mut KvecRng::seed_from_u64(999));
@@ -188,6 +199,63 @@ mod tests {
             assert_eq!(a.pred, b.pred);
             assert_eq!(a.n_k, b.n_k);
         }
+    }
+
+    #[test]
+    fn load_weights_refuses_mismatched_poisoned_and_trainer_files() {
+        use kvec_json::{Json, ToJson};
+        use kvec_tensor::Tensor;
+        let cfg = KvecConfig::tiny(&schema(), 2);
+        let mut rng = KvecRng::seed_from_u64(3);
+        let model = KvecModel::new(&cfg, &mut rng);
+        let dir = std::env::temp_dir().join("kvec-model-weights-refused");
+
+        // Weights payloads that differ from the model's in one way each.
+        let pairs = model.store.values_to_json().as_arr().unwrap().to_vec();
+        let id = model.store.ids()[0];
+        let (name, value) = (model.store.name(id), model.store.value(id));
+        let with_first = |tensor: Json, name: &str| {
+            let mut p = pairs.clone();
+            p[0] = Json::arr([name.to_json(), tensor]);
+            Json::arr(p)
+        };
+        let mut nan = value.clone();
+        nan.data_mut()[0] = f32::NAN;
+        // An f64 beyond f32 range decodes to inf; a NaN encodes as `null`.
+        let (r, c) = value.shape();
+        let inf = format!(
+            r#"{{"data":[1e300{}],"rows":{r},"cols":{c}}}"#,
+            ",0".repeat(r * c - 1)
+        );
+        let cases = [
+            ("count", Json::arr(pairs[1..].to_vec())),
+            ("name", with_first(value.to_json(), "renamed")),
+            ("shape", with_first(Tensor::zeros(1, 1).to_json(), name)),
+            ("nan", with_first(nan.to_json(), name)),
+            ("inf", with_first(Json::parse(&inf).unwrap(), name)),
+        ];
+        let mut fresh = model.clone();
+        for (case, payload) in &cases {
+            let path = dir.join(format!("{case}.ckpt"));
+            write_atomic(&path, payload.dump().as_bytes()).unwrap();
+            let err = fresh.load_weights(&path).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::InvalidPayload(_)),
+                "{case}: {err}"
+            );
+            if *case == "inf" {
+                assert!(err.to_string().contains("non-finite"), "{err}");
+            }
+            assert!(!fresh.store.has_non_finite(), "{case} reached the store");
+        }
+
+        let trainer_path = dir.join("trainer.ckpt");
+        crate::train::Trainer::new(&cfg, &model)
+            .save_checkpoint(&model, &rng, &trainer_path)
+            .unwrap();
+        let err = fresh.load_weights(&trainer_path).unwrap_err();
+        assert!(matches!(err, CheckpointError::InvalidPayload(_)), "{err}");
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -31,19 +31,21 @@
 //!
 //! ## Fault tolerance
 //!
-//! Every optimizer step goes through a **divergence watchdog**: before the
-//! update is applied the step's loss and the accumulated gradients are
-//! checked for NaN/inf (and optionally for norm spikes against a running
-//! EMA). A bad step is *skipped* — gradients cleared, parameters untouched
-//! — and reported as a [`RecoveryEvent`]; after
-//! [`WatchdogConfig::max_consecutive_bad`] consecutive bad steps the
-//! trainer **rolls back** parameters and optimizer moments to its last
-//! in-memory good-step snapshot and continues. Unrecoverable conditions
-//! surface as a typed [`TrainError`], never a panic.
+//! Every optimizer step goes through a **divergence watchdog**, one fixed
+//! policy. Before the update, the step's loss is checked for NaN/inf,
+//! and one read of every gradient gives both the per-element finiteness
+//! check and the clip norms. A bad step is *skipped* — gradients
+//! cleared, parameters untouched — and reported as a [`RecoveryEvent`];
+//! after [`MAX_CONSECUTIVE_BAD`] consecutive bad steps the trainer
+//! **rolls back** parameters and optimizer moments to its in-memory
+//! snapshot, taken before the first update and after every good step,
+//! and continues. An update that writes a non-finite value (`Adam::step`
+//! reports it) rolls back at once. Unrecoverable conditions surface as a
+//! typed [`TrainError`], never a panic.
 //!
 //! [`Trainer::save_checkpoint`] writes the *complete* trainer state
-//! (parameters, both Adam moment sets, epoch/step counters, watchdog
-//! counters, RNG state) through the crash-safe container of
+//! (parameters, both Adam moment sets, epoch/step counters, the
+//! consecutive-bad count, RNG state) through the crash-safe container of
 //! `kvec_nn::checkpoint`; [`Trainer::resume`] restores it such that the
 //! post-resume trajectory is bit-identical to a run that was never
 //! interrupted (enforced by `tests/fault_tolerance.rs`).
@@ -101,37 +103,10 @@ pub struct EpochStats {
     pub num_keys: usize,
 }
 
-/// Divergence-watchdog thresholds. The defaults keep the finiteness
-/// guards always on and the spike detector off (REINFORCE gradient norms
-/// are legitimately heavy-tailed; enable spikes deliberately per run).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// Consecutive bad (skipped) steps that trigger a rollback to the last
-    /// good snapshot. Must be at least 1.
-    pub max_consecutive_bad: usize,
-    /// A step is bad when the model-group pre-clip gradient norm exceeds
-    /// `spike_factor` times its running EMA. `0.0` disables spike
-    /// detection; the NaN/inf guards stay active regardless.
-    pub spike_factor: f32,
-    /// Good steps observed before the spike detector arms (the EMA needs a
-    /// baseline; early REINFORCE norms swing wildly).
-    pub spike_warmup_steps: usize,
-    /// Good steps between in-memory rollback snapshots. `1` snapshots
-    /// after every applied step (models at this repo's scale are small);
-    /// `0` disables snapshots, making rollback an error.
-    pub snapshot_every: u64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            max_consecutive_bad: 3,
-            spike_factor: 0.0,
-            spike_warmup_steps: 8,
-            snapshot_every: 1,
-        }
-    }
-}
+/// Consecutive bad (skipped) steps after which the trainer rolls back to
+/// its last good snapshot: one bad batch is skipped, a run of them means
+/// the state itself has gone bad.
+pub const MAX_CONSECUTIVE_BAD: usize = 3;
 
 /// Why the watchdog refused to apply a step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,14 +115,7 @@ pub enum BadStepReason {
     NonFiniteLoss,
     /// An accumulated gradient carried NaN/inf.
     NonFiniteGradient,
-    /// The model-group gradient norm exceeded the spike threshold.
-    GradientSpike {
-        /// Observed pre-clip norm.
-        norm: f32,
-        /// `spike_factor * EMA` at the time of the step.
-        limit: f32,
-    },
-    /// The applied update itself produced non-finite parameters (the step
+    /// The applied update itself wrote non-finite parameters (the step
     /// was rolled back immediately, not merely skipped).
     NonFiniteUpdate,
 }
@@ -186,12 +154,6 @@ pub enum TrainError {
         /// Step attempt the simulated crash preempted.
         step: u64,
     },
-    /// Rollback was required but no snapshot exists
-    /// ([`WatchdogConfig::snapshot_every`] is 0).
-    NoRollbackTarget {
-        /// Step attempt at which the rollback was needed.
-        step: u64,
-    },
     /// Writing or reading a checkpoint failed.
     Checkpoint(CheckpointError),
 }
@@ -202,10 +164,6 @@ impl fmt::Display for TrainError {
             Self::Killed { step } => {
                 write!(f, "training killed by fault injection before step {step}")
             }
-            Self::NoRollbackTarget { step } => write!(
-                f,
-                "divergence at step {step}: rollback required but snapshots are disabled"
-            ),
             Self::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }
     }
@@ -257,11 +215,6 @@ impl RecoveryEvent {
                     BadStepReason::NonFiniteUpdate => {
                         fields.push(("reason", Json::Str("non_finite_update".into())));
                     }
-                    BadStepReason::GradientSpike { norm, limit } => {
-                        fields.push(("reason", Json::Str("gradient_spike".into())));
-                        fields.push(("norm", Json::Float(norm as f64)));
-                        fields.push(("limit", Json::Float(limit as f64)));
-                    }
                 }
                 fields
             }
@@ -301,12 +254,9 @@ pub struct Trainer {
     warmup_epochs: usize,
     epochs_done: usize,
     // --- fault-tolerance state ---
-    watchdog: WatchdogConfig,
     /// Optimizer-step attempts so far, good and skipped (one per scenario).
     step: u64,
-    good_steps: u64,
     consecutive_bad: usize,
-    grad_norm_ema: Option<f32>,
     events: Vec<RecoveryEvent>,
     snapshot: Option<StepSnapshot>,
     injector: Option<FaultInjector>,
@@ -328,11 +278,8 @@ impl Trainer {
             grad_clip: cfg.grad_clip,
             warmup_epochs: cfg.policy_warmup_epochs,
             epochs_done: 0,
-            watchdog: WatchdogConfig::default(),
             step: 0,
-            good_steps: 0,
             consecutive_bad: 0,
-            grad_norm_ema: None,
             events: Vec::new(),
             snapshot: None,
             injector: None,
@@ -354,18 +301,6 @@ impl Trainer {
             RecoveryEvent::RolledBack { .. } => self.epoch_obs.rollbacks += 1,
         }
         self.events.push(ev);
-    }
-
-    /// Replaces the watchdog thresholds (builder style).
-    pub fn with_watchdog(mut self, cfg: WatchdogConfig) -> Self {
-        assert!(cfg.max_consecutive_bad >= 1, "K must be at least 1");
-        self.watchdog = cfg;
-        self
-    }
-
-    /// The active watchdog thresholds.
-    pub fn watchdog(&self) -> &WatchdogConfig {
-        &self.watchdog
     }
 
     /// Attaches a deterministic fault injector (test harness; see
@@ -409,8 +344,8 @@ impl Trainer {
 
     /// Runs one optimization step on one tangled scenario. A watchdog skip
     /// or rollback is reported through [`Trainer::take_events`], not the
-    /// return value; `Err` means the runtime cannot continue (injected
-    /// crash, impossible rollback).
+    /// return value; `Err` means the runtime cannot continue (an injected
+    /// crash).
     pub fn train_scenario(
         &mut self,
         model: &mut KvecModel,
@@ -530,11 +465,9 @@ impl Trainer {
     }
 
     /// The update half of [`Trainer::train_scenario`]: runs the watchdog
-    /// checks, then either clips + steps both optimizers (returning
-    /// `Ok(true)`) or skips/rolls back (returning `Ok(false)` and
-    /// recording a [`RecoveryEvent`]). The former `debug_assert!` on
-    /// non-finite parameters is now a release-mode guard with recovery.
-    fn guarded_step(&mut self, model: &mut KvecModel, step_loss: f32) -> Result<bool, TrainError> {
+    /// checks, then either clips + steps both optimizers or skips/rolls
+    /// back, recording a [`RecoveryEvent`].
+    fn guarded_step(&mut self, model: &mut KvecModel, step_loss: f32) -> Result<(), TrainError> {
         let step = self.step;
         if let Some(inj) = &mut self.injector {
             if inj.should_kill(step) {
@@ -544,28 +477,42 @@ impl Trainer {
         }
         // Establish an initial rollback target before the first update so
         // divergence on step 0 is still recoverable.
-        if self.snapshot.is_none() && self.watchdog.snapshot_every > 0 {
+        if self.snapshot.is_none() {
             self.capture_snapshot(model);
         }
-
-        if let Some(reason) = self.diagnose(model, step_loss) {
-            model.store.zero_grads();
-            self.record_recovery(RecoveryEvent::StepSkipped { step, reason });
-            self.consecutive_bad += 1;
-            self.step += 1;
-            if self.consecutive_bad >= self.watchdog.max_consecutive_bad {
-                self.rollback(model, step)?;
-            }
-            return Ok(false);
-        }
-
-        let norm = clip_global_norm(&mut model.store, &self.model_ids, self.grad_clip);
-        clip_global_norm(&mut model.store, &self.baseline_ids, self.grad_clip);
-        self.opt_model.step(&mut model.store);
-        self.opt_baseline.step(&mut model.store);
-        model.store.zero_grads();
         self.step += 1;
-        if model.store.has_non_finite() {
+
+        let checked = if step_loss.is_finite() {
+            // The two groups partition the store, so this reads every
+            // gradient once, for its finiteness and for the clip norms.
+            let store = &mut model.store;
+            let norm = clip_global_norm(store, &self.model_ids, self.grad_clip);
+            let baseline = clip_global_norm(store, &self.baseline_ids, self.grad_clip);
+            match (norm, baseline) {
+                (Some(norm), Some(_)) => Ok(norm),
+                _ => Err(BadStepReason::NonFiniteGradient),
+            }
+        } else {
+            Err(BadStepReason::NonFiniteLoss)
+        };
+        let norm = match checked {
+            Ok(norm) => norm,
+            Err(reason) => {
+                model.store.zero_grads();
+                self.record_recovery(RecoveryEvent::StepSkipped { step, reason });
+                self.consecutive_bad += 1;
+                if self.consecutive_bad >= MAX_CONSECUTIVE_BAD {
+                    self.rollback(model, step);
+                }
+                return Ok(());
+            }
+        };
+
+        // `&`, not `&&`: both groups step, as they would on a finite write.
+        let finite =
+            self.opt_model.step(&mut model.store) & self.opt_baseline.step(&mut model.store);
+        model.store.zero_grads();
+        if !finite {
             // The update itself corrupted the parameters (pathological
             // moments / learning rate). The damage is already applied, so
             // restore the last good state immediately rather than waiting
@@ -575,16 +522,11 @@ impl Trainer {
                 reason: BadStepReason::NonFiniteUpdate,
             });
             self.consecutive_bad += 1;
-            self.rollback(model, step)?;
-            return Ok(false);
+            self.rollback(model, step);
+            return Ok(());
         }
 
         self.consecutive_bad = 0;
-        self.grad_norm_ema = Some(match self.grad_norm_ema {
-            Some(ema) => 0.9 * ema + 0.1 * norm,
-            None => norm,
-        });
-        self.good_steps += 1;
         GRAD_NORM_HIST.record(norm as f64);
         self.epoch_obs.grad_norm_sum += norm as f64;
         self.epoch_obs.grad_steps += 1;
@@ -598,35 +540,8 @@ impl Trainer {
                 ("grad_norm", Json::Float(norm as f64)),
             ],
         );
-        if self.watchdog.snapshot_every > 0
-            && self.good_steps.is_multiple_of(self.watchdog.snapshot_every)
-        {
-            self.capture_snapshot(model);
-        }
-        Ok(true)
-    }
-
-    /// Pre-update health checks: loss finiteness, gradient finiteness,
-    /// optional norm-spike detection against the running EMA.
-    fn diagnose(&self, model: &KvecModel, step_loss: f32) -> Option<BadStepReason> {
-        if !step_loss.is_finite() {
-            return Some(BadStepReason::NonFiniteLoss);
-        }
-        if model.store.has_non_finite_grad() {
-            return Some(BadStepReason::NonFiniteGradient);
-        }
-        if self.watchdog.spike_factor > 0.0
-            && self.good_steps >= self.watchdog.spike_warmup_steps as u64
-        {
-            if let Some(ema) = self.grad_norm_ema {
-                let norm = model.store.grad_norm(&self.model_ids);
-                let limit = self.watchdog.spike_factor * ema;
-                if norm > limit {
-                    return Some(BadStepReason::GradientSpike { norm, limit });
-                }
-            }
-        }
-        None
+        self.capture_snapshot(model);
+        Ok(())
     }
 
     /// Captures the current state as the rollback target, copying into
@@ -654,11 +569,11 @@ impl Trainer {
     /// snapshot. The RNG and the step/epoch counters are deliberately NOT
     /// rewound: training continues forward over fresh data, it does not
     /// replay the steps that diverged.
-    fn rollback(&mut self, model: &mut KvecModel, step: u64) -> Result<(), TrainError> {
+    fn rollback(&mut self, model: &mut KvecModel, step: u64) {
         let snap = self
             .snapshot
             .as_ref()
-            .ok_or(TrainError::NoRollbackTarget { step })?;
+            .expect("a snapshot is taken before the first update");
         model.store.restore_values(&snap.values);
         model.store.zero_grads();
         let restored_step = snap.step;
@@ -674,13 +589,12 @@ impl Trainer {
             bad_steps: self.consecutive_bad,
         });
         self.consecutive_bad = 0;
-        Ok(())
     }
 
     /// Trains one pass over a set of scenarios, one optimizer step per
     /// scenario (Algorithm 1's schedule). Watchdog interventions are
     /// reported through [`Trainer::take_events`]; `Err` aborts the epoch
-    /// (injected crash, impossible rollback).
+    /// (an injected crash).
     pub fn train_epoch(
         &mut self,
         model: &mut KvecModel,
@@ -731,9 +645,9 @@ impl Trainer {
     }
 
     /// Atomically writes the complete trainer state — parameters, both
-    /// optimizers' moments and counters, epoch/step/watchdog counters and
-    /// the RNG state — as a versioned, checksummed checkpoint (see
-    /// `kvec_nn::checkpoint` for the container guarantees). Pass the
+    /// optimizers' moments and counters, the epoch/step/consecutive-bad
+    /// counters and the RNG state — as a versioned, checksummed checkpoint
+    /// (see `kvec_nn::checkpoint` for the container guarantees). Pass the
     /// *training* RNG so a resumed run continues its exact stream.
     pub fn save_checkpoint(
         &self,
@@ -747,9 +661,7 @@ impl Trainer {
             opt_baseline: self.opt_baseline.export_state(),
             epochs_done: self.epochs_done,
             step: self.step,
-            good_steps: self.good_steps,
             consecutive_bad: self.consecutive_bad,
-            grad_norm_ema: self.grad_norm_ema,
             rng_state: rng.state(),
         };
         write_atomic(path, checkpoint::encode_state(&state).as_bytes())
@@ -766,9 +678,7 @@ impl Trainer {
     /// version, parameter mismatch, non-finite values) is always detected
     /// here, never deferred to a later forward pass.
     ///
-    /// The watchdog config and fault injector are not part of a
-    /// checkpoint; re-apply [`Trainer::with_watchdog`] after resuming if a
-    /// non-default config is in use.
+    /// A fault injector is not part of a checkpoint.
     pub fn resume(
         cfg: &KvecConfig,
         model: &mut KvecModel,
@@ -791,9 +701,7 @@ impl Trainer {
             .map_err(|e| CheckpointError::InvalidPayload(format!("baseline optimizer: {e}")))?;
         trainer.epochs_done = state.epochs_done;
         trainer.step = state.step;
-        trainer.good_steps = state.good_steps;
         trainer.consecutive_bad = state.consecutive_bad;
-        trainer.grad_norm_ema = state.grad_norm_ema;
         let rng = KvecRng::from_state(state.rng_state).ok_or_else(|| {
             CheckpointError::InvalidPayload("rng state is the all-zero fixed point".into())
         })?;
@@ -931,6 +839,45 @@ mod tests {
             model.store.len()
         );
         assert!(!model.store.has_non_finite());
+    }
+
+    #[test]
+    fn a_checkpoint_with_the_dropped_watchdog_fields_still_resumes() {
+        // Payloads once carried `good_steps` and `grad_norm_ema`; resume
+        // ignores them and continues exactly as from today's payload.
+        let ds = tiny_dataset(7);
+        let cfg = KvecConfig::tiny(&ds.schema, ds.num_classes);
+        let mut rng = KvecRng::seed_from_u64(8);
+        let mut model = KvecModel::new(&cfg, &mut rng);
+        let mut trainer = Trainer::new(&cfg, &model);
+        trainer
+            .train_scenario(&mut model, &ds.train[0], &mut rng)
+            .unwrap();
+        let dir = std::env::temp_dir().join("kvec-train-old-payload");
+        let path = dir.join("now.ckpt");
+        trainer.save_checkpoint(&model, &rng, &path).unwrap();
+        let payload = String::from_utf8(read_verified(&path).unwrap()).unwrap();
+        let old = payload.replacen(
+            r#""consecutive_bad""#,
+            r#""good_steps":1,"grad_norm_ema":0.5,"consecutive_bad""#,
+            1,
+        );
+        assert_ne!(old, payload);
+        let old_path = dir.join("old.ckpt");
+        write_atomic(&old_path, old.as_bytes()).unwrap();
+
+        let resume_and_step = |path: &Path| {
+            let mut model = KvecModel::new(&cfg, &mut KvecRng::seed_from_u64(99));
+            let (mut trainer, mut rng) = Trainer::resume(&cfg, &mut model, path).unwrap();
+            trainer
+                .train_scenario(&mut model, &ds.train[1], &mut rng)
+                .unwrap();
+            (trainer.steps_done(), model.store.snapshot_values())
+        };
+        let now = resume_and_step(&path);
+        assert_eq!(now.0, 2);
+        assert_eq!(resume_and_step(&old_path), now);
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -28,9 +28,13 @@ pub struct Adam {
 
 impl Adam {
     /// Creates Adam over a parameter group with the standard
-    /// `beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`.
+    /// `beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`. Panics unless `lr` is
+    /// finite and positive, the rule [`Adam::import_state`] applies.
     pub fn new(store: &ParamStore, params: Vec<ParamId>, lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
+        assert!(
+            lr.is_finite() && lr > 0.0,
+            "learning rate must be finite and positive, got {lr}"
+        );
         let m = params
             .iter()
             .map(|&id| {
@@ -51,9 +55,11 @@ impl Adam {
         }
     }
 
-    /// Applies one update from the store's accumulated gradients. Does not
-    /// clear the gradients; call [`ParamStore::zero_grads`] afterwards.
-    pub fn step(&mut self, store: &mut ParamStore) {
+    /// Applies one update from the store's accumulated gradients and
+    /// returns whether every value it wrote is finite. Does not clear the
+    /// gradients; call [`ParamStore::zero_grads`] afterwards.
+    pub fn step(&mut self, store: &mut ParamStore) -> bool {
+        let mut finite = true;
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
@@ -69,8 +75,10 @@ impl Adam {
                 let m_hat = m_i / bc1;
                 let v_hat = v_i / bc2;
                 *w_i -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                finite &= w_i.is_finite();
             }
         }
+        finite
     }
 }
 
@@ -192,17 +200,19 @@ impl Adam {
 }
 
 /// Rescales the gradients of `ids` so their global L2 norm is at most
-/// `max_norm`. Returns the pre-clip norm. REINFORCE gradients are heavy-
-/// tailed; the KVEC trainer clips before every step.
-pub fn clip_global_norm(store: &mut ParamStore, ids: &[ParamId], max_norm: f32) -> f32 {
-    let norm = store.grad_norm(ids);
+/// `max_norm`. Returns the pre-clip norm, or `None`, gradients untouched,
+/// when any gradient element is NaN/inf ([`ParamStore::grad_norm`]).
+/// REINFORCE gradients are heavy-tailed; the KVEC trainer clips before
+/// every step.
+pub fn clip_global_norm(store: &mut ParamStore, ids: &[ParamId], max_norm: f32) -> Option<f32> {
+    let norm = store.grad_norm(ids)?;
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
         for &id in ids {
             store.scale_grad(id, scale);
         }
     }
-    norm
+    Some(norm)
 }
 
 #[cfg(test)]
@@ -241,11 +251,34 @@ mod tests {
     }
 
     #[test]
+    fn adam_step_reports_a_non_finite_write() {
+        // At `f32::MAX` a step of size `lr` pushed outward overflows to inf.
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::row_vector(&[f32::MAX, 0.0]));
+        let mut opt = Adam::new(&store, vec![w], f32::MAX);
+        store.accumulate_grad(w, &Tensor::row_vector(&[-1.0, 0.0]));
+        assert!(!opt.step(&mut store));
+        assert_eq!(store.value(w).data()[0], f32::INFINITY);
+
+        let mut opt = Adam::new(&store, vec![w], 0.1);
+        store.value_mut(w).data_mut()[0] = 1.0;
+        assert!(opt.step(&mut store), "a finite step reports finite");
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn adam_refuses_an_infinite_learning_rate() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::zeros(1, 1));
+        Adam::new(&store, vec![w], f32::INFINITY);
+    }
+
+    #[test]
     fn clip_leaves_small_gradients_alone() {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::zeros(1, 2));
         store.accumulate_grad(w, &Tensor::row_vector(&[0.3, 0.4]));
-        let pre = clip_global_norm(&mut store, &[w], 1.0);
+        let pre = clip_global_norm(&mut store, &[w], 1.0).unwrap();
         assert!((pre - 0.5).abs() < 1e-6);
         assert_eq!(store.grad(w).data(), &[0.3, 0.4]);
     }
@@ -255,12 +288,19 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::zeros(1, 2));
         store.accumulate_grad(w, &Tensor::row_vector(&[30.0, 40.0]));
-        let pre = clip_global_norm(&mut store, &[w], 5.0);
+        let pre = clip_global_norm(&mut store, &[w], 5.0).unwrap();
         assert!((pre - 50.0).abs() < 1e-3);
         let g = store.grad(w);
         assert!((g.data()[0] - 3.0).abs() < 1e-4);
         assert!((g.data()[1] - 4.0).abs() < 1e-4);
-        assert!((store.grad_norm(&[w]) - 5.0).abs() < 1e-4);
+        assert!((store.grad_norm(&[w]).unwrap() - 5.0).abs() < 1e-4);
+        store.accumulate_grad(w, &Tensor::row_vector(&[f32::NAN, 0.0]));
+        assert_eq!(clip_global_norm(&mut store, &[w], 5.0), None);
+        assert_eq!(
+            store.grad(w).data()[1],
+            4.0,
+            "non-finite gradients are left alone"
+        );
     }
 
     #[test]

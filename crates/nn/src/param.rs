@@ -118,15 +118,25 @@ impl ParamStore {
         }
     }
 
-    /// Global L2 norm over the gradients of the given parameters.
-    pub fn grad_norm(&self, ids: &[ParamId]) -> f32 {
-        ids.iter()
+    /// Global L2 norm over the gradients of the given parameters, or `None`
+    /// when any of their elements is NaN/inf. One read of each gradient
+    /// gives both, so the training step guard reads the gradients once.
+    pub fn grad_norm(&self, ids: &[ParamId]) -> Option<f32> {
+        let mut finite = true;
+        let sum = ids
+            .iter()
             .map(|id| {
                 let g = self.grad(*id);
-                g.data().iter().map(|v| v * v).sum::<f32>()
+                g.data()
+                    .iter()
+                    .map(|v| {
+                        finite &= v.is_finite();
+                        v * v
+                    })
+                    .sum::<f32>()
             })
-            .sum::<f32>()
-            .sqrt()
+            .sum::<f32>();
+        finite.then(|| sum.sqrt())
     }
 
     /// True if any parameter value or gradient contains NaN/inf — a cheap
@@ -137,18 +147,10 @@ impl ParamStore {
             .any(|e| e.value.has_non_finite() || e.grad.has_non_finite())
     }
 
-    /// True if any accumulated gradient contains NaN/inf — the divergence
-    /// watchdog's pre-step check (values are covered by the post-step
-    /// check, so the two failure modes are reported distinctly).
-    pub fn has_non_finite_grad(&self) -> bool {
-        self.entries.iter().any(|e| e.grad.has_non_finite())
-    }
-
     /// Serializes every parameter (name + tensor) as a JSON value — an
     /// array of `[name, tensor]` pairs, the same layout the earlier
-    /// serde-based format produced. Used both by the legacy weights file
-    /// ([`ParamStore::save`]) and embedded inside the trainer's versioned
-    /// checkpoint payload.
+    /// serde-based format produced. It is the whole payload of a weights
+    /// file and the `params` field of a trainer checkpoint.
     pub fn values_to_json(&self) -> kvec_json::Json {
         use kvec_json::ToJson;
         let dump: Vec<(&str, &Tensor)> = self
@@ -199,27 +201,6 @@ impl ParamStore {
             entry.value = value;
         }
         Ok(())
-    }
-
-    /// Writes a checkpoint of every parameter (name + tensor) as JSON.
-    /// This is the legacy raw-JSON weights format; the fault-tolerant
-    /// trainer checkpoint (versioned, checksummed, atomic) lives in
-    /// `kvec`'s `Trainer::save_checkpoint`.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = self.values_to_json().dump();
-        if let Some(parent) = path.as_ref().parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, json)
-    }
-
-    /// Restores a checkpoint written by [`ParamStore::save`]. Same
-    /// validation as [`ParamStore::load_values_json`], including the
-    /// non-finite rejection.
-    pub fn load(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = std::fs::read_to_string(path)?;
-        let value = kvec_json::Json::parse(&json).map_err(std::io::Error::other)?;
-        self.load_values_json(&value).map_err(std::io::Error::other)
     }
 
     /// Clones every parameter value in id order — the in-memory snapshot
@@ -289,87 +270,16 @@ mod tests {
         let b = ps.add("b", Tensor::zeros(1, 1));
         ps.accumulate_grad(a, &Tensor::scalar(3.0));
         ps.accumulate_grad(b, &Tensor::scalar(4.0));
-        assert!((ps.grad_norm(&[a, b]) - 5.0).abs() < 1e-6);
-        assert!((ps.grad_norm(&[a]) - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn checkpoint_save_load_round_trips() {
-        let mut ps = ParamStore::new();
-        let a = ps.add("layer.w", Tensor::from_rows(&[vec![1.5, -2.0]]).unwrap());
-        let b = ps.add("layer.b", Tensor::scalar(0.25));
-
-        let dir = std::env::temp_dir().join("kvec-nn-ckpt-test");
-        let path = dir.join("model.json");
-        ps.save(&path).unwrap();
-
-        let mut fresh = ParamStore::new();
-        fresh.add("layer.w", Tensor::zeros(1, 2));
-        fresh.add("layer.b", Tensor::zeros(1, 1));
-        fresh.load(&path).unwrap();
-        assert_eq!(fresh.value(a), ps.value(a));
-        assert_eq!(fresh.value(b), ps.value(b));
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_load_rejects_mismatches() {
-        let mut ps = ParamStore::new();
-        ps.add("w", Tensor::zeros(2, 2));
-        let dir = std::env::temp_dir().join("kvec-nn-ckpt-mismatch");
-        let path = dir.join("model.json");
-        ps.save(&path).unwrap();
-
-        // Wrong count.
-        let mut empty = ParamStore::new();
-        assert!(empty.load(&path).is_err());
-        // Wrong name.
-        let mut named = ParamStore::new();
-        named.add("v", Tensor::zeros(2, 2));
-        assert!(named.load(&path).is_err());
-        // Wrong shape.
-        let mut shaped = ParamStore::new();
-        shaped.add("w", Tensor::zeros(1, 2));
-        assert!(shaped.load(&path).is_err());
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_load_rejects_non_finite_values() {
-        // Two poisoning routes: a NaN tensor round-trips as JSON `null`
-        // (type error at decode), and an f64 literal beyond f32 range
-        // casts to `inf` — the explicit non-finite check must catch the
-        // latter so it never reaches a forward pass.
-        let dir = std::env::temp_dir().join("kvec-nn-ckpt-nan");
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let null_path = dir.join("null.json");
-        let mut nan_store = ParamStore::new();
-        let id = nan_store.add("w", Tensor::zeros(1, 2));
-        nan_store.value_mut(id).data_mut()[1] = f32::NAN;
-        nan_store.save(&null_path).unwrap();
-
-        let inf_path = dir.join("inf.json");
-        std::fs::write(
-            &inf_path,
-            r#"[["w",{"data":[0.0,1e300],"rows":1,"cols":2}]]"#,
-        )
-        .unwrap();
-
-        for path in [&null_path, &inf_path] {
-            let mut fresh = ParamStore::new();
-            fresh.add("w", Tensor::zeros(1, 2));
-            assert!(fresh.load(path).is_err(), "poisoned {path:?} loaded");
-            // The target store keeps its pristine values.
-            assert!(!fresh.has_non_finite());
-        }
-        let err = {
-            let mut fresh = ParamStore::new();
-            fresh.add("w", Tensor::zeros(1, 2));
-            fresh.load(&inf_path).unwrap_err().to_string()
-        };
-        assert!(err.contains("non-finite"), "unexpected error: {err}");
-        std::fs::remove_dir_all(dir).ok();
+        assert!((ps.grad_norm(&[a, b]).unwrap() - 5.0).abs() < 1e-6);
+        assert!((ps.grad_norm(&[a]).unwrap() - 3.0).abs() < 1e-6);
+        ps.accumulate_grad(b, &Tensor::scalar(f32::INFINITY));
+        assert_eq!(ps.grad_norm(&[a, b]), None);
+        assert_eq!(ps.grad_norm(&[a]), Some(3.0));
+        // Finite elements whose squares overflow: the norm is inf, and the
+        // gradients still count as finite.
+        let big = ps.add("big", Tensor::zeros(1, 1));
+        ps.accumulate_grad(big, &Tensor::scalar(1e30));
+        assert_eq!(ps.grad_norm(&[big]), Some(f32::INFINITY));
     }
 
     #[test]

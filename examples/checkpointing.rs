@@ -44,7 +44,7 @@ fn main() {
     );
 
     // Save.
-    let path = std::env::temp_dir().join("kvec-example-checkpoint/weights.json");
+    let path = std::env::temp_dir().join("kvec-example-checkpoint/weights.ckpt");
     model.save_weights(&path).expect("save checkpoint");
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!("checkpoint    : {} ({bytes} bytes)", path.display());

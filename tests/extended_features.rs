@@ -56,7 +56,7 @@ fn multihead_layernorm_variant_trains_and_checkpoints() {
 
     // Checkpoint round trip preserves behavior, including streaming.
     let dir = std::env::temp_dir().join("kvec-extended-ckpt");
-    let path = dir.join("w.json");
+    let path = dir.join("w.ckpt");
     model.save_weights(&path).unwrap();
     let mut restored = KvecModel::new(&cfg, &mut KvecRng::seed_from_u64(777));
     restored.load_weights(&path).unwrap();

@@ -11,7 +11,7 @@
 //!   every corruption mode yields its own readable error.
 
 use kvec::faults::{self, FaultInjector};
-use kvec::train::Trainer;
+use kvec::train::{Trainer, MAX_CONSECUTIVE_BAD};
 use kvec::{BadStepReason, KvecConfig, KvecModel, RecoveryEvent, TrainError};
 use kvec_data::synth::{generate_traffic, TrafficConfig};
 use kvec_data::Dataset;
@@ -175,7 +175,7 @@ fn nan_gradients_are_skipped_and_k_consecutive_trigger_rollback() {
     let mut rng = KvecRng::seed_from_u64(5);
     let mut model = KvecModel::new(&cfg, &mut rng);
     let mut trainer = Trainer::new(&cfg, &model);
-    let k = trainer.watchdog().max_consecutive_bad as u64;
+    let k = MAX_CONSECUTIVE_BAD as u64;
     assert!(
         k >= 2,
         "test needs K >= 2 to distinguish skip from rollback"
@@ -266,7 +266,7 @@ fn non_finite_loss_is_skipped_and_k_consecutive_trigger_rollback() {
     let mut rng = KvecRng::seed_from_u64(5);
     let mut model = KvecModel::new(&cfg, &mut rng);
     let mut trainer = Trainer::new(&cfg, &model);
-    let k = trainer.watchdog().max_consecutive_bad;
+    let k = MAX_CONSECUTIVE_BAD;
 
     // One clean step, then a poisoned classifier weight: every later loss
     // is NaN until the rollback restores the post-step-0 snapshot.
