@@ -62,9 +62,10 @@ impl FaultInjector {
         self.kill_at_step == Some(step)
     }
 
-    /// Applies gradient poisoning for `step` if armed: a handful of
-    /// seeded-random gradient entries (at least one per parameter group
-    /// region) are set to NaN. Returns whether poisoning happened.
+    /// Applies gradient poisoning for `step` if armed: one seeded-random
+    /// gradient entry of each of three seeded-random parameters (repeats
+    /// allowed, either group) is set to NaN. Returns whether poisoning
+    /// happened.
     pub fn poison(&mut self, store: &mut ParamStore, step: u64) -> bool {
         if !self.poison_steps.contains(&step) {
             return false;

@@ -139,8 +139,7 @@ impl ParamStore {
         finite.then(|| sum.sqrt())
     }
 
-    /// True if any parameter value or gradient contains NaN/inf — a cheap
-    /// guard the training loops assert on.
+    /// True if any parameter value or gradient contains NaN/inf.
     pub fn has_non_finite(&self) -> bool {
         self.entries
             .iter()
