@@ -282,6 +282,56 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_load_rejects_mismatches() {
+        let mut ps = ParamStore::new();
+        ps.add("w", Tensor::zeros(2, 2));
+        let json = ps.values_to_json();
+
+        // Wrong count.
+        let mut empty = ParamStore::new();
+        assert!(empty.load_values_json(&json).is_err());
+        // Wrong name.
+        let mut named = ParamStore::new();
+        named.add("v", Tensor::zeros(2, 2));
+        assert!(named.load_values_json(&json).is_err());
+        // Wrong shape.
+        let mut shaped = ParamStore::new();
+        shaped.add("w", Tensor::zeros(1, 2));
+        assert!(shaped.load_values_json(&json).is_err());
+    }
+
+    #[test]
+    fn checkpoint_load_rejects_non_finite_values() {
+        // Two poisoning routes: a NaN tensor round-trips as JSON `null`
+        // (type error at decode), and an f64 literal beyond f32 range
+        // casts to `inf` — the explicit non-finite check must catch the
+        // latter so it never reaches a forward pass.
+        let mut nan_store = ParamStore::new();
+        let id = nan_store.add("w", Tensor::zeros(1, 2));
+        nan_store.value_mut(id).data_mut()[1] = f32::NAN;
+        let null_json = kvec_json::Json::parse(&nan_store.values_to_json().dump()).unwrap();
+        let inf_json =
+            kvec_json::Json::parse(r#"[["w",{"data":[0.0,1e300],"rows":1,"cols":2}]]"#).unwrap();
+
+        for json in [&null_json, &inf_json] {
+            let mut fresh = ParamStore::new();
+            fresh.add("w", Tensor::zeros(1, 2));
+            assert!(
+                fresh.load_values_json(json).is_err(),
+                "poisoned {json:?} loaded"
+            );
+            // The target store keeps its pristine values.
+            assert!(!fresh.has_non_finite());
+        }
+        let err = {
+            let mut fresh = ParamStore::new();
+            fresh.add("w", Tensor::zeros(1, 2));
+            fresh.load_values_json(&inf_json).unwrap_err()
+        };
+        assert!(err.contains("non-finite"), "unexpected error: {err}");
+    }
+
+    #[test]
     fn snapshot_and_restore_round_trip() {
         let mut ps = ParamStore::new();
         let id = ps.add("w", Tensor::row_vector(&[1.0, 2.0]));
