@@ -1,12 +1,13 @@
 //! The key-batched LSTM recurrence as one tape op ([`Var::lstm_keys`]):
-//! the forward runs the tape-free cell body ([`lstm_cell_rows`]) on gate
-//! weights packed once per tape, and the backward replays the generic
+//! the forward runs one [`LstmGates::round`] per step on gate weights
+//! packed once per tape — the round batch evaluation runs too — and the
+//! backward replays the generic
 //! tape's rules for the same expressions, in its order, so the op has the
 //! bits of stepping a taped cell.
 
 use crate::graph::{add_to, Graph, Node, Op};
 use crate::Var;
-use kvec_tensor::{lstm_cell_rows, matmul_packed_into, matmul_tn_into, simd, Axis, Panels, Tensor};
+use kvec_tensor::{matmul_packed_into, matmul_tn_into, simd, Axis, LstmGates, Panels, Tensor};
 
 /// One step of [`Var::lstm_keys`]: what its backward reads.
 #[derive(Debug, Clone)]
@@ -43,16 +44,13 @@ impl<'g> Var<'g> {
             self.same_graph(v);
             &nodes[v.id.0].value
         };
-        // [Wf | Wi | Wo | Wc]: one product per step yields all four gates,
-        // each output element the same ascending-k chain as a per-gate one.
-        let w_all = Tensor::concat_cols(&weights.map(|(w, _)| value(w))).expect("gate weights");
-        let b_all = Tensor::concat_cols(&weights.map(|(_, b)| value(b))).expect("gate biases");
-        let (k, hd) = (w_all.rows(), b_all.cols() / 4);
-        assert!(
-            k == hd + e.cols() && w_all.cols() == 4 * hd,
-            "lstm_keys gate shape"
+        let gates_w = LstmGates::new(
+            weights.map(|(w, _)| value(w)),
+            weights.map(|(_, b)| value(b)),
         );
-        let panels = Panels::nn(&w_all);
+        let (k, hd) = (gates_w.width(), gates_w.hidden());
+        assert!(k == hd + e.cols(), "lstm_keys gate shape");
+        let path = simd::active_path();
         let mut out = Tensor::zeros(steps.iter().map(Vec::len).sum(), hd);
         let mut tape: Vec<LstmStep> = Vec::with_capacity(steps.len());
         let (mut row0, mut prev_row0) = (0, 0);
@@ -69,18 +67,14 @@ impl<'g> Var<'g> {
                 }
                 cat.row_mut(r)[hd..].copy_from_slice(e.row(item));
             }
-            let mut z = Tensor::zeros(rows, 4 * hd);
-            matmul_packed_into(cat.data(), &w_all, &panels, z.data_mut());
-            let (mut gates, mut tanh_c) = (z.add_row_broadcast(&b_all), Tensor::zeros(rows, hd));
-            let h = &mut out.data_mut()[row0 * hd..(row0 + rows) * hd];
-            let path = simd::active_path();
-            lstm_cell_rows(
+            let (mut gates, mut tanh_c) = (Tensor::zeros(rows, 4 * hd), Tensor::zeros(rows, hd));
+            gates_w.round(
                 path,
-                hd,
+                cat.data(),
                 gates.data_mut(),
                 c.data_mut(),
                 tanh_c.data_mut(),
-                h,
+                &mut out.data_mut()[row0 * hd..(row0 + rows) * hd],
             );
             let items = items.clone();
             tape.push(LstmStep {

@@ -8,12 +8,13 @@
 //! supervised at the halting position only (KVEC's also at one random
 //! position).
 
+use crate::seq::guarded_step;
 use crate::BaselineConfig;
 use kvec::classifier::Classifier;
 use kvec::ectl::{self, Ectl, HaltLosses};
 use kvec_autograd::Var;
 use kvec_nn::loss::cross_entropy_logits;
-use kvec_nn::{clip_global_norm, Adam, ParamId, ParamStore, Session};
+use kvec_nn::{Adam, ParamId, ParamStore, Session};
 use kvec_tensor::{KvecRng, Tensor};
 
 /// The halting heads of an RL baseline and the optimizers of its whole
@@ -95,11 +96,11 @@ impl RlHalting {
         let loss = total.value().item();
         sess.backward(total);
         sess.accumulate_grads(store);
-        clip_global_norm(store, &self.model_ids, cfg.grad_clip);
-        clip_global_norm(store, &self.baseline_ids, cfg.grad_clip);
-        self.opt_model.step(store);
-        self.opt_baseline.step(store);
-        store.zero_grads();
+        let mut groups = [
+            (&self.model_ids[..], &mut self.opt_model),
+            (&self.baseline_ids[..], &mut self.opt_baseline),
+        ];
+        guarded_step(store, &mut groups, cfg.grad_clip);
         loss
     }
 

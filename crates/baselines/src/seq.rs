@@ -7,6 +7,7 @@
 
 use kvec::eval::{report_from_outcomes, EvalReport, KeyOutcome};
 use kvec_data::{Key, TangledSequence};
+use kvec_nn::{clip_global_norm, Adam, ParamId, ParamStore};
 
 /// One independent sequence sample.
 #[derive(Debug, Clone)]
@@ -70,6 +71,29 @@ pub(crate) fn train_sequences(
     total / seqs.len().max(1) as f32
 }
 
+/// The baselines' step guard, KVEC's trainer's rule for a bad gradient:
+/// clips each group's gradients to a global norm of `max_norm` and steps
+/// its optimizer, unless a gradient of any group is NaN or infinite — then
+/// no optimizer steps. The gradients are zeroed either way. Returns
+/// whether the step was taken.
+pub(crate) fn guarded_step(
+    store: &mut ParamStore,
+    groups: &mut [(&[ParamId], &mut Adam)],
+    max_norm: f32,
+) -> bool {
+    let mut finite = true;
+    for (ids, _) in groups.iter() {
+        finite &= clip_global_norm(store, ids, max_norm).is_some();
+    }
+    if finite {
+        for (_, opt) in groups.iter_mut() {
+            opt.step(store);
+        }
+    }
+    store.zero_grads();
+    finite
+}
+
 /// Evaluates the untangled sequences of `scenarios`: `decide` returns a
 /// sequence's `(n_k, prediction)`. Independent sequences have no
 /// cross-sequence attention, so all of it counts as internal.
@@ -101,6 +125,51 @@ pub(crate) fn evaluate_sequences(
 mod tests {
     use super::*;
     use kvec_data::Item;
+    use kvec_tensor::{KvecRng, Tensor};
+
+    #[test]
+    fn a_poisoned_gradient_leaves_every_parameter_unchanged() {
+        let mut rng = KvecRng::seed_from_u64(3);
+        let mut store = ParamStore::new();
+        let model = store.add("model", Tensor::rand_uniform(3, 4, -1.0, 1.0, &mut rng));
+        let baseline = store.add("baseline", Tensor::rand_uniform(1, 4, -1.0, 1.0, &mut rng));
+        let (mut opt_model, mut opt_baseline) = (
+            Adam::new(&store, vec![model], 0.1),
+            Adam::new(&store, vec![baseline], 0.1),
+        );
+        let before = store.clone();
+        let grads = |store: &mut ParamStore, poison: bool| {
+            let mut g = Tensor::full(3, 4, 0.5);
+            if poison {
+                g.data_mut()[5] = f32::NAN;
+            }
+            store.accumulate_grad(model, &g);
+            store.accumulate_grad(baseline, &Tensor::full(1, 4, -0.5));
+        };
+        let (model_ids, baseline_ids) = ([model], [baseline]);
+        let mut step = |store: &mut ParamStore| {
+            let mut groups = [
+                (&model_ids[..], &mut opt_model),
+                (&baseline_ids[..], &mut opt_baseline),
+            ];
+            guarded_step(store, &mut groups, 1.0)
+        };
+
+        grads(&mut store, true);
+        assert!(!step(&mut store), "a NaN gradient is skipped");
+        for id in [model, baseline] {
+            assert_eq!(store.value(id), before.value(id), "{}", store.name(id));
+            assert!(!store.value(id).has_non_finite());
+            assert_eq!(store.grad(id).frobenius_norm(), 0.0, "gradients zeroed");
+        }
+        // The next finite step moves both groups, from unchanged moments.
+        grads(&mut store, false);
+        assert!(step(&mut store));
+        for id in [model, baseline] {
+            assert_ne!(store.value(id), before.value(id), "{}", store.name(id));
+            assert!(!store.value(id).has_non_finite());
+        }
+    }
 
     #[test]
     fn untangles_preserving_order() {

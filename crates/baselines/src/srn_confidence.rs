@@ -5,14 +5,14 @@
 //! confidence is calibrated for any halting point; evaluation walks the
 //! sequence until the confidence clears `mu`.
 
-use crate::seq::{evaluate_sequences, train_sequences, SeqSample};
+use crate::seq::{evaluate_sequences, guarded_step, train_sequences, SeqSample};
 use crate::srn::SrnEncoder;
 use crate::{BaselineConfig, EarlyClassifier};
 use kvec::eval::EvalReport;
 use kvec_autograd::Var;
 use kvec_data::TangledSequence;
 use kvec_nn::loss::cross_entropy_logits;
-use kvec_nn::{clip_global_norm, Adam, Linear, ParamId, ParamStore, Session};
+use kvec_nn::{Adam, Linear, ParamId, ParamStore, Session};
 use kvec_tensor::KvecRng;
 
 /// The SRN-Confidence baseline.
@@ -70,9 +70,8 @@ impl SrnConfidence {
         let loss = loss_var.value().item();
         sess.backward(loss_var);
         sess.accumulate_grads(&mut self.store);
-        clip_global_norm(&mut self.store, &self.ids, self.cfg.grad_clip);
-        self.opt.step(&mut self.store);
-        self.store.zero_grads();
+        let mut groups = [(&self.ids[..], &mut self.opt)];
+        guarded_step(&mut self.store, &mut groups, self.cfg.grad_clip);
         loss
     }
 }

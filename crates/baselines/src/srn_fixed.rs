@@ -2,13 +2,13 @@
 //! (inspired by Ma et al., CVPR 2016). The simplest halting policy; its
 //! earliness knob is `tau` itself.
 
-use crate::seq::{evaluate_sequences, train_sequences, SeqSample};
+use crate::seq::{evaluate_sequences, guarded_step, train_sequences, SeqSample};
 use crate::srn::SrnEncoder;
 use crate::{BaselineConfig, EarlyClassifier};
 use kvec::eval::EvalReport;
 use kvec_data::TangledSequence;
 use kvec_nn::loss::cross_entropy_logits;
-use kvec_nn::{clip_global_norm, Adam, Linear, ParamId, ParamStore, Session};
+use kvec_nn::{Adam, Linear, ParamId, ParamStore, Session};
 use kvec_tensor::KvecRng;
 
 /// The SRN-Fixed baseline.
@@ -62,9 +62,8 @@ impl SrnFixed {
         let loss = loss_var.value().item();
         sess.backward(loss_var);
         sess.accumulate_grads(&mut self.store);
-        clip_global_norm(&mut self.store, &self.ids, self.cfg.grad_clip);
-        self.opt.step(&mut self.store);
-        self.store.zero_grads();
+        let mut groups = [(&self.ids[..], &mut self.opt)];
+        guarded_step(&mut self.store, &mut groups, self.cfg.grad_clip);
         loss
     }
 }

@@ -2,10 +2,11 @@
 //! the paper's earliness / harmonic-mean measures (Section V-A3).
 
 use crate::ectl::{Action, Ectl};
+use crate::kvrl::EncodeWorkspace;
 use crate::mask::split_attention_row;
 use crate::model::KvecModel;
 use kvec_data::{Key, TangledSequence};
-use kvec_tensor::Tensor;
+use kvec_tensor::{simd, LstmGates, Tensor};
 
 /// Outcome of one key-value sequence at evaluation time.
 #[derive(Debug, Clone)]
@@ -132,58 +133,210 @@ pub struct KeyDecision {
 }
 
 /// Rows [`evaluate_scenario`] encodes between two rounds of decisions
-/// (waves of 16, 32 and 64 rows measured alike).
+/// (waves of 16 and 32 rows measured alike on `eval-batch`, 64 slower).
 const WAVE: usize = 32;
 
-/// One key's fusion and halting state. Once the key has decided, `seen`
-/// is its `n_k`.
-struct KeyFusion {
-    h: Tensor,
+/// Fusion and halting for many keys in lockstep: the fusion cell's gates
+/// packed once, every key's state, and one round's gathered rows. Once a
+/// key has decided, its `seen` is its `n_k`. Reused across scenarios.
+struct Lockstep {
+    gates: LstmGates,
+    /// Per key: `h` and `c` (each `hidden` wide, flat), the items stepped
+    /// and whether it has decided.
+    h: Vec<f32>,
     c: Vec<f32>,
-    scratch: Vec<f32>,
-    seen: usize,
-    decided: bool,
+    seen: Vec<usize>,
+    decided: Vec<bool>,
+    /// One round's keys, then its `[h; x]` rows, gate pre-activations, `c`,
+    /// `tanh(C')` and new `h`, one row per key.
+    round: Vec<usize>,
+    cat: Vec<f32>,
+    z: Vec<f32>,
+    c_round: Vec<f32>,
+    tanh_c: Vec<f32>,
+    h_round: Vec<f32>,
 }
 
-impl KeyFusion {
+impl Lockstep {
     fn new(model: &KvecModel) -> Self {
-        let hidden = model.encoder.fusion.hidden();
         Self {
-            h: Tensor::zeros(1, hidden),
-            c: vec![0.0; hidden],
-            scratch: Vec::new(),
-            seen: 0,
-            decided: false,
+            gates: model.encoder.fusion.packed_gates(&model.store),
+            h: Vec::new(),
+            c: Vec::new(),
+            seen: Vec::new(),
+            decided: Vec::new(),
+            round: Vec::new(),
+            cat: Vec::new(),
+            z: Vec::new(),
+            c_round: Vec::new(),
+            tanh_c: Vec::new(),
+            h_round: Vec::new(),
         }
     }
 
-    /// Steps the undecided key over its items (`item_rows`, in arrival
-    /// order) in the rows `< end` of `e`, with the bodies
-    /// `StreamingEngine::feed` runs. The first item whose halting
-    /// probability clears `cfg.halt_threshold` decides the key; a key that
-    /// never clears it decides at its last item.
-    fn advance(&mut self, model: &KvecModel, e: &Tensor, item_rows: &[usize], end: usize) {
-        let (store, fusion) = (&model.store, &model.encoder.fusion);
-        while !self.decided && item_rows.get(self.seen).is_some_and(|&g| g < end) {
-            let (h, g) = (self.h.data_mut(), item_rows[self.seen]);
-            fusion.step_into(store, e.row(g), h, &mut self.c, &mut self.scratch);
-            self.seen += 1;
-            let p_halt = model.ectl.halt_probability_row(store, self.h.data());
-            let halt = Ectl::threshold_action(p_halt, model.cfg.halt_threshold) == Action::Halt;
-            self.decided = halt || self.seen == item_rows.len();
+    /// Starts `keys` keys at the zero state, none decided.
+    fn reset(&mut self, keys: usize) {
+        let hd = self.gates.hidden();
+        for state in [&mut self.h, &mut self.c] {
+            state.clear();
+            state.resize(keys * hd, 0.0);
+        }
+        self.seen.clear();
+        self.seen.resize(keys, 0);
+        self.decided.clear();
+        self.decided.resize(keys, false);
+    }
+
+    fn all_decided(&self) -> bool {
+        self.decided.iter().all(|&d| d)
+    }
+
+    /// Key `k`'s hidden state as a `1 x hidden` row.
+    fn h_row(&self, k: usize) -> Tensor {
+        let hd = self.gates.hidden();
+        Tensor::row_vector(&self.h[k * hd..(k + 1) * hd])
+    }
+
+    /// Steps every undecided key over its items (`rows_of(k)`, in arrival
+    /// order) in the rows `< end` of `e`, in rounds: each round gathers
+    /// the `[h; x]` row of every undecided key with a next item before
+    /// `end`, steps them all in one [`LstmGates::round`], then reads each
+    /// one's halting probability. The first item whose probability clears
+    /// `cfg.halt_threshold` decides a key; a key that never clears it
+    /// decides at its last item. A round row has the bits the default
+    /// engine's one-row step gives, so every decision is the engine's.
+    fn advance<'k>(
+        &mut self,
+        model: &KvecModel,
+        e: &Tensor,
+        end: usize,
+        rows_of: impl Fn(usize) -> &'k [usize],
+    ) {
+        let (store, path) = (&model.store, simd::active_path());
+        let (hd, width) = (self.gates.hidden(), self.gates.width());
+        loop {
+            self.round.clear();
+            let ready = |k: &usize| {
+                !self.decided[*k] && rows_of(*k).get(self.seen[*k]).is_some_and(|&g| g < end)
+            };
+            self.round.extend((0..self.seen.len()).filter(ready));
+            let n = self.round.len();
+            if n == 0 {
+                return;
+            }
+            self.cat.resize(n * width, 0.0);
+            self.z.resize(n * 4 * hd, 0.0);
+            for buf in [&mut self.c_round, &mut self.tanh_c, &mut self.h_round] {
+                buf.resize(n * hd, 0.0);
+            }
+            let rows = self
+                .cat
+                .chunks_exact_mut(width)
+                .zip(self.c_round.chunks_exact_mut(hd));
+            for (&k, (cat, c)) in self.round.iter().zip(rows) {
+                cat[..hd].copy_from_slice(&self.h[k * hd..(k + 1) * hd]);
+                cat[hd..].copy_from_slice(e.row(rows_of(k)[self.seen[k]]));
+                c.copy_from_slice(&self.c[k * hd..(k + 1) * hd]);
+            }
+            let (c, tanh_c, h) = (&mut self.c_round, &mut self.tanh_c, &mut self.h_round);
+            self.gates.round(path, &self.cat, &mut self.z, c, tanh_c, h);
+            let rows = self
+                .h_round
+                .chunks_exact(hd)
+                .zip(self.c_round.chunks_exact(hd));
+            for (&k, (h, c)) in self.round.iter().zip(rows) {
+                self.h[k * hd..(k + 1) * hd].copy_from_slice(h);
+                self.c[k * hd..(k + 1) * hd].copy_from_slice(c);
+                self.seen[k] += 1;
+                let p_halt = model.ectl.halt_probability_row(store, h);
+                let halt = Ectl::threshold_action(p_halt, model.cfg.halt_threshold) == Action::Halt;
+                self.decided[k] = halt || self.seen[k] == rows_of(k).len();
+            }
         }
     }
 }
 
 /// Runs fusion and halting over one key's rows of `e` (`item_rows`, in
-/// arrival order): [`evaluate_scenario`]'s per-key step over the whole key,
+/// arrival order): [`evaluate_scenario`]'s lockstep rounds with one key,
 /// so the decision has the default engine's bits.
 pub fn decide_key(model: &KvecModel, e: &Tensor, item_rows: &[usize]) -> KeyDecision {
-    let mut key = KeyFusion::new(model);
-    key.advance(model, e, item_rows, e.rows());
-    let (pred, probs) = model.classifier.predict(&model.store, &key.h);
-    let (n_k, probs) = (key.seen, probs.into_vec());
+    let mut key = Lockstep::new(model);
+    key.reset(1);
+    key.advance(model, e, e.rows(), |_| item_rows);
+    let (pred, probs) = model.classifier.predict(&model.store, &key.h_row(0));
+    let (n_k, probs) = (key.seen[0], probs.into_vec());
     KeyDecision { n_k, pred, probs }
+}
+
+/// What [`evaluate`] builds once per call and reuses for every scenario:
+/// the encoder's workspace (weights packed once, buffers grown to the
+/// most rows a scenario encoded) and the lockstep fusion.
+struct Evaluator<'a> {
+    model: &'a KvecModel,
+    /// Lent to the scenario's [`PrefixEncoder`](crate::kvrl::PrefixEncoder)
+    /// while it runs.
+    encode: Option<EncodeWorkspace<'a>>,
+    fusion: Lockstep,
+}
+
+impl<'a> Evaluator<'a> {
+    fn new(model: &'a KvecModel) -> Self {
+        Self {
+            model,
+            encode: Some(model.encoder.workspace(&model.store, &model.cfg)),
+            fusion: Lockstep::new(model),
+        }
+    }
+
+    /// [`evaluate_scenario_encoded`] on the reused workspace.
+    fn scenario(&mut self, scenario: &'a TangledSequence) -> (Vec<KeyOutcome>, usize) {
+        let model = self.model;
+        let keys = scenario.key_subsequences();
+        let rows_of = |k: usize| &keys[k].1[..];
+        self.fusion.reset(keys.len());
+        let ws = self.encode.take().expect("one scenario at a time");
+        let mut prefix = ws.begin(scenario);
+        while !self.fusion.all_decided() {
+            let end = prefix.encoded() + WAVE;
+            prefix.advance(end);
+            self.fusion.advance(model, &prefix.rows().e, end, rows_of);
+        }
+
+        let rows = prefix.rows();
+        let label_map = scenario.label_map();
+        let mut outcomes = Vec::with_capacity(keys.len());
+        for (k, (key, item_rows)) in keys.iter().enumerate() {
+            let (pred, _) = model
+                .classifier
+                .predict(&model.store, &self.fusion.h_row(k));
+            let n_k = self.fusion.seen[k];
+
+            // Attention-mass split over the observed items.
+            let mut internal = 0.0f32;
+            let mut external = 0.0f32;
+            for &g in &item_rows[..n_k] {
+                let (visible, weights) = rows.row(g);
+                let (i_mass, e_mass) = split_attention_row(&scenario.items, g, visible, weights);
+                internal += i_mass;
+                external += e_mass;
+            }
+            let inv = 1.0 / n_k as f32;
+
+            outcomes.push(KeyOutcome {
+                key: *key,
+                label: label_map[key],
+                pred,
+                n_k,
+                seq_len: item_rows.len(),
+                halt_global_pos: item_rows[n_k - 1],
+                internal_attention: internal * inv,
+                external_attention: external * inv,
+            });
+        }
+        let encoded = prefix.encoded();
+        self.encode = Some(prefix.into_workspace());
+        (outcomes, encoded)
+    }
 }
 
 /// Evaluates one scenario, returning per-key outcomes. Every decision
@@ -194,55 +347,15 @@ pub fn evaluate_scenario(model: &KvecModel, scenario: &TangledSequence) -> Vec<K
 
 /// [`evaluate_scenario`] and the number of rows it encoded. The
 /// [`PrefixEncoder`](crate::kvrl::PrefixEncoder) advances by `WAVE` (32)
-/// rows; then every undecided key steps over its rows in the wave, and
-/// encoding stops once every key has decided. Row `g` reads only rows
-/// `<= g`, so the rows past the last decision would change none.
+/// rows; then every undecided key steps over its rows in the wave, in
+/// lockstep rounds, and encoding stops once every key has decided. Row
+/// `g` reads only rows `<= g`, so the rows past the last decision would
+/// change none.
 pub fn evaluate_scenario_encoded(
     model: &KvecModel,
     scenario: &TangledSequence,
 ) -> (Vec<KeyOutcome>, usize) {
-    let keys = scenario.key_subsequences();
-    let mut fusion: Vec<KeyFusion> = keys.iter().map(|_| KeyFusion::new(model)).collect();
-    let (store, cfg) = (&model.store, &model.cfg);
-    let mut prefix = model.encoder.prefix_encoder(store, cfg, scenario);
-    while fusion.iter().any(|f| !f.decided) {
-        let end = prefix.encoded() + WAVE;
-        prefix.advance(end);
-        for (f, (_, item_rows)) in fusion.iter_mut().zip(&keys) {
-            f.advance(model, &prefix.rows().e, item_rows, end);
-        }
-    }
-
-    let rows = prefix.rows();
-    let label_map = scenario.label_map();
-    let mut outcomes = Vec::new();
-    for ((key, item_rows), f) in keys.iter().zip(&fusion) {
-        let (pred, _) = model.classifier.predict(store, &f.h);
-        let n_k = f.seen;
-
-        // Attention-mass split over the observed items.
-        let mut internal = 0.0f32;
-        let mut external = 0.0f32;
-        for &g in &item_rows[..n_k] {
-            let (visible, weights) = rows.row(g);
-            let (i_mass, e_mass) = split_attention_row(&scenario.items, g, visible, weights);
-            internal += i_mass;
-            external += e_mass;
-        }
-        let inv = 1.0 / n_k as f32;
-
-        outcomes.push(KeyOutcome {
-            key: *key,
-            label: label_map[key],
-            pred,
-            n_k,
-            seq_len: item_rows.len(),
-            halt_global_pos: item_rows[n_k - 1],
-            internal_attention: internal * inv,
-            external_attention: external * inv,
-        });
-    }
-    (outcomes, prefix.encoded())
+    Evaluator::new(model).scenario(scenario)
 }
 
 /// One bucket of the per-position attention profile (paper Fig. 10).
@@ -268,13 +381,11 @@ pub fn attention_profile(
 ) -> Vec<AttentionBucket> {
     assert!(bins > 0, "need at least one bin");
     let mut buckets = vec![AttentionBucket::default(); bins];
+    let mut ws = model.encoder.workspace(&model.store, &model.cfg);
     for scenario in scenarios {
-        if scenario.is_empty() {
-            continue;
-        }
-        let rows = model
-            .encoder
-            .encode_rows(&model.store, &model.cfg, scenario);
+        let mut prefix = ws.begin(scenario);
+        prefix.advance(scenario.len());
+        let rows = prefix.rows();
         for (_key, item_rows) in scenario.key_subsequences() {
             let len = item_rows.len();
             for (i, &g) in item_rows.iter().enumerate() {
@@ -287,6 +398,7 @@ pub fn attention_profile(
                 buckets[b].count += 1;
             }
         }
+        ws = prefix.into_workspace();
     }
     for b in &mut buckets {
         if b.count > 0 {
@@ -298,10 +410,14 @@ pub fn attention_profile(
 }
 
 /// Evaluates a set of scenarios, in order, and aggregates every metric.
+/// One workspace serves every scenario: the weights are packed once per
+/// call, and each outcome equals [`evaluate_scenario`]'s on its scenario
+/// alone.
 pub fn evaluate(model: &KvecModel, scenarios: &[TangledSequence]) -> EvalReport {
+    let mut evaluator = Evaluator::new(model);
     let outcomes = scenarios
         .iter()
-        .flat_map(|s| evaluate_scenario(model, s))
+        .flat_map(|s| evaluator.scenario(s).0)
         .collect();
     report_from_outcomes(outcomes, model.cfg.num_classes)
 }

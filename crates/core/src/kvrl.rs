@@ -7,7 +7,9 @@ use crate::mask::MaskBuilder;
 use crate::KvecConfig;
 use kvec_autograd::Var;
 use kvec_data::TangledSequence;
-use kvec_nn::{AttentionBlock, LayerNorm, LstmCell, ParamId, ParamStore, Session, Visible};
+use kvec_nn::{
+    AttentionBlock, BlockPanels, LayerNorm, LstmCell, ParamId, ParamStore, Session, Visible,
+};
 use kvec_tensor::{KvecRng, Tensor, VisibleLists};
 use std::rc::Rc;
 
@@ -16,7 +18,8 @@ use std::rc::Rc;
 /// in CSR form, and one attention weight per CSR entry.
 #[derive(Debug)]
 pub struct EncodedRows {
-    /// Refined item embeddings `E` (`T x d`). Row `g` has the bits
+    /// Refined item embeddings `E`, one row per encoded item (`T x d` once
+    /// the whole stream is encoded). Row `g` has the bits
     /// `StreamingEngine::feed` computes for item `g` on the default
     /// engine.
     pub e: Tensor,
@@ -35,6 +38,48 @@ impl EncodedRows {
     }
 }
 
+/// What the tape-free inference forward keeps from one stream to the
+/// next ([`KvrlEncoder::workspace`]): every block's weights packed once,
+/// the mask builder, the encoded rows with their CSR, one K/V pair per
+/// block and one wave's scratch. Each buffer grows to the most rows a
+/// stream encoded and is reused by the next stream, which starts from a
+/// reset builder and empty buffers ([`Self::begin`]). The panels are
+/// packed from the store the workspace borrows, so they cannot go stale
+/// while it lives.
+pub struct EncodeWorkspace<'a> {
+    encoder: &'a KvrlEncoder,
+    store: &'a ParamStore,
+    cfg: &'a KvecConfig,
+    panels: Vec<BlockPanels>,
+    masks: MaskBuilder,
+    rows: EncodedRows,
+    /// One K/V pair per block, a row per encoded item: later rows attend
+    /// to earlier ones.
+    kv: Vec<[Tensor; 2]>,
+    /// One wave's queries, attended rows and weight sink; the row bodies'
+    /// scratch.
+    q: Vec<f32>,
+    attended: Vec<f32>,
+    sink: Vec<f32>,
+    logits: Vec<f32>,
+    scratch: Vec<f32>,
+}
+
+impl<'a> EncodeWorkspace<'a> {
+    /// A [`PrefixEncoder`] over `tangled` with no row encoded yet, on this
+    /// workspace's panels and buffers.
+    pub fn begin(mut self, tangled: &'a TangledSequence) -> PrefixEncoder<'a> {
+        self.masks.reset();
+        self.rows.e.resize_rows(0);
+        self.rows.lists.clear();
+        self.rows.weights.clear();
+        for kv in &mut self.kv {
+            kv.iter_mut().for_each(|t| t.resize_rows(0));
+        }
+        PrefixEncoder { ws: self, tangled }
+    }
+}
+
 /// The tape-free inference forward over one stream, resumable: each
 /// [`Self::advance`] encodes the next rows block-major with the row bodies
 /// `StreamingEngine::feed` runs. The mask is causal, so a row's visible
@@ -42,77 +87,84 @@ impl EncodedRows {
 /// bits: every row of `e` equals the default engine's, bit for bit,
 /// however the stream is cut. Nothing is `T x T`.
 pub struct PrefixEncoder<'a> {
-    encoder: &'a KvrlEncoder,
-    store: &'a ParamStore,
-    cfg: &'a KvecConfig,
+    ws: EncodeWorkspace<'a>,
     tangled: &'a TangledSequence,
-    masks: MaskBuilder,
-    rows: EncodedRows,
-    /// One `T x d` K/V pair per block: later rows attend to earlier ones.
-    kv: Vec<[Tensor; 2]>,
 }
 
-impl PrefixEncoder<'_> {
+impl<'a> PrefixEncoder<'a> {
     /// How many rows are encoded: the rows `0..encoded()` of [`Self::rows`].
     pub fn encoded(&self) -> usize {
-        self.rows.lists.len()
+        self.ws.rows.lists.len()
     }
 
     /// The rows encoded so far.
     pub fn rows(&self) -> &EncodedRows {
-        &self.rows
+        &self.ws.rows
+    }
+
+    /// The workspace back, for the next stream.
+    pub fn into_workspace(self) -> EncodeWorkspace<'a> {
+        self.ws
     }
 
     /// Encodes rows `encoded()..end` (`end` clamped to the stream): the
     /// mask writes their visible lists into the CSR; per block, the K, V and
-    /// Q projections run over them as one GEMM each, each row attends over
-    /// its list with the weight sink on, and the rows are finished at once.
+    /// Q projections run over them as one GEMM each on the packed weights,
+    /// each row attends over its list with the weight sink on, and the rows
+    /// are finished at once.
     pub fn advance(&mut self, end: usize) {
-        let (start, d) = (self.encoded(), self.cfg.d_model);
+        let (start, ws) = (self.encoded(), &mut self.ws);
+        let (store, cfg, d) = (ws.store, ws.cfg, ws.cfg.d_model);
         let end = end.clamp(start, self.tangled.len());
-        let (input, rows) = (&self.encoder.input, &mut self.rows);
+        let (input, rows) = (&ws.encoder.input, &mut ws.rows);
         let (mut idx, first) = (ItemIndices::default(), rows.lists.nnz());
+        rows.e.resize_rows(end);
         let e = &mut rows.e;
-        self.masks.push_rows(
+        ws.masks.push_rows(
             &self.tangled.items[start..end],
-            self.cfg.session_field,
+            cfg.session_field,
             &mut rows.lists,
             |g, item, pos_in_key| {
                 input.indices_for_item_into(item.key, &item.value, pos_in_key, g, &mut idx);
-                input.lookup_one_into(self.store, &idx, e.row_mut(g));
+                input.lookup_one_into(store, &idx, e.row_mut(g));
             },
         );
 
         rows.weights.resize(rows.lists.nnz(), 0.0);
-        let mut sink = vec![0.0; rows.lists.nnz() - first];
-        let [mut q, mut attended] = [(); 2].map(|_| Tensor::zeros(end - start, d));
-        let (mut logits, mut scratch) = (Vec::new(), Vec::new());
+        ws.sink.resize(rows.lists.nnz() - first, 0.0);
+        ws.q.resize((end - start) * d, 0.0);
+        ws.attended.resize((end - start) * d, 0.0);
         let x = &mut rows.e.data_mut()[start * d..end * d];
-        for (l, (block, [k, v])) in self.encoder.blocks.iter().zip(&mut self.kv).enumerate() {
-            block.project_k_into(self.store, x, &mut k.data_mut()[start * d..end * d]);
-            block.project_v_into(self.store, x, &mut v.data_mut()[start * d..end * d]);
-            block.project_q_into(self.store, x, q.data_mut());
+        let layers = ws.encoder.blocks.iter().zip(&ws.panels).zip(&mut ws.kv);
+        for (l, ((block, panels), [k, v])) in layers.enumerate() {
+            k.resize_rows(end);
+            v.resize_rows(end);
+            let (k_new, v_new) = (
+                &mut k.data_mut()[start * d..],
+                &mut v.data_mut()[start * d..],
+            );
+            block.project_packed_into(store, panels, x, [k_new, v_new, &mut ws.q]);
             for g in start..end {
                 let span = rows.lists.span(g);
                 block.attend_row_into(
-                    q.row(g - start),
+                    &ws.q[(g - start) * d..][..d],
                     (k, v),
                     rows.lists.row(g),
                     0,
-                    &mut logits,
-                    attended.row_mut(g - start),
-                    Some(&mut sink[span.start - first..span.end - first]),
+                    &mut ws.logits,
+                    &mut ws.attended[(g - start) * d..][..d],
+                    Some(&mut ws.sink[span.start - first..span.end - first]),
                 );
             }
-            for (w, &s) in rows.weights[first..].iter_mut().zip(&sink) {
+            for (w, &s) in rows.weights[first..].iter_mut().zip(&ws.sink) {
                 *w += s;
             }
-            block.finish_row_into(self.store, attended.data(), x, &mut scratch);
-            if let Some(norms) = &self.encoder.norms {
-                norms[l].apply_in_place(self.store, x);
+            block.finish_rows_packed_into(store, panels, &ws.attended, x, &mut ws.scratch);
+            if let Some(norms) = &ws.encoder.norms {
+                norms[l].apply_in_place(store, x);
             }
         }
-        let inv = 1.0 / self.encoder.blocks.len() as f32;
+        let inv = 1.0 / ws.encoder.blocks.len() as f32;
         rows.weights[first..].iter_mut().for_each(|w| *w *= inv);
     }
 }
@@ -197,29 +249,45 @@ impl KvrlEncoder {
     ) -> EncodedRows {
         let mut prefix = self.prefix_encoder(store, cfg, tangled);
         prefix.advance(tangled.len());
-        prefix.rows
+        prefix.ws.rows
     }
 
-    /// A [`PrefixEncoder`] over `tangled` with no row encoded yet.
+    /// A [`PrefixEncoder`] over `tangled` with no row encoded yet, on a
+    /// fresh [`Self::workspace`].
     pub fn prefix_encoder<'a>(
         &'a self,
         store: &'a ParamStore,
         cfg: &'a KvecConfig,
         tangled: &'a TangledSequence,
     ) -> PrefixEncoder<'a> {
-        let zeros = || Tensor::zeros(tangled.len(), cfg.d_model);
-        PrefixEncoder {
+        self.workspace(store, cfg).begin(tangled)
+    }
+
+    /// An [`EncodeWorkspace`] for many streams: the blocks' weights in
+    /// `store` packed once, and empty buffers.
+    pub fn workspace<'a>(
+        &'a self,
+        store: &'a ParamStore,
+        cfg: &'a KvecConfig,
+    ) -> EncodeWorkspace<'a> {
+        let empty = || Tensor::zeros(0, cfg.d_model);
+        EncodeWorkspace {
             encoder: self,
             store,
             cfg,
-            tangled,
+            panels: self.blocks.iter().map(|b| b.panels(store)).collect(),
             masks: MaskBuilder::streaming(cfg.use_key_correlation, cfg.use_value_correlation),
             rows: EncodedRows {
-                e: zeros(),
+                e: empty(),
                 lists: VisibleLists::new(),
                 weights: Vec::new(),
             },
-            kv: self.blocks.iter().map(|_| [zeros(), zeros()]).collect(),
+            kv: self.blocks.iter().map(|_| [empty(), empty()]).collect(),
+            q: Vec::new(),
+            attended: Vec::new(),
+            sink: Vec::new(),
+            logits: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 

@@ -214,6 +214,20 @@ impl MaskBuilder {
         }
     }
 
+    /// Forgets every item and key, as a fresh [`Self::streaming`] builder
+    /// with the same flags, but keeps the session index's lists (emptied)
+    /// and their allocations for the next stream.
+    pub fn reset(&mut self) {
+        self.keys.clear();
+        self.sessions.values_mut().for_each(Vec::clear);
+        self.anchors.clear();
+        self.len = 0;
+        #[cfg(test)]
+        if let Some(rows) = &mut self.rows {
+            rows.clear();
+        }
+    }
+
     /// Number of items pushed so far.
     pub fn len(&self) -> usize {
         self.len
@@ -531,6 +545,37 @@ mod tests {
         for i in 0..5 {
             let row = lists.row(i);
             assert!(row.iter().all(|&j| j <= i), "row {i} sees ahead: {row:?}");
+        }
+    }
+
+    #[test]
+    fn a_reset_builder_gives_a_fresh_builders_lists() {
+        // A builder reused after a stream, with keys still registered and
+        // session lists still full, must build the next stream's lists as
+        // a fresh builder does: stale keys or positions would leak edges.
+        let first = sample();
+        let second = TangledSequence::new(
+            vec![
+                Item::new(Key(2), vec![1], 0),
+                Item::new(Key(3), vec![1], 1),
+                Item::new(Key(1), vec![0], 2),
+                Item::new(Key(2), vec![1], 3),
+            ],
+            vec![(Key(1), 0), (Key(2), 1), (Key(3), 0)],
+        );
+        for (use_key, use_value) in [(true, true), (true, false), (false, true)] {
+            let mut builder = MaskBuilder::streaming(use_key, use_value);
+            let mut lists = VisibleLists::new();
+            builder.push_rows(&first.items, 0, &mut lists, |_, _, _| {});
+            builder.reset();
+            lists.clear();
+            builder.push_rows(&second.items, 0, &mut lists, |_, _, _| {});
+            assert_eq!(lists, visible_lists(&second, 0, use_key, use_value));
+            assert_eq!(builder.live_horizon(), {
+                let mut fresh = MaskBuilder::streaming(use_key, use_value);
+                fresh.push_rows(&second.items, 0, &mut VisibleLists::new(), |_, _, _| {});
+                fresh.live_horizon()
+            });
         }
     }
 

@@ -19,7 +19,7 @@
 use crate::{Dropout, FeedForward, Linear, ParamId, ParamStore, Session};
 use kvec_autograd::Var;
 use kvec_obs::LazyCounter;
-use kvec_tensor::{attend_head_row, simd, HeadKv, KvecRng, Tensor, VisibleLists};
+use kvec_tensor::{attend_head_row, simd, HeadKv, KvecRng, Panels, Tensor, VisibleLists};
 use std::rc::Rc;
 
 // Phase timers for the training-path forward pass. The autograd session is
@@ -45,6 +45,16 @@ pub enum Visible<'a> {
     /// list alone ([`Var::sparse_attention`]). KVEC's correlation mask,
     /// where a row sees a few percent of `T`, runs this.
     Lists(&'a Rc<VisibleLists>),
+}
+
+/// An [`AttentionBlock`]'s weights packed once ([`AttentionBlock::panels`]):
+/// `W_q`, `W_k`, `W_v`, `W_o` when present, and the FFN's `W1` and `W2`.
+pub struct BlockPanels {
+    q: Panels,
+    k: Panels,
+    v: Panels,
+    o: Option<Panels>,
+    ffn: [Panels; 2],
 }
 
 /// One attention block: masked single-head self-attention followed by a
@@ -361,6 +371,56 @@ impl AttentionBlock {
         x: &mut [f32],
         scratch: &mut Vec<f32>,
     ) {
+        self.finish_rows(store, None, attended, x, scratch);
+    }
+
+    /// The block's weights packed once, for [`Self::project_packed_into`]
+    /// and [`Self::finish_rows_packed_into`] while `store` is unchanged.
+    pub fn panels(&self, store: &ParamStore) -> BlockPanels {
+        BlockPanels {
+            q: self.wq.panels(store),
+            k: self.wk.panels(store),
+            v: self.wv.panels(store),
+            o: self.wo.as_ref().map(|wo| wo.panels(store)),
+            ffn: self.ffn.panels(store),
+        }
+    }
+
+    /// [`Self::project_k_into`], [`Self::project_v_into`] and
+    /// [`Self::project_q_into`] of the rows `x` on `panels`, with their
+    /// bits.
+    pub fn project_packed_into(
+        &self,
+        store: &ParamStore,
+        panels: &BlockPanels,
+        x: &[f32],
+        [k, v, q]: [&mut [f32]; 3],
+    ) {
+        self.wk.apply_with(store, Some(&panels.k), x, k);
+        self.wv.apply_with(store, Some(&panels.v), x, v);
+        self.wq.apply_with(store, Some(&panels.q), x, q);
+    }
+
+    /// [`Self::finish_row_into`] on `panels`, with its bits.
+    pub fn finish_rows_packed_into(
+        &self,
+        store: &ParamStore,
+        panels: &BlockPanels,
+        attended: &[f32],
+        x: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) {
+        self.finish_rows(store, Some(panels), attended, x, scratch);
+    }
+
+    fn finish_rows(
+        &self,
+        store: &ParamStore,
+        panels: Option<&BlockPanels>,
+        attended: &[f32],
+        x: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) {
         let d = self.d_model;
         assert!(
             attended.len() == x.len() && x.len().is_multiple_of(d),
@@ -370,7 +430,7 @@ impl AttentionBlock {
         scratch.resize(n * (d + self.ffn.hidden_dim()), 0.0);
         let (mid, hidden) = scratch.split_at_mut(n * d);
         match &self.wo {
-            Some(wo) => wo.apply_into(store, attended, mid),
+            Some(wo) => wo.apply_with(store, panels.and_then(|p| p.o.as_ref()), attended, mid),
             None => mid.copy_from_slice(attended),
         }
         if self.use_residual {
@@ -378,7 +438,8 @@ impl AttentionBlock {
                 *m += xi;
             }
         }
-        self.ffn.apply_into(store, mid, hidden, x);
+        self.ffn
+            .apply_into(store, panels.map(|p| &p.ffn), mid, hidden, x);
         if self.use_residual {
             for (o, &m) in x.iter_mut().zip(mid.iter()) {
                 *o += m;

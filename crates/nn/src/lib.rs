@@ -29,7 +29,7 @@ mod optim;
 mod param;
 mod session;
 
-pub use attention::{causal_mask, AttentionBlock, Visible};
+pub use attention::{causal_mask, AttentionBlock, BlockPanels, Visible};
 pub use checkpoint::CheckpointError;
 pub use dropout::Dropout;
 pub use embedding::Embedding;

@@ -3,7 +3,7 @@
 
 use crate::{ParamId, ParamStore, Session};
 use kvec_autograd::Var;
-use kvec_tensor::{KvecRng, Tensor};
+use kvec_tensor::{matmul_into, matmul_packed_into, KvecRng, Panels, Tensor};
 
 /// A dense affine layer `y = x W + b`.
 ///
@@ -85,7 +85,29 @@ impl Linear {
     /// and then the bias added to each row: the same values the taped
     /// [`Self::forward`] computes, without an allocation.
     pub fn apply_into(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
-        kvec_tensor::matmul_into(x, store.value(self.w), out);
+        self.apply_with(store, None, x, out);
+    }
+
+    /// The weight packed once ([`Panels::nn`]) for many products while
+    /// `store` is unchanged.
+    pub fn panels(&self, store: &ParamStore) -> Panels {
+        Panels::nn(store.value(self.w))
+    }
+
+    /// [`Self::apply_into`], on the weight's [`Self::panels`] when given:
+    /// the same bits, without packing the weight again.
+    pub(crate) fn apply_with(
+        &self,
+        store: &ParamStore,
+        panels: Option<&Panels>,
+        x: &[f32],
+        out: &mut [f32],
+    ) {
+        let w = store.value(self.w);
+        match panels {
+            Some(panels) => matmul_packed_into(x, w, panels, out),
+            None => matmul_into(x, w, out),
+        }
         if let Some(b) = self.b {
             let bias = store.value(b).data();
             for row in out.chunks_exact_mut(self.out_dim) {
@@ -147,13 +169,28 @@ impl FeedForward {
     /// Tape-free application for inference paths: `out = ReLU(x W1 + b1)
     /// W2 + b2` for row-major `x` into caller slices. `hidden` (`rows x
     /// d_ff`) receives the activations, `out` (`rows x d_model`) the
-    /// result — [`Self::forward`]'s values without an allocation.
-    pub fn apply_into(&self, store: &ParamStore, x: &[f32], hidden: &mut [f32], out: &mut [f32]) {
-        self.lin1.apply_into(store, x, hidden);
+    /// result — [`Self::forward`]'s values without an allocation. With
+    /// `panels` ([`Self::panels`]) the weights are not packed again.
+    pub fn apply_into(
+        &self,
+        store: &ParamStore,
+        panels: Option<&[Panels; 2]>,
+        x: &[f32],
+        hidden: &mut [f32],
+        out: &mut [f32],
+    ) {
+        self.lin1
+            .apply_with(store, panels.map(|p| &p[0]), x, hidden);
         for h in hidden.iter_mut() {
             *h = h.max(0.0);
         }
-        self.lin2.apply_into(store, hidden, out);
+        self.lin2
+            .apply_with(store, panels.map(|p| &p[1]), hidden, out);
+    }
+
+    /// Both weights packed once, for [`Self::apply_into`].
+    pub fn panels(&self, store: &ParamStore) -> [Panels; 2] {
+        [self.lin1.panels(store), self.lin2.panels(store)]
     }
 
     /// Hidden width `d_ff`.

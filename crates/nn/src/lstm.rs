@@ -7,17 +7,18 @@
 //! - the recurrent feature extractor of the **EARLIEST** baseline.
 //!
 //! KVEC's training fuses every key of a scenario through
-//! [`LstmCell::step_keys`], one tape op whose forward runs the inference
-//! body on gate weights packed once per tape; only EARLIEST's training
-//! still steps through the taped [`LstmCell::step`]. Inference runs
-//! [`LstmCell::step_into`], which advances a state row in place on caller
-//! buffers — four gate GEMVs into one `4H` strip, then
-//! [`lstm_cell_rows`]: one vectorised sigmoid over `3H`, one tanh over `H`
-//! — and allocates nothing.
+//! [`LstmCell::step_keys`], one tape op whose forward runs one
+//! [`LstmGates::round`] per step on gate weights packed once per tape;
+//! batch evaluation runs the same rounds on [`LstmCell::packed_gates`].
+//! Only EARLIEST's training still steps through the taped
+//! [`LstmCell::step`]. The streaming engine runs [`LstmCell::step_into`],
+//! which advances a state row in place on caller buffers — four gate
+//! GEMVs into one `4H` strip, then [`lstm_cell_rows`]: one vectorised
+//! sigmoid over `3H`, one tanh over `H` — and allocates nothing.
 
 use crate::{Linear, ParamId, ParamStore, Session};
 use kvec_autograd::Var;
-use kvec_tensor::{lstm_cell_rows, simd, KvecRng, Tensor};
+use kvec_tensor::{lstm_cell_rows, simd, KvecRng, LstmGates, Tensor};
 
 /// The `(hidden, cell)` pair carried between steps: one row per sequence
 /// stepped together.
@@ -163,6 +164,14 @@ impl LstmCell {
         x.lstm_keys(self.gates().map(bind), steps)
     }
 
+    /// The four gates packed once for many [`LstmGates::round`]s while
+    /// `store` is unchanged: the rounds batch evaluation steps its keys
+    /// through, with [`Self::step_into`]'s bits row for row.
+    pub fn packed_gates(&self, store: &ParamStore) -> LstmGates {
+        let [w, b] = [0, 1].map(|i| self.gates().map(|lin| store.value(lin.param_ids()[i])));
+        LstmGates::new(w, b)
+    }
+
     fn gates(&self) -> [&Linear; 4] {
         [&self.wf, &self.wi, &self.wo, &self.wc]
     }
@@ -282,6 +291,49 @@ mod tests {
                 assert_eq!(bits(&c), bits(tc.data()), "c, H = {hidden}, step {t}");
                 assert_eq!(bits(&h), bits(taped.h.value().data()), "taped h {hidden}");
                 assert_eq!(bits(&c), bits(taped.c.value().data()), "taped c {hidden}");
+            }
+        }
+    }
+
+    #[test]
+    fn gate_rounds_over_many_rows_equal_one_row_steps_bitwise() {
+        // Batch evaluation's lockstep fusion: `n` state rows gathered into
+        // one round on gates packed once, against `step_into` row by row,
+        // on every kernel path. Row counts leave tails of the 4-row tile.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (input_dim, hidden) = (24, 40);
+        let mut store = ParamStore::new();
+        let mut rng = KvecRng::seed_from_u64(14);
+        let cell = LstmCell::new(&mut store, "cell", input_dim, hidden, &mut rng);
+        let mut modes = vec![simd::SimdMode::Scalar];
+        modes.extend(simd::avx2_supported().then_some(simd::SimdMode::Avx2));
+        modes.extend(simd::avx512_supported().then_some(simd::SimdMode::Avx512));
+        for mode in modes {
+            for n in [1usize, 2, 5, 8] {
+                let x = Tensor::rand_uniform(n, input_dim, -2.0, 2.0, &mut rng);
+                let h0 = Tensor::rand_uniform(n, hidden, -1.0, 1.0, &mut rng);
+                let c0 = Tensor::rand_uniform(n, hidden, -1.0, 1.0, &mut rng);
+                simd::with_simd(mode, || {
+                    let gates = cell.packed_gates(&store);
+                    let cat = Tensor::concat_cols(&[&h0, &x]).unwrap();
+                    let (mut c, mut h) = (c0.clone(), Tensor::zeros(n, hidden));
+                    let (mut z, mut tanh_c) = (vec![0.0; n * 4 * hidden], vec![0.0; n * hidden]);
+                    let path = simd::active_path();
+                    gates.round(
+                        path,
+                        cat.data(),
+                        &mut z,
+                        c.data_mut(),
+                        &mut tanh_c,
+                        h.data_mut(),
+                    );
+                    for r in 0..n {
+                        let (mut hr, mut cr) = (h0.row(r).to_vec(), c0.row(r).to_vec());
+                        cell.step_into(&store, x.row(r), &mut hr, &mut cr, &mut Vec::new());
+                        assert_eq!(bits(h.row(r)), bits(&hr), "{mode:?} h, {n} rows, row {r}");
+                        assert_eq!(bits(c.row(r)), bits(&cr), "{mode:?} c, {n} rows, row {r}");
+                    }
+                });
             }
         }
     }

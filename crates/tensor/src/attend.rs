@@ -49,6 +49,12 @@ impl VisibleLists {
         out
     }
 
+    /// Removes every row, keeping both buffers' allocations.
+    pub fn clear(&mut self) {
+        self.offsets.truncate(1);
+        self.positions.clear();
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1

@@ -35,7 +35,7 @@ mod tensor;
 
 pub use attend::{attend_head_row, HeadKv, VisibleLists};
 pub use error::{TensorError, TensorResult};
-pub use lstm::lstm_cell_rows;
+pub use lstm::{lstm_cell_rows, LstmGates};
 pub use matmul::{matmul_into, matmul_packed_into, matmul_tn_into, Panels};
 pub use rng::KvecRng;
 pub use simd::{set_simd_mode, simd_mode, with_simd, KernelPath, SimdMode};

@@ -268,6 +268,14 @@ impl Tensor {
         self.data.capacity()
     }
 
+    /// Sets the row count to `rows` in place: new rows are zero, dropped
+    /// rows are gone, and the allocation is kept, so a buffer reused
+    /// across streams grows only to the most rows it ever held.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.cols, 0.0);
+        self.rows = rows;
+    }
+
     /// Removes the first `n` rows in place, shifting the remainder down.
     /// One O(remaining) memmove; the allocation is retained, so a
     /// compact-then-append cycle (the streaming KV cache ring) never

@@ -12,7 +12,7 @@ use kvec::{KvecConfig, KvecModel, StreamingEngine};
 use kvec_data::synth::{generate_traffic, TrafficConfig};
 use kvec_data::{mixer, Dataset, Key, TangledSequence};
 use kvec_nn::Session;
-use kvec_tensor::{sigmoid_scalar, KvecRng};
+use kvec_tensor::{sigmoid_scalar, KvecRng, Tensor};
 use std::collections::BTreeMap;
 
 fn setup(seed: u64) -> (KvecModel, Dataset) {
@@ -292,5 +292,83 @@ fn taped_training_forward_agrees_with_evaluate() {
             bits(taped.data()),
             "tape-free rows differ from the training forward"
         );
+    }
+}
+
+/// Every key's halting probability after each of its items, on the
+/// tape-free rows and the engine's one-row fusion step.
+fn halt_probabilities(model: &KvecModel, scenario: &TangledSequence) -> Vec<Vec<f32>> {
+    let (store, fusion) = (&model.store, &model.encoder.fusion);
+    let rows = model.encoder.encode_rows(store, &model.cfg, scenario);
+    let zeros = || Tensor::zeros(1, fusion.hidden());
+    let per_key = scenario
+        .key_subsequences()
+        .into_iter()
+        .map(|(_, item_rows)| {
+            let (mut h, mut c) = (zeros(), zeros());
+            let step = |&g: &usize| {
+                (h, c) = fusion.step_tensors(store, &rows.e.row_tensor(g), &h, &c);
+                model.ectl.halt_probability(store, &h)
+            };
+            item_rows.iter().map(step).collect()
+        });
+    per_key.collect()
+}
+
+#[test]
+fn evaluate_over_many_scenarios_equals_each_scenario_alone() {
+    // One `evaluate` call reuses its workspace — the encoded rows, the
+    // per-block K/V, the CSR, the mask builder and the fusion states —
+    // from scenario to scenario. Long, then short, then long: a short
+    // scenario after a long one leaves stale rows past its end, and a
+    // long one after a short one grows every buffer again.
+    let (mut model, ds) = setup(19);
+    let all = ds.train.iter().chain(&ds.val).chain(&ds.test);
+    let mut scenarios: Vec<TangledSequence> = all.cloned().collect();
+    scenarios.sort_by_key(TangledSequence::len);
+    let short = scenarios.remove(0);
+    let (long_a, long_b) = (scenarios.pop().unwrap(), scenarios.pop().unwrap());
+    let scenarios = [long_a, short, long_b];
+    assert!(scenarios[1].len() < scenarios[2].len());
+
+    // A threshold some keys clear on their first item and others never
+    // clear: stale fusion or mask state then moves an `n_k`.
+    let probs: Vec<Vec<f32>> = scenarios
+        .iter()
+        .flat_map(|s| halt_probabilities(&model, s))
+        .collect();
+    let split = |t: f32| {
+        let first = probs.iter().filter(|p| p[0] > t).count();
+        let never = probs.iter().filter(|p| p.iter().all(|&x| x <= t)).count();
+        first.min(never)
+    };
+    let threshold = probs
+        .iter()
+        .map(|p| p.iter().copied().fold(f32::MIN, f32::max))
+        .max_by_key(|&t| split(t))
+        .unwrap();
+    assert!(split(threshold) > 0, "no threshold splits the keys");
+    model.cfg.halt_threshold = threshold;
+
+    let together = kvec::evaluate(&model, &scenarios).outcomes;
+    let alone: Vec<_> = scenarios
+        .iter()
+        .flat_map(|s| evaluate_scenario(&model, s))
+        .collect();
+    assert_eq!(together.len(), alone.len());
+    assert!(together.iter().any(|o| o.n_k == 1));
+    assert!(together.iter().any(|o| o.n_k == o.seq_len && o.n_k > 1));
+    let fields = |o: &kvec::eval::KeyOutcome| {
+        (
+            o.key,
+            o.pred,
+            o.n_k,
+            o.halt_global_pos,
+            o.internal_attention.to_bits(),
+            o.external_attention.to_bits(),
+        )
+    };
+    for (got, want) in together.iter().zip(&alone) {
+        assert_eq!(fields(got), fields(want), "outcome of {:?}", want.key);
     }
 }
